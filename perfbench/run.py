@@ -8,7 +8,7 @@ Usage, from the root of a checkout:
 Workloads (README.md says why each one is there):
 
   decided_sweep     ~200 cheap decided specs, closed loop of report.certify
-  finite_noncyclic  the 22 sweep specs refuted by completed index > 1 tables
+  finite_noncyclic  21 sweep specs refuted by completed index > 1 tables
   overflow          6 inconclusive sweep specs, both enumerations overflow
   batch_sweep       a slice of the proposition sweep through run_batch and
                     batch_json on min(2, nproc) worker processes
