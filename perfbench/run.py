@@ -140,10 +140,10 @@ def batch_config(pool: dict, rng: random.Random, tiny: bool) -> tuple[dict, str 
     limits = pool["limits"]
     parallelism = min(2, os.cpu_count() or 1)
     if tiny:
-        sweeps, digest = [b["prefix"]], None
+        sweeps, digest = [b["rest"]], None
     else:
-        i = rng.randrange(len(b["tails"]))
-        sweeps, digest = [b["prefix"], b["tails"][i]], b["seed_sha256"][i]
+        i = rng.randrange(len(b["heads"]))
+        sweeps, digest = [b["heads"][i], b["rest"]], b["seed_sha256"][i]
     return {"sweeps": sweeps, **limits, "parallelism": parallelism}, digest
 
 
