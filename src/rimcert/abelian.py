@@ -9,7 +9,6 @@ plausible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .groups import GroupPresentation
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .abelian import AbelianInvariants, abelian_invariants
 from .enumeration import DEFAULT_MAX_COSETS, todd_coxeter
-from .groups import GroupPresentation, collapse_presentation
+from .groups import GroupPresentation, collapse_presentation, quotient
 
 CYCLIC = "cyclic"
 NON_CYCLIC = "non_cyclic"
@@ -22,6 +22,13 @@ INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True, slots=True)
 class CyclicityVerdict:
+    """A three-valued answer with its witness and replayable certificate.
+
+    ``order`` is the order d that was asked about, on every status; it is
+    not a computed group order.  A completed group order, where there is
+    one, is ``witness["group_order"]``.
+    """
+
     status: str
     order: int
     justification: str
@@ -56,13 +63,15 @@ def certify_cyclic(
     """Decide whether the presented group is cyclic of order d.
 
     Stage 1 compares abelian invariants (cheap, exact, refutation only).
-    Stage 2 enumerates cosets of the marked meridian subgroup: index 1
-    together with the stage-1 abelianization pins the group down to Z/d,
-    while a finished index k > 1 is a proper-subgroup witness against
-    cyclicity, since a cyclic group is generated by any element that
-    generates its abelianization.  Stage 3, only reached when stage 2
-    overflows, enumerates the trivial subgroup and compares the group
-    order with d.
+    Stage 2 enumerates cosets of the marked meridian subgroup.  Index 1
+    together with the stage-1 abelianization pins the group down to Z/d.
+    A finished index k > 1 refutes cyclicity when the meridian generates
+    the abelianization, checked as a trivial abelianization of the group
+    with the meridian killed: in a cyclic group such an element generates
+    everything.  The group order is then enumerated as well, and when the
+    meridian does not generate the abelianization that order decides
+    alone: cyclic exactly when it equals d.  A meridian enumeration that
+    overflows ends the run inconclusive.
     """
     if d < 1:
         raise ValueError("expected order must be positive")
@@ -108,26 +117,30 @@ def certify_cyclic(
         return doc
 
     merid = todd_coxeter(work, [work.meridian], max_cosets, deadline)
-    if merid.complete:
-        if merid.index == 1:
-            return CyclicityVerdict(
-                status=CYCLIC,
-                order=d,
-                justification=(
-                    "the meridian generates: its subgroup has index 1, and "
-                    f"the abelianization is already cyclic of order {d}, so "
-                    "the group is cyclic of that order"
-                ),
-                witness={"meridian_subgroup_index": 1},
-                certificate=cert(
-                    "meridian_index",
-                    enumeration=merid.stats(),
-                    abelian_invariants=_invariants_json(inv),
-                ),
-            )
-        # Try to pin the group order as well; a finished count strengthens
-        # the certificate but the index witness stands on its own.
-        order = todd_coxeter(work, [], max_cosets, deadline)
+    if not merid.complete:
+        return _inconclusive(d, cert("overflow", meridian_enumeration=merid.stats()))
+    if merid.index == 1:
+        return CyclicityVerdict(
+            status=CYCLIC,
+            order=d,
+            justification=(
+                "the meridian generates: its subgroup has index 1, and "
+                f"the abelianization is already cyclic of order {d}, so "
+                "the group is cyclic of that order"
+            ),
+            witness={"meridian_subgroup_index": 1},
+            certificate=cert(
+                "meridian_index",
+                enumeration=merid.stats(),
+                abelian_invariants=_invariants_json(inv),
+            ),
+        )
+
+    premise = abelian_invariants(quotient(work, [work.meridian]))
+    order = todd_coxeter(work, [], max_cosets, deadline)
+    if premise.is_cyclic_of_order(1):
+        # The index witness stands on its own; a finished group order
+        # strengthens the certificate.
         witness = {"meridian_subgroup_index": merid.index}
         extra = {}
         if order.complete:
@@ -150,35 +163,42 @@ def certify_cyclic(
             ),
         )
 
-    order = todd_coxeter(work, [], max_cosets, deadline)
-    if order.complete:
-        if order.index == d:
-            return CyclicityVerdict(
-                status=CYCLIC,
-                order=d,
-                justification=(
-                    f"the group has order {d}, equal to the order of its "
-                    "abelianization, so it is abelian and cyclic of order "
-                    f"{d}"
-                ),
-                witness={"group_order": order.index},
-                certificate=cert(
-                    "group_order",
-                    enumeration=order.stats(),
-                    abelian_invariants=_invariants_json(inv),
-                ),
-            )
+    # The meridian misses part of the abelianization, so its index proves
+    # nothing; the group order decides.
+    evidence = {
+        "meridian_enumeration": merid.stats(),
+        "meridian_quotient_invariants": _invariants_json(premise),
+        "abelian_invariants": _invariants_json(inv),
+    }
+    if not order.complete:
+        return _inconclusive(
+            d, cert("overflow", order_enumeration=order.stats(), **evidence)
+        )
+    if order.index == d:
         return CyclicityVerdict(
-            status=NON_CYCLIC,
+            status=CYCLIC,
             order=d,
             justification=(
-                f"the group has order {order.index}, but a cyclic group "
-                f"with this abelianization would have order {d}"
+                f"the group has order {d}, equal to the order of its "
+                "abelianization, so it is abelian and cyclic of order "
+                f"{d}"
             ),
             witness={"group_order": order.index},
-            certificate=cert("group_order", enumeration=order.stats()),
+            certificate=cert("group_order", enumeration=order.stats(), **evidence),
         )
+    return CyclicityVerdict(
+        status=NON_CYCLIC,
+        order=d,
+        justification=(
+            f"the group has order {order.index}, but a cyclic group "
+            f"with this abelianization would have order {d}"
+        ),
+        witness={"group_order": order.index},
+        certificate=cert("group_order", enumeration=order.stats(), **evidence),
+    )
 
+
+def _inconclusive(d: int, certificate: dict) -> CyclicityVerdict:
     return CyclicityVerdict(
         status=INCONCLUSIVE,
         order=d,
@@ -187,9 +207,5 @@ def certify_cyclic(
             "max_cosets or the timeout may settle the question"
         ),
         witness={},
-        certificate=cert(
-            "overflow",
-            meridian_enumeration=merid.stats(),
-            order_enumeration=order.stats(),
-        ),
+        certificate=certificate,
     )

@@ -17,7 +17,6 @@ loop around both of them a product x * y^-1 of their meridians.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .braids import BraidWord
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .groups import GroupPresentation, Word, _cyclic_normal_form
+from .groups import GroupPresentation, Word, _cyclic_normal_form, word_columns
 
 DEFAULT_MAX_COSETS = 100_000
 
@@ -31,11 +31,6 @@ class _Deadline(Exception):
     pass
 
 
-def word_columns(w: Word) -> tuple[int, ...]:
-    """Letters as table columns: 2g for x_g, 2g+1 for its inverse."""
-    return tuple(2 * g if s > 0 else 2 * g + 1 for g, s in w.letters())
-
-
 class CosetTable:
     """Rows are cosets, columns alternate generator and inverse."""
 
@@ -48,7 +43,6 @@ class CosetTable:
         "limit",
         "deadline",
         "_ticks",
-        "deductions",
     )
 
     def __init__(self, ngens: int, limit: int, deadline: float | None = None):
@@ -60,36 +54,33 @@ class CosetTable:
         self.limit = limit
         self.deadline = deadline
         self._ticks = 0
-        # When not None, every new table entry is pushed here so a
-        # deduction-driven strategy can rescan the relators through it.
-        self.deductions: list[tuple[int, int]] | None = None
 
     # -- bookkeeping ---------------------------------------------------
-
-    def n_rows(self) -> int:
-        return len(self.table)
 
     def is_alive(self, c: int) -> bool:
         return self.p[c] == c
 
-    def live_count(self) -> int:
-        return sum(1 for c, r in enumerate(self.p) if c == r)
+    def _poll(self) -> None:
+        """Raise _Deadline once the deadline has passed.
+
+        Callers poll once per 1024 definitions, merges or lookahead rows,
+        which keeps the clock reads off the hot path.
+        """
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _Deadline
 
     def define(self, alpha: int, col: int) -> int:
         if len(self.table) >= self.limit:
             raise _TableFull
         self._ticks += 1
-        if self.deadline is not None and self._ticks & 1023 == 0:
-            if time.monotonic() > self.deadline:
-                raise _Deadline
+        if self._ticks & 1023 == 0:
+            self._poll()
         beta = len(self.table)
         self.table.append([None] * self.ncols)
         self.p.append(beta)
         self.defined += 1
         self.table[alpha][col] = beta
         self.table[beta][col ^ 1] = alpha
-        if self.deductions is not None:
-            self.deductions.append((alpha, col))
         return beta
 
     def rep(self, k: int) -> int:
@@ -115,6 +106,8 @@ class CosetTable:
         while qi < len(queue):
             gamma = queue[qi]
             qi += 1
+            if qi & 1023 == 0:
+                self._poll()
             row = self.table[gamma]
             for x in range(self.ncols):
                 delta = row[x]
@@ -130,8 +123,6 @@ class CosetTable:
                 else:
                     self.table[mu][x] = nu
                     self.table[nu][x ^ 1] = mu
-                    if self.deductions is not None:
-                        self.deductions.append((mu, x))
 
     # -- scanning --------------------------------------------------------
 
@@ -162,8 +153,6 @@ class CosetTable:
             if j == i:
                 table[f][word[i]] = b
                 table[b][word[i] ^ 1] = f
-                if self.deductions is not None:
-                    self.deductions.append((f, word[i]))
                 return
             if not fill:
                 return
@@ -171,6 +160,8 @@ class CosetTable:
 
     def lookahead(self, relators: list[tuple[int, ...]]) -> None:
         for alpha in range(len(self.table)):
+            if alpha & 1023 == 1023:
+                self._poll()
             if not self.is_alive(alpha):
                 continue
             for r in relators:
@@ -210,20 +201,6 @@ class CosetTable:
                 order[v] if v is not None else None for v in self.table[c]
             ]
         self.table = new
-
-    def trace(self, start: int, word: tuple[int, ...]) -> int | None:
-        c = start
-        for col in word:
-            v = self.table[c][col]
-            if v is None:
-                return None
-            c = v
-        return c
-
-    def is_complete(self) -> bool:
-        return all(
-            v is not None for c in range(len(self.table)) for v in self.table[c]
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -275,25 +252,27 @@ def _hlt(
     deadline: float | None,
 ) -> EnumerationResult:
     table = CosetTable(ngens, max_cosets, deadline)
-    while True:
-        try:
-            for w in subgroup_cols:
-                table.scan(0, w, fill=True)
-            alpha = 0
-            while alpha < len(table.table):
-                if table.is_alive(alpha):
-                    for r in relators:
-                        if not table.is_alive(alpha):
-                            break
-                        table.scan(alpha, r, fill=True)
+    try:
+        while True:
+            try:
+                for w in subgroup_cols:
+                    table.scan(0, w, fill=True)
+                alpha = 0
+                while alpha < len(table.table):
                     if table.is_alive(alpha):
-                        row = table.table[alpha]
-                        for col in range(table.ncols):
-                            if row[col] is None:
-                                table.define(alpha, col)
-                alpha += 1
-            break
-        except _TableFull:
+                        for r in relators:
+                            if not table.is_alive(alpha):
+                                break
+                            table.scan(alpha, r, fill=True)
+                        if table.is_alive(alpha):
+                            row = table.table[alpha]
+                            for col in range(table.ncols):
+                                if row[col] is None:
+                                    table.define(alpha, col)
+                    alpha += 1
+                break
+            except _TableFull:
+                pass
             table.lookahead(relators)
             freed = table.compress()
             # A lookahead that recovers under 5% of the budget is thrashing,
@@ -301,108 +280,10 @@ def _hlt(
             # few hundred cosets of headroom.  Call the budget exhausted.
             if freed < max(1, max_cosets // 20) or len(table.table) >= max_cosets:
                 return _overflow(table, max_cosets, "max_cosets")
-        except _Deadline:
-            return _overflow(table, max_cosets, "timeout")
-    return _finish(table, max_cosets)
-
-
-def _rotations_by_first(
-    relators: list[tuple[int, ...]], ncols: int
-) -> list[list[tuple[int, ...]]]:
-    """Cyclic rotations of every relator, grouped by leading column."""
-    by_first: list[list[tuple[int, ...]]] = [[] for _ in range(ncols)]
-    seen: list[set[tuple[int, ...]]] = [set() for _ in range(ncols)]
-    for r in relators:
-        for i in range(len(r)):
-            rot = r[i:] + r[:i]
-            if rot not in seen[rot[0]]:
-                seen[rot[0]].add(rot)
-                by_first[rot[0]].append(rot)
-    return by_first
-
-
-def _felsch(
-    relators: list[tuple[int, ...]],
-    subgroup_cols: list[tuple[int, ...]],
-    ngens: int,
-    max_cosets: int,
-    deadline: float | None,
-) -> EnumerationResult:
-    """Deduction-driven enumeration.
-
-    Every new table entry is rescanned through every relator rotation that
-    starts with its column, so consequences propagate before any new coset
-    is defined.  Needs far fewer cosets than the relator-based pass on
-    presentations with long relators and small index, at a higher cost per
-    definition.  A final silent full pass certifies the finished table.
-    """
-    table = CosetTable(ngens, max_cosets, deadline)
-    table.deductions = []
-    by_first = _rotations_by_first(relators, table.ncols)
-
-    def drain() -> None:
-        ded = table.deductions
-        assert ded is not None
-        while ded:
-            a, x = ded.pop()
-            a = table.rep(a)
-            b = table.table[a][x]
-            if b is None:
-                continue
-            for rot in by_first[x]:
-                table.scan(a, rot, fill=False)
-                if table.p[a] != a:
-                    break
-            b = table.rep(b)
-            for rot in by_first[x ^ 1]:
-                table.scan(b, rot, fill=False)
-                if table.p[b] != b:
-                    break
-
-    def complete_for_live() -> bool:
-        return all(
-            v is not None
-            for c in range(len(table.table))
-            if table.is_alive(c)
-            for v in table.table[c]
-        )
-
-    try:
-        for w in subgroup_cols:
-            table.scan(0, w, fill=True)
-        drain()
-        alpha = 0
-        while True:
-            while alpha < len(table.table) and (
-                not table.is_alive(alpha)
-                or all(v is not None for v in table.table[alpha])
-            ):
-                alpha += 1
-            if alpha >= len(table.table):
-                # Candidate completion: one full non-defining pass over the
-                # subgroup words and every relator must leave no open entry,
-                # otherwise its coincidences reopened the table.
-                for w in subgroup_cols:
-                    table.scan(0, w, fill=False)
-                table.lookahead(relators)
-                drain()
-                if complete_for_live():
-                    break
-                alpha = 0
-                continue
-            row = table.table[alpha]
-            col = next(c for c in range(table.ncols) if row[c] is None)
-            try:
-                table.define(alpha, col)
-            except _TableFull:
-                if table.compress() == 0:
-                    return _overflow(table, max_cosets, "max_cosets")
-                alpha = 0
-                continue
-            drain()
     except _Deadline:
+        # Lookahead and coincidence poll the deadline too, so it can fire
+        # outside a definition.
         return _overflow(table, max_cosets, "timeout")
-
     return _finish(table, max_cosets)
 
 
@@ -411,33 +292,23 @@ def todd_coxeter(
     subgroup: list[Word] | tuple[Word, ...] = (),
     max_cosets: int = DEFAULT_MAX_COSETS,
     deadline: float | None = None,
-    strategy: str = "hlt",
 ) -> EnumerationResult:
     """Enumerate cosets of <subgroup> in the presented group.
 
     Returns Complete(index) with a compressed, standardized table, or an
     Overflow result naming the exhausted limit.  A later retry with a larger
-    limit can only turn Overflow into Complete, never change an index.  The
-    default "hlt" strategy scans whole relators and recovers space through
-    lookahead; "felsch" is deduction-driven and defines far fewer cosets on
-    presentations with heavy cancellation; "auto" runs hlt first and retries
-    with felsch when the coset budget runs out.
+    limit can only turn Overflow into Complete, never change an index.
+    Relators are scanned whole (HLT) and lookahead recovers space when the
+    table fills.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
-    if strategy not in ("auto", "hlt", "felsch"):
-        raise ValueError("strategy must be auto, hlt, or felsch")
     relators = [word_columns(r) for r in p.relators]
     subgroup_cols = [word_columns(w) for w in subgroup]
     for w in subgroup:
         if w.max_generator() >= p.ngens:
             raise ValueError("subgroup word uses an undefined generator")
-
-    if strategy != "felsch":
-        result = _hlt(relators, subgroup_cols, p.ngens, max_cosets, deadline)
-        if result.complete or strategy == "hlt" or result.reason == "timeout":
-            return result
-    return _felsch(relators, subgroup_cols, p.ngens, max_cosets, deadline)
+    return _hlt(relators, subgroup_cols, p.ngens, max_cosets, deadline)
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,9 +8,8 @@ generators, which is exactly the freely reduced normal form.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 Syllable = tuple[int, int]
@@ -119,10 +118,6 @@ class Word:
                 break
         return Word(tuple(syls))
 
-    def conjugated_by(self, g: "Word") -> "Word":
-        """g^-1 * self * g."""
-        return g.inverse() * self * g
-
     def __str__(self) -> str:
         if not self.syllables:
             return "1"
@@ -140,28 +135,6 @@ def free_reduce(word: Word | Sequence[Syllable]) -> Word:
 
 def commutator(a: Word, b: Word) -> Word:
     return a.inverse() * b.inverse() * a * b
-
-
-@dataclass(frozen=True, slots=True)
-class GroupMap:
-    """A homomorphism given on generators; images indexed by source gen."""
-
-    images: tuple[Word, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(self.images))
-
-
-def apply_map(f: GroupMap, w: Word) -> Word:
-    """Image of w under f, freely reduced."""
-    syls: list[Syllable] = []
-    for g, e in w.syllables:
-        if g >= len(f.images):
-            raise ValueError(f"generator x{g} has no image under the map")
-        img = f.images[g] if e > 0 else f.images[g].inverse()
-        for _ in range(abs(e)):
-            syls.extend(img.syllables)
-    return Word(tuple(syls))
 
 
 def _relator_sort_key(w: Word) -> tuple:
@@ -221,11 +194,6 @@ class GroupPresentation:
     def total_relator_length(self) -> int:
         return sum(r.length() for r in self.relators)
 
-    def describe(self) -> str:
-        names = self.names()
-        rels = ", ".join(format_word(r, names) for r in self.relators) or "-"
-        return f"<{' '.join(names) or '-'} | {rels}>"
-
 
 def quotient(p: GroupPresentation, extra_relators: Iterable[Word]) -> GroupPresentation:
     """Add relators; peripheral data carries over unchanged."""
@@ -245,19 +213,19 @@ def quotient(p: GroupPresentation, extra_relators: Iterable[Word]) -> GroupPrese
 # --- relator normal forms, used for duplicate detection -------------------
 
 
-def _letter_tuple(w: Word) -> tuple[int, ...]:
-    # encode letters as single ints: 2g for x_g, 2g+1 for x_g^-1
-    out = []
-    for g, s in w.letters():
-        out.append(2 * g if s > 0 else 2 * g + 1)
-    return tuple(out)
+def word_columns(w: Word) -> tuple[int, ...]:
+    """Letters as single ints: 2g for x_g, 2g+1 for its inverse.
+
+    These are also the coset-table columns the enumerator scans.
+    """
+    return tuple(2 * g if s > 0 else 2 * g + 1 for g, s in w.letters())
 
 
 def _cyclic_normal_form(w: Word) -> tuple[int, ...]:
     """Least rotation of the letter sequence of w and of w^-1."""
     best: tuple[int, ...] | None = None
     for cand in (w, w.inverse()):
-        letters = _letter_tuple(cand)
+        letters = word_columns(cand)
         n = len(letters)
         for i in range(max(n, 1)):
             rot = letters[i:] + letters[:i]
@@ -266,11 +234,7 @@ def _cyclic_normal_form(w: Word) -> tuple[int, ...]:
     return best if best is not None else ()
 
 
-def _word_from_letter_tuple(letters: tuple[int, ...]) -> Word:
-    return Word(tuple((l // 2, 1 if l % 2 == 0 else -1) for l in letters))
-
-
-# --- Tietze simplification -------------------------------------------------
+# --- generator elimination -------------------------------------------------
 
 
 def _substitute_generator(w: Word, gen: int, image: Word) -> Word:
@@ -341,121 +305,6 @@ def _solve_for(r: Word, gen: int) -> Word:
     return w.inverse() if sign > 0 else w
 
 
-def _try_subword_reductions(relators: list[Word], max_len: int) -> bool:
-    """One pass of length-reducing substitutions between relator pairs.
-
-    If more than half of (a rotation of) r appears inside s, the occurrence
-    is replaced by the inverse of the shorter remainder.  Only strictly
-    length-reducing rewrites are applied.  Returns True when any change fired.
-    """
-    changed = False
-    for i, r in enumerate(relators):
-        rl = _letter_tuple(r)
-        L = len(rl)
-        if L < 2:
-            continue
-        variants = set()
-        for seq in (rl, _letter_tuple(r.inverse())):
-            for k in range(L):
-                variants.add(seq[k:] + seq[:k])
-        half = L // 2 + 1
-        for j, s in enumerate(relators):
-            if i == j:
-                continue
-            sl = _letter_tuple(s)
-            if len(sl) < half:
-                continue
-            for rot in sorted(variants):
-                piece = rot[:half]
-                # find piece inside sl
-                for start in range(len(sl) - half + 1):
-                    if tuple(sl[start : start + half]) == piece:
-                        remainder = rot[half:]
-                        inv = _word_from_letter_tuple(remainder).inverse()
-                        new = (
-                            _word_from_letter_tuple(sl[:start])
-                            * inv
-                            * _word_from_letter_tuple(sl[start + half :])
-                        ).cyclically_reduced()
-                        if new.length() < s.length() and new.length() <= max_len:
-                            relators[j] = new
-                            changed = True
-                            break
-                if changed:
-                    break
-            if changed:
-                break
-        if changed:
-            break
-    return changed
-
-
-def tietze_simplify(p: GroupPresentation, budget: int) -> GroupPresentation:
-    """Presentation hygiene: bounded, deterministic, never grows relators.
-
-    Removes duplicate and trivial relators, eliminates any generator that
-    occurs exactly once in some relator (when the substitution does not
-    increase total relator length), and applies length-reducing subword
-    substitutions.  `budget` bounds the number of rewrite passes.  Relator
-    length is additionally capped at 10x the largest input relator.
-    """
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    relators = list(p.relators)
-    names = list(p.names())
-    meridian = p.meridian
-    longitude = p.longitude
-    ngens = p.ngens
-    max_len = max((r.length() for r in relators), default=0) * 10
-
-    for _ in range(budget):
-        before = (ngens, [r.syllables for r in relators])
-        relators = _dedupe([r.cyclically_reduced() for r in relators])
-
-        cand = _find_single_occurrence(relators)
-        if cand is not None:
-            idx, gen = cand
-            image = _solve_for(relators[idx], gen)
-            total_now = sum(r.length() for r in relators)
-            new_rels = []
-            ok = True
-            for k, r in enumerate(relators):
-                if k == idx:
-                    continue
-                sub = _substitute_generator(r, gen, image).cyclically_reduced()
-                if sub.length() > max_len:
-                    ok = False
-                    break
-                new_rels.append(sub)
-            if ok and sum(r.length() for r in new_rels) <= total_now:
-                relators = [_drop_generator(r, gen) for r in new_rels]
-                image_dropped = _drop_generator(image, gen)
-                if meridian is not None:
-                    meridian = _drop_generator(
-                        _substitute_generator(meridian, gen, image), gen
-                    )
-                if longitude is not None:
-                    longitude = _drop_generator(
-                        _substitute_generator(longitude, gen, image), gen
-                    )
-                del names[gen]
-                ngens -= 1
-
-        _try_subword_reductions(relators, max_len)
-
-        after = (ngens, [r.syllables for r in relators])
-        if after == before:
-            break
-
-    return GroupPresentation(
-        ngens=ngens,
-        relators=tuple(relators),
-        meridian=meridian,
-        longitude=longitude,
-        gen_names=tuple(names),
-    )
-
-
 def collapse_presentation(
     p: GroupPresentation,
     max_relator_length: int = 4096,
@@ -463,15 +312,15 @@ def collapse_presentation(
 ) -> GroupPresentation:
     """Eliminate generators before enumeration, tolerating relator growth.
 
-    tietze_simplify never lets the total relator length grow, which leaves
-    conjugation-shaped presentations (x_out = w x_in w^-1) untouched: every
-    elimination there lengthens the other relators first.  Coset enumeration
-    is usually far cheaper over two or three generators with long relators
-    than over many short ones, so this routine keeps eliminating any
-    generator that occurs as a single letter in some relator until none is
-    left or a substituted relator would exceed max_relator_length.  Marked
-    peripheral words are rewritten through every elimination; the result
-    presents the same marked group.
+    Conjugation-shaped presentations (x_out = w x_in w^-1) lengthen the
+    other relators with every elimination, so a simplifier that never lets
+    the total relator length grow would leave them untouched.  Coset
+    enumeration is usually far cheaper over two or three generators with
+    long relators than over many short ones, so this routine keeps
+    eliminating any generator that occurs as a single letter in some
+    relator until none is left or a substituted relator would exceed
+    max_relator_length.  Marked peripheral words are rewritten through
+    every elimination; the result presents the same marked group.
 
     Generators listed in ``protect`` survive the collapse.  Keeping the
     meridian generator alive lets a caller enumerate its cyclic subgroup

@@ -51,10 +51,6 @@ class LaurentPolynomial:
         """True for +-t^k."""
         return len(self.coeffs) == 1 and abs(self.coeffs[0]) == 1
 
-    @property
-    def degree_span(self) -> int:
-        return len(self.coeffs)
-
     def min_exp(self) -> int:
         return self.base
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from .braids import resolve_knot
 from .diagrams import KnotDiagram, TangleDiagram, band_double, braid_closure_diagram
-from .enumeration import DEFAULT_MAX_COSETS, SubgroupPresentation, reidemeister_schreier
+from .enumeration import DEFAULT_MAX_COSETS, reidemeister_schreier
 from .groups import GroupPresentation, Word, commutator, quotient
 from .invariants import tangle_wirtinger, wirtinger
 
@@ -298,15 +298,19 @@ def meridian_kernel_words(meridian_gen: int, ngens: int, d: int) -> list[Word]:
     return words
 
 
-def _cover_pieces(
-    spec: SurgerySpec, max_cosets: int
-) -> tuple[SubgroupPresentation, list[Word], list[Word]]:
-    """Common data for both cover flavors.
+def unbranched_cover_group(
+    spec: SurgerySpec, max_cosets: int = DEFAULT_MAX_COSETS
+) -> GroupPresentation:
+    """Group of the d-fold cyclic cover of the surgered complement.
 
-    Returns the subgroup presentation of the mod-d kernel, the rewritten
-    lifts of meridian^d through every transversal representative, and the
-    relators pinning the deck/regluing action: one per Schreier generator
-    s, saying s equals its conjugate by w = meridian^m * longitude^n.
+    The mod-d kernel of the meridian exponent is presented by
+    Reidemeister-Schreier, then two relator families are added: the
+    rewritten lifts of meridian^d through every transversal representative,
+    and the deck/regluing action, one relator per Schreier generator s
+    saying s equals its conjugate by w = meridian^m * longitude^n.
+
+    The surgered group is cyclic of order d exactly when this group is
+    trivial, which is what the certifier's cross-validation checks.
     """
     if spec.kind != RIM:
         raise ValueError("covers are built for rim specs")
@@ -328,32 +332,4 @@ def _cover_pieces(
     for s_index, s_word in enumerate(sub.schreier_words):
         image = sub.rewrite(w.inverse() * s_word * w)
         action.append(Word.gen(s_index, -1) * image)
-    return sub, merid_lifts, action
-
-
-def unbranched_cover_group(
-    spec: SurgerySpec, max_cosets: int = DEFAULT_MAX_COSETS
-) -> GroupPresentation:
-    """Group of the d-fold cyclic cover of the surgered complement.
-
-    The surgered group is cyclic of order d exactly when this group is
-    trivial, which is what the certifier's cross-validation checks.
-    """
-    sub, merid_lifts, action = _cover_pieces(spec, max_cosets)
     return quotient(sub.presentation, merid_lifts + action)
-
-
-def branched_cover_surgered_group(
-    spec: SurgerySpec, max_cosets: int = DEFAULT_MAX_COSETS
-) -> GroupPresentation:
-    """Group of the d-fold branched cover, surgered.
-
-    Filling the lifted knot back in kills every lift of the meridian
-    power, which is the same relator family the unbranched construction
-    already imposes; the quotients are applied in the branched order
-    (meridian lifts first) and the resulting presentation coincides with
-    the unbranched one for these surgeries.
-    """
-    sub, merid_lifts, action = _cover_pieces(spec, max_cosets)
-    branched = quotient(sub.presentation, merid_lifts)
-    return quotient(branched, action)

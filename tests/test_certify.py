@@ -87,8 +87,57 @@ def test_inconclusive_is_honest_about_limits():
     assert cert["stage"] == "overflow"
     assert not cert["meridian_enumeration"]["complete"]
     assert cert["meridian_enumeration"]["reason"] == "max_cosets"
-    assert not cert["order_enumeration"]["complete"]
+    assert "order_enumeration" not in cert
     assert cert["limits"]["max_cosets"] == 500
+
+
+def test_meridian_missing_part_of_h1_is_decided_by_order():
+    # The meridian's index is > 1 in both groups, but it does not generate
+    # the abelianization, so the index proves nothing; the completed group
+    # order d shows both groups cyclic.
+    z4 = GroupPresentation(
+        ngens=1, relators=(parse_word("a a a a", "a"),), meridian=Word.gen(0, 2)
+    )
+    z6 = GroupPresentation(
+        ngens=2,
+        relators=(
+            parse_word("a a a", AB),
+            parse_word("b b", AB),
+            parse_word("a b A B", AB),
+        ),
+        meridian=Word.gen(0),
+    )
+    for p, d in ((z4, 4), (z6, 6)):
+        v = certify_cyclic(p, d)
+        assert v.status == CYCLIC
+        assert v.witness == {"group_order": d}
+        cert = v.certificate
+        assert cert["stage"] == "group_order"
+        assert cert["meridian_enumeration"]["index"] > 1
+        assert cert["meridian_quotient_invariants"]["torsion"] != []
+
+
+def test_meridian_missing_part_of_h1_with_other_order_is_non_cyclic():
+    # S3 x Z/3 marked by a transposition: H1 is Z/6, the meridian misses
+    # the Z/3 factor, and the group has order 18.
+    abc = ("a", "b", "c")
+    p = GroupPresentation(
+        ngens=3,
+        relators=tuple(
+            parse_word(r, abc)
+            for r in ("a a", "b b", "a b a b a b", "c c c", "a c A C", "b c B C")
+        ),
+        meridian=Word.gen(0),
+    )
+    v = certify_cyclic(p, 6)
+    assert v.status == NON_CYCLIC
+    assert v.witness == {"group_order": 18}
+    assert v.certificate["stage"] == "group_order"
+    # Without the order, the meridian index alone decides nothing.
+    v = certify_cyclic(p, 6, max_cosets=12)
+    assert v.status == INCONCLUSIVE
+    assert v.certificate["meridian_enumeration"]["index"] == 9
+    assert v.certificate["order_enumeration"]["reason"] == "max_cosets"
 
 
 def test_timeout_reported_in_certificate():

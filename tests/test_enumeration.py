@@ -81,8 +81,6 @@ def test_invalid_arguments():
     with pytest.raises(ValueError):
         todd_coxeter(S3, [], max_cosets=0)
     with pytest.raises(ValueError):
-        todd_coxeter(S3, [], strategy="dizzy")
-    with pytest.raises(ValueError):
         todd_coxeter(S3, [Word.gen(7)])
 
 
@@ -92,7 +90,28 @@ def test_results_are_deterministic():
     assert first == second
 
 
+def _sympy_index(p, sub):
+    """Index of <sub> by sympy's coset enumeration, which shares no code."""
+    from sympy.combinatorics.fp_groups import FpGroup
+    from sympy.combinatorics.free_groups import free_group
+
+    F, *gens = free_group(" ".join(f"x{i}" for i in range(p.ngens)))
+
+    def word(w):
+        out = F.identity
+        for g, e in w.syllables:
+            out = out * gens[g] ** e
+        return out
+
+    table = FpGroup(F, [word(r) for r in p.relators]).coset_enumeration(
+        [word(w) for w in sub]
+    )
+    table.compress()
+    return len(table.table)
+
+
 def test_strategies_agree_on_finite_groups():
+    pytest.importorskip("sympy")
     cases = [
         (S3, []),
         (S3, [A]),
@@ -103,14 +122,13 @@ def test_strategies_agree_on_finite_groups():
         (_p(1, Word.gen(0) ** 12), []),
     ]
     for p, sub in cases:
-        hlt = todd_coxeter(p, sub, strategy="hlt")
-        felsch = todd_coxeter(p, sub, strategy="felsch")
-        auto = todd_coxeter(p, sub, strategy="auto")
-        assert hlt.complete and felsch.complete and auto.complete
-        assert hlt.index == felsch.index == auto.index
+        hlt = todd_coxeter(p, sub)
+        assert hlt.complete
+        assert hlt.index == _sympy_index(p, sub)
 
 
 def test_strategies_agree_on_random_finite_quotients():
+    pytest.importorskip("sympy")
     rng = random.Random(59)
     for _ in range(25):
         # abelian-ish quotients stay finite: two generators of bounded
@@ -121,17 +139,27 @@ def test_strategies_agree_on_random_finite_quotients():
             for _ in range(rng.randint(0, 6))
         )
         p = _p(2, A**da, B**db, commutator(A, B), extra)
-        hlt = todd_coxeter(p, [], max_cosets=2000, strategy="hlt")
-        felsch = todd_coxeter(p, [], max_cosets=2000, strategy="felsch")
-        assert hlt.complete and felsch.complete
-        assert hlt.index == felsch.index
+        hlt = todd_coxeter(p, [], max_cosets=2000)
+        assert hlt.complete
+        assert hlt.index == _sympy_index(p, [])
 
 
-def test_felsch_defines_no_more_than_needed_on_cyclic():
-    p = _p(1, Word.gen(0) ** 30)
-    r = todd_coxeter(p, [], strategy="felsch")
-    assert r.complete and r.index == 30
-    assert r.stats()["cosets_defined"] == 30
+@pytest.mark.parametrize(
+    "max_cosets, seconds", [(100_000, 1.0), (400_000, 1.0), (400_000, 2.0)]
+)
+def test_deadline_holds_through_lookahead(max_cosets, seconds):
+    # The collapsed meridian enumeration of 5_2 d=3 m=1 n=3 fills its table
+    # early and then spends seconds in lookahead and coincidence handling,
+    # which must poll the deadline just as defining a coset does.
+    from rimcert import collapse_presentation, spec_from_json, surgered_group
+
+    p = surgered_group(spec_from_json({"knot": "5_2", "d": 3, "m": 1, "n": 3}))
+    q = collapse_presentation(p, protect=(p.meridian.syllables[0][0],))
+    start = time.monotonic()
+    r = todd_coxeter(q, [q.meridian], max_cosets, deadline=start + seconds)
+    elapsed = time.monotonic() - start
+    assert r.reason == "timeout"
+    assert elapsed < seconds + 0.5
 
 
 # -- Reidemeister-Schreier ---------------------------------------------------

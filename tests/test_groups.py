@@ -15,7 +15,6 @@ from rimcert.groups import (
     presentation_from_json,
     presentation_to_json,
     quotient,
-    tietze_simplify,
 )
 
 
@@ -99,42 +98,6 @@ def test_presentation_json_round_trip():
         gen_names=("m", "l"),
     )
     assert presentation_from_json(presentation_to_json(p)) == p
-
-
-# -- tietze_simplify ---------------------------------------------------------
-
-
-def test_tietze_kills_free_generator():
-    p = GroupPresentation(ngens=2, relators=(Word.gen(1),))
-    q = tietze_simplify(p, budget=10)
-    assert q.ngens == 1 and not q.relators
-
-
-def test_tietze_eliminates_inverse_pair():
-    p = GroupPresentation(ngens=2, relators=(Word.gen(0) * Word.gen(1),))
-    q = tietze_simplify(p, budget=10)
-    assert q.ngens == 1 and not q.relators
-
-
-def test_tietze_drops_duplicates():
-    c = commutator(Word.gen(0), Word.gen(1))
-    p = GroupPresentation(ngens=2, relators=(c, c))
-    q = tietze_simplify(p, budget=10)
-    assert len(q.relators) == 1
-
-
-def test_tietze_never_grows_and_preserves_h1():
-    rng = random.Random(47)
-    for _ in range(100):
-        ngens = rng.randint(1, 4)
-        rels = tuple(
-            _random_word(rng, ngens, 6) for _ in range(rng.randint(0, 4))
-        )
-        p = GroupPresentation(ngens=ngens, relators=rels)
-        q = tietze_simplify(p, budget=rng.randint(0, 12))
-        assert q.total_relator_length() <= p.total_relator_length()
-        a, b = abelian_invariants(p), abelian_invariants(q)
-        assert (a.free_rank, a.torsion) == (b.free_rank, b.torsion)
 
 
 # -- collapse_presentation ---------------------------------------------------

@@ -12,7 +12,6 @@ from rimcert.invariants import wirtinger
 from rimcert.surgery import (
     SurgerySpec,
     annulus_rim_surgery_group,
-    branched_cover_surgered_group,
     gluing_matrix,
     meridian_kernel_words,
     plotnick_matrix,
@@ -195,13 +194,6 @@ def test_unbranched_cover_detects_cyclic_cases():
     cover = unbranched_cover_group(non)
     r = todd_coxeter(cover, [])
     assert r.complete and r.index == 3
-
-
-def test_branched_cover_matches_unbranched_for_these_surgeries():
-    spec = _rim_spec("3_1", 2, m=0, n=0)
-    a = todd_coxeter(unbranched_cover_group(spec), [])
-    b = todd_coxeter(branched_cover_surgered_group(spec), [])
-    assert a.complete and b.complete and a.index == b.index
 
 
 def test_cover_requires_rim_kind():
