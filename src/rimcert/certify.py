@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 
 from .abelian import AbelianInvariants, abelian_invariants
 from .enumeration import DEFAULT_MAX_COSETS, todd_coxeter
-from .groups import GroupPresentation, collapse_presentation, quotient
+from .groups import (
+    GroupPresentation,
+    Word,
+    collapse_presentation,
+    cyclic_normal_form,
+    quotient,
+)
 
 CYCLIC = "cyclic"
 NON_CYCLIC = "non_cyclic"
@@ -68,10 +74,11 @@ def certify_cyclic(
     A finished index k > 1 refutes cyclicity when the meridian generates
     the abelianization, checked as a trivial abelianization of the group
     with the meridian killed: in a cyclic group such an element generates
-    everything.  The group order is then enumerated as well, and when the
-    meridian does not generate the abelianization that order decides
-    alone: cyclic exactly when it equals d.  A meridian enumeration that
-    overflows ends the run inconclusive.
+    everything.  The group order is then k*d when meridian^d is a relator,
+    since the meridian has order exactly d; otherwise it is enumerated.
+    When the meridian does not generate the abelianization, the enumerated
+    group order decides alone: cyclic exactly when it equals d.  A meridian
+    enumeration that overflows ends the run inconclusive.
     """
     if d < 1:
         raise ValueError("expected order must be positive")
@@ -137,13 +144,25 @@ def certify_cyclic(
         )
 
     premise = abelian_invariants(quotient(work, [work.meridian]))
-    order = todd_coxeter(work, [], max_cosets, deadline)
-    if premise.is_cyclic_of_order(1):
-        # The index witness stands on its own; a finished group order
-        # strengthens the certificate.
+    refutes = premise.is_cyclic_of_order(1)
+    power = _relator_position(work, work.meridian**d) if refutes else None
+    order = None
+    if power is None:
+        order = todd_coxeter(work, [], max_cosets, deadline)
+    if refutes:
+        # The index witness stands on its own; a group order strengthens
+        # the certificate.  The meridian generates H1 = Z/d, so its order
+        # is a multiple of d, and a meridian^d relator makes it exactly d.
         witness = {"meridian_subgroup_index": merid.index}
         extra = {}
-        if order.complete:
+        if power is not None:
+            witness["group_order"] = merid.index * d
+            extra["order_derivation"] = {
+                "meridian_order": d,
+                "meridian_power_relator": power,
+                "meridian_quotient_invariants": _invariants_json(premise),
+            }
+        elif order.complete:
             witness["group_order"] = order.index
             extra["order_enumeration"] = order.stats()
         return CyclicityVerdict(
@@ -196,6 +215,17 @@ def certify_cyclic(
         witness={"group_order": order.index},
         certificate=cert("group_order", enumeration=order.stats(), **evidence),
     )
+
+
+def _relator_position(p: GroupPresentation, w: Word) -> int | None:
+    """Index of a relator of p equal to w up to rotation and inversion."""
+    w = w.cyclically_reduced()
+    n = w.length()
+    key = cyclic_normal_form(w)
+    for i, r in enumerate(p.relators):
+        if r.length() == n and cyclic_normal_form(r) == key:
+            return i
+    return None
 
 
 def _inconclusive(d: int, certificate: dict) -> CyclicityVerdict:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .groups import GroupPresentation, Word, _cyclic_normal_form, word_columns
+from .groups import GroupPresentation, Word, cyclic_normal_form, word_columns
 
 DEFAULT_MAX_COSETS = 100_000
 
@@ -63,8 +63,8 @@ class CosetTable:
     def _poll(self) -> None:
         """Raise _Deadline once the deadline has passed.
 
-        Callers poll once per 1024 definitions, merges or lookahead rows,
-        which keeps the clock reads off the hot path.
+        Callers poll once per 1024 definitions, merges, lookahead rows or
+        compressed rows, which keeps the clock reads off the hot path.
         """
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Deadline
@@ -169,13 +169,24 @@ class CosetTable:
                     break
                 self.scan(alpha, r, fill=False)
 
-    def compress(self) -> int:
+    def compress(self, poll: bool = False) -> int:
+        """Renumber the live cosets 0..n-1 and return how many were freed.
+
+        With ``poll`` the deadline is checked once per 1024 rows; the table
+        is replaced only at the end, so a raise leaves it as it was.
+        """
         live = [c for c in range(len(self.table)) if self.p[c] == c]
         idx = {c: i for i, c in enumerate(live)}
-        self.table = [
-            [idx[self.rep(v)] if v is not None else None for v in self.table[c]]
-            for c in live
-        ]
+        rep = self.rep
+        rows: list[list[int | None]] = []
+        for start in range(0, len(live), 1024):
+            if poll and start:
+                self._poll()
+            rows += [
+                [idx[rep(v)] if v is not None else None for v in self.table[c]]
+                for c in live[start : start + 1024]
+            ]
+        self.table = rows
         freed = len(self.p) - len(live)
         self.p = list(range(len(live)))
         return freed
@@ -274,16 +285,18 @@ def _hlt(
             except _TableFull:
                 pass
             table.lookahead(relators)
-            freed = table.compress()
+            freed = table.compress(poll=True)
             # A lookahead that recovers under 5% of the budget is thrashing,
             # not converging; repeated full rescans would burn seconds for a
             # few hundred cosets of headroom.  Call the budget exhausted.
             if freed < max(1, max_cosets // 20) or len(table.table) >= max_cosets:
                 return _overflow(table, max_cosets, "max_cosets")
     except _Deadline:
-        # Lookahead and coincidence poll the deadline too, so it can fire
-        # outside a definition.
+        # Lookahead, coincidence and compress poll the deadline too, so it
+        # can fire outside a definition.
         return _overflow(table, max_cosets, "timeout")
+    # No poll past this point: the table is complete, and a late deadline
+    # must not throw it away.
     return _finish(table, max_cosets)
 
 
@@ -421,7 +434,7 @@ def reidemeister_schreier(
             rel = rel.cyclically_reduced()
             if rel.is_identity():
                 continue
-            key = _cyclic_normal_form(rel)
+            key = cyclic_normal_form(rel)
             if key not in seen:
                 seen.add(key)
                 relators.append(rel)

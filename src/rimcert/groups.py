@@ -210,7 +210,7 @@ def quotient(p: GroupPresentation, extra_relators: Iterable[Word]) -> GroupPrese
     )
 
 
-# --- relator normal forms, used for duplicate detection -------------------
+# --- relator normal forms, for duplicate detection and relator lookup -----
 
 
 def word_columns(w: Word) -> tuple[int, ...]:
@@ -221,7 +221,7 @@ def word_columns(w: Word) -> tuple[int, ...]:
     return tuple(2 * g if s > 0 else 2 * g + 1 for g, s in w.letters())
 
 
-def _cyclic_normal_form(w: Word) -> tuple[int, ...]:
+def cyclic_normal_form(w: Word) -> tuple[int, ...]:
     """Least rotation of the letter sequence of w and of w^-1."""
     best: tuple[int, ...] | None = None
     for cand in (w, w.inverse()):
@@ -259,7 +259,7 @@ def _dedupe(relators: list[Word]) -> list[Word]:
     seen: set[tuple[int, ...]] = set()
     out = []
     for r in relators:
-        key = _cyclic_normal_form(r)
+        key = cyclic_normal_form(r)
         if key and key not in seen:
             seen.add(key)
             out.append(r)

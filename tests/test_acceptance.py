@@ -96,7 +96,7 @@ def _criterion_2_problems(rows):
             not isinstance(group_order, int) or group_order == d
         ):
             problems.append(
-                f"{label}: non_cyclic without a completed group order "
+                f"{label}: non_cyclic without a group order "
                 f"other than {d} (witness {verdict['witness']})"
             )
         if spec["knot"] == "3_1" and d == 5 and (spec["m"] + spec["n"]) % 5 == 0:
@@ -138,7 +138,8 @@ def test_criterion_2_proposition_sweep_claims_every_spec_cyclic():
        a*m + b*d = 1, so mu = (mu^m)^a (mu^d)^b is central.  Every
        Wirtinger generator is a conjugate of mu, hence equal to mu, and
        the group is Z/d.
-    2. Every non_cyclic row carries a completed group order other than d,
+    2. Every non_cyclic row carries a group order other than d, enumerated
+       or derived exactly (meridian index times the meridian's order d),
        which refutes Z/d by itself, without the meridian-index inference.
     3. The trefoil family is pinned.  The 3_1 longitude is a central
        element times mu^(+-6), the sign set by the table's orientation,

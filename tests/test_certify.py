@@ -9,6 +9,7 @@ from rimcert import (
     parse_word,
     spec_from_json,
     surgered_group,
+    todd_coxeter,
 )
 from rimcert.certify import CYCLIC, INCONCLUSIVE, NON_CYCLIC
 
@@ -66,7 +67,9 @@ def test_refuted_by_abelianization():
 
 def test_non_cyclic_meridian_index_with_order():
     # Abelianization Z/2 survives stage 1, but the meridian subgroup
-    # closes at index 3 and the full group at order 6.
+    # closes at index 3.  The meridian generates H1 and "a a" is a
+    # relator, so the meridian has order 2 and the group order 3*2 = 6 is
+    # derived, not enumerated.
     v = certify_cyclic(S3_MOD_MERIDIAN, 2)
     assert v.status == NON_CYCLIC
     assert v.certified
@@ -74,7 +77,62 @@ def test_non_cyclic_meridian_index_with_order():
     cert = v.certificate
     assert cert["stage"] == "meridian_index"
     assert cert["enumeration"]["index"] == 3
+    assert "order_enumeration" not in cert
+    derivation = cert["order_derivation"]
+    assert derivation["meridian_order"] == 2
+    position = derivation["meridian_power_relator"]
+    assert S3_MOD_MERIDIAN.relators[position] == parse_word("a a", AB)
+    assert derivation["meridian_quotient_invariants"] == {
+        "free_rank": 0,
+        "torsion": [],
+    }
+    # The enumeration the derivation replaces agrees.
+    order = todd_coxeter(S3_MOD_MERIDIAN, [])
+    assert order.complete and order.index == 6
+
+
+def test_order_is_enumerated_when_meridian_power_is_no_relator():
+    # S3 again, with a^2 = 1 only as a consequence of "a a b b" and "b b".
+    # The premise holds, but no relator word says the meridian has order
+    # d, so the group order comes from the whole-group enumeration.
+    p = GroupPresentation(
+        ngens=2,
+        relators=tuple(
+            parse_word(r, AB) for r in ("a a b b", "b b", "a b a b a b")
+        ),
+        meridian=Word.gen(0),
+    )
+    v = certify_cyclic(p, 2)
+    assert v.status == NON_CYCLIC
+    assert v.witness == {"meridian_subgroup_index": 3, "group_order": 6}
+    cert = v.certificate
+    assert cert["stage"] == "meridian_index"
     assert cert["order_enumeration"]["index"] == 6
+    assert "order_derivation" not in cert
+
+
+@pytest.mark.parametrize(
+    "knot, d, m, n, order",
+    [
+        # Criterion 4: the trefoil at d=2 with m=0 and m=2.
+        ("3_1", 2, 0, 0, 6),
+        ("3_1", 2, 2, 0, 6),
+        # Criterion 2: the trefoil family d=5, 5 | m+n, of order 600.
+        ("3_1", 5, 1, 4, 600),
+        ("3_1", 5, 2, 3, 600),
+        ("3_1", 5, 3, 2, 600),
+        ("3_1", 5, 4, 1, 600),
+    ],
+)
+def test_acceptance_non_cyclic_specs_take_the_derived_order(knot, d, m, n, order):
+    # The non-cyclic specs the acceptance tests certify must derive their
+    # group order; a silent fall back to enumeration would show here.
+    v = certify_cyclic(_rim(knot, d, m, n), d)
+    assert v.status == NON_CYCLIC
+    assert v.witness["group_order"] == order
+    cert = v.certificate
+    assert cert["order_derivation"]["meridian_order"] == d
+    assert "order_enumeration" not in cert
 
 
 def test_inconclusive_is_honest_about_limits():

@@ -1,0 +1,65 @@
+"""Property test: a derived group order equals the enumerated one."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from rimcert import GroupPresentation, Word, certify_cyclic, todd_coxeter  # noqa: E402
+from rimcert.abelian import abelian_invariants  # noqa: E402
+from rimcert.certify import CYCLIC, NON_CYCLIC  # noqa: E402
+from rimcert.groups import quotient  # noqa: E402
+
+A, B = Word.gen(0), Word.gen(1)
+MAX_COSETS = 5000
+
+
+LETTER = st.tuples(st.integers(0, 1), st.sampled_from((1, -1)))
+
+
+@st.composite
+def marked_presentations(draw):
+    """<a, b | a^d, b = u a u^-1, v^k a^-s> marked by a.
+
+    b is a conjugate of a, so the group with a killed is trivial, which is
+    the certifier's premise; the power v^k makes non-cyclic quotients
+    common, and a^-s, with s the exponent sum of v^k, keeps H1 = Z/d.
+    Whether the group is finite is left to the test to check.
+    """
+    d = draw(st.integers(2, 5))
+    u = Word.from_letters(draw(st.lists(LETTER, min_size=1, max_size=3)))
+    v = Word.from_letters(draw(st.lists(LETTER, min_size=2, max_size=4)))
+    r = v ** draw(st.integers(2, 3))
+    r = r * A ** -r.exponent_sum()
+    conjugate = B.inverse() * u * A * u.inverse()
+    p = GroupPresentation(ngens=2, relators=(A**d, conjugate, r), meridian=A)
+    return p, d
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+)
+@given(marked_presentations())
+def test_derived_order_equals_enumerated_order(case):
+    p, d = case
+    assert abelian_invariants(quotient(p, [p.meridian])).is_cyclic_of_order(1)
+    assert abelian_invariants(p).is_cyclic_of_order(d)
+    merid = todd_coxeter(p, [p.meridian], MAX_COSETS)
+    order = todd_coxeter(p, [], MAX_COSETS)
+    assume(merid.complete and order.complete)
+
+    assert merid.index * d == order.index
+    v = certify_cyclic(p, d, max_cosets=MAX_COSETS)
+    if merid.index == 1:
+        assert v.status == CYCLIC
+        return
+    assert v.status == NON_CYCLIC
+    assert v.witness == {
+        "meridian_subgroup_index": merid.index,
+        "group_order": order.index,
+    }
+    assert v.certificate["order_derivation"]["meridian_order"] == d

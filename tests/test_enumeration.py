@@ -5,7 +5,10 @@ import pytest
 
 from rimcert.abelian import abelian_invariants
 from rimcert.enumeration import (
+    CosetTable,
     EnumerationOverflow,
+    _Deadline,
+    _finish,
     reidemeister_schreier,
     todd_coxeter,
 )
@@ -160,6 +163,30 @@ def test_deadline_holds_through_lookahead(max_cosets, seconds):
     elapsed = time.monotonic() - start
     assert r.reason == "timeout"
     assert elapsed < seconds + 0.5
+
+
+def test_compress_in_the_loop_polls_the_deadline():
+    # A table with its deadline already gone: the compress that follows
+    # lookahead raises, and leaves the table as it was.
+    table = CosetTable(1, 10_000)
+    for c in range(3000):
+        table.define(c, 0)
+    table.deadline = time.monotonic() - 1.0
+    before = [list(row) for row in table.table]
+    with pytest.raises(_Deadline):
+        table.compress(poll=True)
+    assert table.table == before
+    assert table.compress() == 0
+
+
+def test_completed_table_survives_a_passed_deadline():
+    # The compress in _finish never polls, so a table that completed just
+    # before its deadline still returns its index.
+    r = todd_coxeter(_p(1, A**3000), [], max_cosets=10_000)
+    assert r.complete
+    r.table.deadline = time.monotonic() - 1.0
+    again = _finish(r.table, 10_000)
+    assert again.complete and again.index == 3000
 
 
 # -- Reidemeister-Schreier ---------------------------------------------------
