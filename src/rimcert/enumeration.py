@@ -12,9 +12,9 @@ Overflow with the limit that was hit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .groups import GroupPresentation, Word, cyclic_normal_form, word_columns
+from .groups import GroupPresentation, Word, dedupe_relators, word_columns
 
 DEFAULT_MAX_COSETS = 100_000
 
@@ -426,26 +426,10 @@ def reidemeister_schreier(
         _gen_index=gen_index,
     )
 
-    relators: list[Word] = []
-    seen: set[tuple[int, ...]] = set()
-    for c in range(n):
-        for r in p.relators:
-            rel = sub._rewrite_from(c, r, expect_return=True)
-            rel = rel.cyclically_reduced()
-            if rel.is_identity():
-                continue
-            key = cyclic_normal_form(rel)
-            if key not in seen:
-                seen.add(key)
-                relators.append(rel)
-
-    final = GroupPresentation(ngens=len(schreier_words), relators=tuple(relators))
-    return SubgroupPresentation(
-        presentation=final,
-        index=n,
-        transversal=sub.transversal,
-        schreier_words=sub.schreier_words,
-        table=table,
-        _tree=sub._tree,
-        _gen_index=sub._gen_index,
+    relators = dedupe_relators(
+        sub._rewrite_from(c, r, expect_return=True)
+        for c in range(n)
+        for r in p.relators
     )
+    final = GroupPresentation(ngens=len(schreier_words), relators=tuple(relators))
+    return replace(sub, presentation=final)

@@ -8,7 +8,6 @@ generators, which is exactly the freely reduced normal form.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -16,7 +15,11 @@ Syllable = tuple[int, int]
 
 
 def _reduce_syllables(syllables: Iterable[Syllable]) -> tuple[Syllable, ...]:
-    """Merge adjacent syllables with equal generators, dropping zeros."""
+    """Merge adjacent syllables with equal generators, dropping zeros.
+
+    One stack pass suffices: a syllable that cancels is popped, and the next
+    syllable is merged with the neighbour that the pop exposed.
+    """
     out: list[list[int]] = []
     for gen, exp in syllables:
         if exp == 0:
@@ -29,22 +32,6 @@ def _reduce_syllables(syllables: Iterable[Syllable]) -> tuple[Syllable, ...]:
                 out.pop()
         else:
             out.append([gen, exp])
-    # A single merge pass is not enough: removing a zero syllable can make
-    # its neighbours adjacent.  Iterate until stable.
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i + 1 < len(out):
-            if out[i][0] == out[i + 1][0]:
-                out[i][1] += out[i + 1][1]
-                del out[i + 1]
-                if out[i][1] == 0:
-                    del out[i]
-                    i = max(i - 1, 0)
-                changed = True
-            else:
-                i += 1
     return tuple((g, e) for g, e in out)
 
 
@@ -56,7 +43,7 @@ class Word:
 
     def __post_init__(self) -> None:
         reduced = _reduce_syllables(self.syllables)
-        if reduced != tuple(self.syllables):
+        if reduced != self.syllables:
             object.__setattr__(self, "syllables", reduced)
 
     @staticmethod
@@ -124,13 +111,6 @@ class Word:
         return "*".join(
             f"x{g}" if e == 1 else f"x{g}^{e}" for g, e in self.syllables
         )
-
-
-def free_reduce(word: Word | Sequence[Syllable]) -> Word:
-    """Free reduction; idempotent, never increases letter length."""
-    if isinstance(word, Word):
-        return Word(word.syllables)
-    return Word(tuple(word))
 
 
 def commutator(a: Word, b: Word) -> Word:
@@ -250,15 +230,24 @@ def _substitute_generator(w: Word, gen: int, image: Word) -> Word:
     return Word(tuple(syls))
 
 
-def _drop_generator(w: Word, gen: int) -> Word:
-    """Renumber generators above gen down by one; gen must not occur."""
-    return Word(tuple((g if g < gen else g - 1, e) for g, e in w.syllables))
+# Collapse stops at the first substitution that would make a relator longer
+# than this many letters.
+MAX_RELATOR_LENGTH = 4096
 
 
-def _dedupe(relators: list[Word]) -> list[Word]:
+def _renumber(w: Word, index: dict[int, int]) -> Word:
+    return Word(tuple((index[g], e) for g, e in w.syllables))
+
+
+def dedupe_relators(relators: Iterable[Word]) -> list[Word]:
+    """Cyclically reduced relators, without identities, one per class.
+
+    Relators that are rotations or inverses of an earlier one are dropped.
+    """
     seen: set[tuple[int, ...]] = set()
     out = []
     for r in relators:
+        r = r.cyclically_reduced()
         key = cyclic_normal_form(r)
         if key and key not in seen:
             seen.add(key)
@@ -276,10 +265,6 @@ def _find_single_occurrence(
     Generators in ``protect`` are never offered for elimination.
     """
     best: tuple[int, int, int] | None = None
-    counts: dict[int, int] = {}
-    for r in relators:
-        for g, e in r.syllables:
-            counts[g] = counts.get(g, 0) + abs(e)
     for idx, r in enumerate(relators):
         per_gen: dict[int, int] = {}
         for g, e in r.syllables:
@@ -306,9 +291,7 @@ def _solve_for(r: Word, gen: int) -> Word:
 
 
 def collapse_presentation(
-    p: GroupPresentation,
-    max_relator_length: int = 4096,
-    protect: tuple[int, ...] = (),
+    p: GroupPresentation, protect: tuple[int, ...] = ()
 ) -> GroupPresentation:
     """Eliminate generators before enumeration, tolerating relator growth.
 
@@ -318,24 +301,29 @@ def collapse_presentation(
     enumeration is usually far cheaper over two or three generators with
     long relators than over many short ones, so this routine keeps
     eliminating any generator that occurs as a single letter in some
-    relator until none is left or a substituted relator would exceed
-    max_relator_length.  Marked peripheral words are rewritten through
-    every elimination; the result presents the same marked group.
+    relator until none is left.  It stops at the first elimination that
+    would make a relator longer than MAX_RELATOR_LENGTH (4096 letters),
+    keeping the presentation from before it.  Marked peripheral words are
+    rewritten through every elimination; the result presents the same
+    marked group.
+
+    Generators keep their input numbers while others are eliminated.  The
+    survivors are renumbered once at the end, in their input order, in
+    relators, peripheral words and names alike; duplicate relators (up to
+    rotation and inversion) are dropped at the same point.
 
     Generators listed in ``protect`` survive the collapse.  Keeping the
     meridian generator alive lets a caller enumerate its cyclic subgroup
     over a one-letter generator instead of a rewritten conjugation word.
     """
-    relators = [r.cyclically_reduced() for r in p.relators]
-    names = list(p.names())
+    relators = list(p.relators)
     meridian = p.meridian
     longitude = p.longitude
-    ngens = p.ngens
-    kept = set(protect)
+    live = list(range(p.ngens))
+    kept = frozenset(protect)
 
-    while ngens > 1:
-        relators = _dedupe(relators)
-        cand = _find_single_occurrence(relators, frozenset(kept))
+    while len(live) > 1:
+        cand = _find_single_occurrence(relators, kept)
         if cand is None:
             break
         idx, gen = cand
@@ -346,39 +334,32 @@ def collapse_presentation(
             if k == idx:
                 continue
             sub = _substitute_generator(r, gen, image).cyclically_reduced()
-            if sub.length() > max_relator_length:
+            if sub.length() > MAX_RELATOR_LENGTH:
                 ok = False
                 break
-            new_rels.append(sub)
+            if not sub.is_identity():
+                new_rels.append(sub)
         if not ok:
             break
-        relators = [_drop_generator(r, gen) for r in new_rels]
+        relators = new_rels
         if meridian is not None:
-            meridian = _drop_generator(
-                _substitute_generator(meridian, gen, image), gen
-            )
+            meridian = _substitute_generator(meridian, gen, image)
         if longitude is not None:
-            longitude = _drop_generator(
-                _substitute_generator(longitude, gen, image), gen
-            )
-        del names[gen]
-        # Generator indices above the eliminated one shift down by one.
-        kept = {g - 1 if g > gen else g for g in kept}
-        ngens -= 1
+            longitude = _substitute_generator(longitude, gen, image)
+        live.remove(gen)
 
+    index = {g: i for i, g in enumerate(live)}
+    names = p.names()
     return GroupPresentation(
-        ngens=ngens,
-        relators=tuple(_dedupe(relators)),
-        meridian=meridian,
-        longitude=longitude,
-        gen_names=tuple(names),
+        ngens=len(live),
+        relators=tuple(_renumber(r, index) for r in dedupe_relators(relators)),
+        meridian=None if meridian is None else _renumber(meridian, index),
+        longitude=None if longitude is None else _renumber(longitude, index),
+        gen_names=tuple(names[g] for g in live),
     )
 
 
 # --- serialization ----------------------------------------------------------
-
-_TOKEN_RE = re.compile(r"^([A-Za-z])(\d*)$")
-
 
 def format_word(w: Word, names: Sequence[str]) -> str:
     """Letter form: inverses are capitalized, letters space-separated."""
@@ -399,30 +380,3 @@ def parse_word(text: str, names: Sequence[str]) -> Word:
         g, s = index[tok]
         letters.append((g, s))
     return Word(tuple(letters))
-
-
-def presentation_to_json(p: GroupPresentation) -> dict:
-    names = p.names()
-    doc: dict = {
-        "generators": list(names),
-        "relators": [format_word(r, names) for r in p.relators],
-    }
-    if p.meridian is not None:
-        doc["meridian"] = format_word(p.meridian, names)
-    if p.longitude is not None:
-        doc["longitude"] = format_word(p.longitude, names)
-    return doc
-
-
-def presentation_from_json(doc: dict) -> GroupPresentation:
-    names = tuple(doc["generators"])
-    rel = tuple(parse_word(t, names) for t in doc.get("relators", ()))
-    mer = doc.get("meridian")
-    lon = doc.get("longitude")
-    return GroupPresentation(
-        ngens=len(names),
-        relators=rel,
-        meridian=parse_word(mer, names) if mer is not None else None,
-        longitude=parse_word(lon, names) if lon is not None else None,
-        gen_names=names,
-    )

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagrams import Crossing, KnotDiagram, TangleDiagram
-from .groups import GroupPresentation, Word, free_reduce
+from .groups import GroupPresentation, Word
 from .laurent import LaurentPolynomial, poly_determinant
 
 
@@ -49,7 +49,7 @@ def wirtinger(diagram: KnotDiagram) -> GroupPresentation:
     for c in _traversal_order(diagram.crossings):
         letters.append((c.over, -c.sign))
     letters.append((0, diagram.writhe))
-    longitude = free_reduce(letters)
+    longitude = Word(tuple(letters))
     relators = tuple(_crossing_relator(c) for c in diagram.crossings)
     return GroupPresentation(
         ngens=diagram.n_arcs,
@@ -77,10 +77,6 @@ class TangleGroup:
     longitude: Word
 
 
-def _marked_word(loop: tuple[tuple[int, int], ...]) -> Word:
-    return free_reduce(list(loop))
-
-
 def tangle_wirtinger(tangle: TangleDiagram) -> TangleGroup:
     """Group of the doubled-band tangle with boundary data."""
     tangle.validate()
@@ -100,9 +96,9 @@ def tangle_wirtinger(tangle: TangleDiagram) -> TangleGroup:
         letters.append((c.over, -c.sign))
     own = sum(s for g, s in letters if g in strand2)
     letters.append((tangle.strand2[-1], -own))
-    longitude = free_reduce(letters)
+    longitude = Word(tuple(letters))
 
-    a3 = _marked_word(tangle.a3)
+    a3 = Word(tangle.a3)
     # The difference loop is the meridian of the band's core circle, which
     # is what twisting conjugates by; mark it so the conjugator builder
     # can treat closed diagrams and tangles uniformly.
@@ -114,8 +110,8 @@ def tangle_wirtinger(tangle: TangleDiagram) -> TangleGroup:
     )
     return TangleGroup(
         presentation=presentation,
-        a1=_marked_word(tangle.a1),
-        a2=_marked_word(tangle.a2),
+        a1=Word(tangle.a1),
+        a2=Word(tangle.a2),
         a3=a3,
         longitude=longitude,
     )

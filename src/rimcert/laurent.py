@@ -171,10 +171,6 @@ class LaurentPolynomial:
     def to_json(self) -> dict:
         return {"coeffs": list(self.coeffs), "base": self.base}
 
-    @staticmethod
-    def from_json(doc: dict) -> "LaurentPolynomial":
-        return LaurentPolynomial(tuple(doc["coeffs"]), doc["base"])
-
 
 def poly_determinant(mat: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
     """Fraction-free (Bareiss) determinant over Z[t, t^-1].

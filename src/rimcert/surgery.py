@@ -310,7 +310,8 @@ def unbranched_cover_group(
     saying s equals its conjugate by w = meridian^m * longitude^n.
 
     The surgered group is cyclic of order d exactly when this group is
-    trivial, which is what the certifier's cross-validation checks.
+    trivial.  The certifier does not use the cover; acceptance criterion 5
+    checks its verdicts against this equivalence on a sample of specs.
     """
     if spec.kind != RIM:
         raise ValueError("covers are built for rim specs")

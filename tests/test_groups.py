@@ -5,17 +5,16 @@ import pytest
 from rimcert.abelian import abelian_invariants
 from rimcert.enumeration import todd_coxeter
 from rimcert.groups import (
+    MAX_RELATOR_LENGTH,
     GroupPresentation,
     Word,
     collapse_presentation,
     commutator,
     format_word,
-    free_reduce,
     parse_word,
-    presentation_from_json,
-    presentation_to_json,
     quotient,
 )
+from rimcert.surgery import spec_from_json, surgered_group
 
 
 def w(*letters):
@@ -88,18 +87,6 @@ def test_quotient_appends_relators_and_keeps_marks():
         quotient(p, [Word.gen(5)])
 
 
-def test_presentation_json_round_trip():
-    a, b = Word.gen(0), Word.gen(1)
-    p = GroupPresentation(
-        ngens=2,
-        relators=(a * b * a.inverse() * b.inverse(), b**3),
-        meridian=a,
-        longitude=b,
-        gen_names=("m", "l"),
-    )
-    assert presentation_from_json(presentation_to_json(p)) == p
-
-
 # -- collapse_presentation ---------------------------------------------------
 
 
@@ -169,5 +156,90 @@ def test_collapse_single_free_generator_is_fixed_point():
     assert (q.ngens, q.relators, q.meridian) == (1, (), Word.gen(0))
 
 
-def test_free_reduce_accepts_raw_syllables():
-    assert free_reduce([(0, 2), (0, -2)]).is_identity()
+def _protect_like_certify(p):
+    """The generator certify_cyclic keeps: the meridian, if it is one letter."""
+    syl = p.meridian.syllables
+    return (syl[0][0],) if len(syl) == 1 and abs(syl[0][1]) == 1 else ()
+
+
+def _sweep_group(knot, d, m, n, kind="rim"):
+    return surgered_group(
+        spec_from_json({"knot": knot, "d": d, "m": m, "n": n, "kind": kind})
+    )
+
+
+@pytest.mark.parametrize("k, ngens", [(1024, 2), (1025, 3)])
+def test_collapse_stops_at_the_relator_length_cap(k, ngens):
+    # S3 padded with y = abab^-1 (= b) and x = (ab^-1)^k, an involution at
+    # every k, so x^2 = 1 holds.  y goes first; eliminating x then turns x^2
+    # into a relator of 4k letters, which just fits the cap at k = 1024.
+    a, b, x, y = (Word.gen(i) for i in range(4))
+    rels = (
+        a**2,
+        b**3,
+        (a * b) ** 2,
+        y.inverse() * a * b * a * b.inverse(),
+        y**3,
+        x.inverse() * (a * b.inverse()) ** k,
+        x**2,
+    )
+    p = GroupPresentation(ngens=4, relators=rels, meridian=a)
+    q = collapse_presentation(p)
+    assert 4 * 1024 == MAX_RELATOR_LENGTH
+    assert q.gen_names == ("a", "b", "c")[:ngens]
+    assert max(r.length() for r in q.relators) <= MAX_RELATOR_LENGTH
+    before, after = abelian_invariants(p), abelian_invariants(q)
+    assert (before.free_rank, before.torsion) == (after.free_rank, after.torsion)
+    r = todd_coxeter(q, [])
+    assert r.complete and r.index == 6
+
+
+def _later_copies(r):
+    """A rotation and an inverse of r that sort after r, where there are.
+
+    Relators sort by length, then syllables; copies that sort after r leave
+    r the first of its class, the copy collapse keeps.
+    """
+
+    def rotations(word):
+        ls = list(word.letters())
+        return [
+            Word(tuple(ls[i:] + ls[:i])).cyclically_reduced() for i in range(len(ls))
+        ]
+
+    def key(word):
+        return (word.length(), word.syllables)
+
+    copies = (max(rotations(r), key=key), max(rotations(r.inverse()), key=key))
+    return [c for c in copies if key(c) > key(r)]
+
+
+@pytest.mark.parametrize(
+    "make", [_s3_wide, lambda: _sweep_group("5_2", 3, 1, 3)], ids=["s3", "5_2"]
+)
+def test_collapse_drops_rotations_and_inverses_of_relators(make):
+    p = make()
+    extra = [c for r in p.relators for c in _later_copies(r)]
+    padded = quotient(p, extra)
+    assert len(padded.relators) > len(p.relators)
+    for protect in ((), _protect_like_certify(p)):
+        assert collapse_presentation(padded, protect=protect) == (
+            collapse_presentation(p, protect=protect)
+        )
+
+
+@pytest.mark.parametrize(
+    "spec, shape",
+    [
+        (("5_2", 3, 1, 3), (2, 8, 655)),
+        (("4_1", 3, 1, 7), (2, 6, 589)),
+        (("3_1", 2, 1, 1, "annulus"), (1, 1, 2)),
+    ],
+    ids=["rim-5_2-3-1-3", "rim-4_1-3-1-7", "annulus-3_1-2-1-1"],
+)
+def test_collapse_shape_of_sweep_specs(spec, shape):
+    # (generators, relators, total relator length) as certify_cyclic
+    # collapses them; a change in elimination order or tie-breaks shows here.
+    p = _sweep_group(*spec)
+    q = collapse_presentation(p, protect=_protect_like_certify(p))
+    assert (q.ngens, len(q.relators), q.total_relator_length()) == shape

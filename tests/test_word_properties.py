@@ -1,0 +1,44 @@
+"""Property test: building a Word freely reduces it, letter by letter."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from rimcert.groups import Word  # noqa: E402
+
+SYLLABLES = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(-3, 3)), max_size=12
+)
+
+
+def _cancel_letters(syllables):
+    """Free reduction by expanding to single letters and cancelling on a stack."""
+    stack = []
+    for gen, exp in syllables:
+        step = 1 if exp > 0 else -1
+        for _ in range(abs(exp)):
+            if stack and stack[-1] == (gen, -step):
+                stack.pop()
+            else:
+                stack.append((gen, step))
+    runs = []
+    for gen, step in stack:
+        if runs and runs[-1][0] == gen:
+            runs[-1][1] += step
+        else:
+            runs.append([gen, step])
+    return tuple((gen, exp) for gen, exp in runs)
+
+
+@given(SYLLABLES)
+@example([(0, 2), (0, -2)])
+@example([(0, 1), (1, 2), (1, -2), (0, -1)])
+@example([(0, 1), (1, 0), (0, 1)])
+def test_word_syllables_are_freely_reduced(syllables):
+    # Built from a list, which must come back as a tuple like any other.
+    got = Word(syllables).syllables
+    assert all(exp != 0 for _, exp in got)
+    assert all(g != h for (g, _), (h, _) in zip(got, got[1:]))
+    assert got == _cancel_letters(syllables)
