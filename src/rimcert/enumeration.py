@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from operator import eq
 
 from .groups import GroupPresentation, Word, dedupe_relators, word_columns
 
@@ -126,7 +127,8 @@ class CosetTable:
 
     # -- scanning --------------------------------------------------------
 
-    def scan(self, alpha: int, word: tuple[int, ...], fill: bool) -> None:
+    def scan(self, alpha: int, word: tuple[int, ...]) -> None:
+        """Scan word from alpha, defining cosets until it closes."""
         table = self.table
         f, i = alpha, 0
         b, j = alpha, len(word) - 1
@@ -154,40 +156,78 @@ class CosetTable:
                 table[f][word[i]] = b
                 table[b][word[i] ^ 1] = f
                 return
-            if not fill:
-                return
             self.define(f, word[i])
 
     def lookahead(self, relators: list[tuple[int, ...]]) -> None:
-        for alpha in range(len(self.table)):
+        """Scan every relator from every live coset without defining any.
+
+        This is the non-filling scan, inlined: one forward and one backward
+        pass per relator.  A gap of one letter is filled as a deduction, and
+        a scan whose two ends meet at different cosets merges them.
+        """
+        table, p = self.table, self.p
+        scans = [(r, tuple(x ^ 1 for x in r), len(r) - 1) for r in relators]
+        for alpha in range(len(table)):
             if alpha & 1023 == 1023:
                 self._poll()
-            if not self.is_alive(alpha):
+            if p[alpha] != alpha:
                 continue
-            for r in relators:
-                if not self.is_alive(alpha):
+            for word, back, last in scans:
+                if p[alpha] != alpha:
                     break
-                self.scan(alpha, r, fill=False)
+                f, i = alpha, 0
+                while i <= last:
+                    nxt = table[f][word[i]]
+                    if nxt is None:
+                        break
+                    f = nxt
+                    i += 1
+                if i > last:
+                    if f != alpha:
+                        self.coincidence(f, alpha)
+                    continue
+                b, j = alpha, last
+                while j >= i:
+                    prev = table[b][back[j]]
+                    if prev is None:
+                        break
+                    b = prev
+                    j -= 1
+                if j < i:
+                    self.coincidence(f, b)
+                elif j == i:
+                    table[f][word[i]] = b
+                    table[b][back[i]] = f
 
     def compress(self, poll: bool = False) -> int:
         """Renumber the live cosets 0..n-1 and return how many were freed.
 
-        With ``poll`` the deadline is checked once per 1024 rows; the table
-        is replaced only at the end, so a raise leaves it as it was.
+        A dead coset's parent is always a smaller coset (merges keep the
+        smaller number), so one ascending pass maps every coset, dead or
+        alive, to the new number of its representative.  With ``poll`` the
+        deadline is checked once per 1024 rows; the table is replaced only
+        at the end, so a raise leaves it as it was.
         """
-        live = [c for c in range(len(self.table)) if self.p[c] == c]
-        idx = {c: i for i, c in enumerate(live)}
-        rep = self.rep
+        p = self.p
+        new = [0] * len(p)
+        live: list[int] = []
+        for c, parent in enumerate(p):
+            if parent == c:
+                new[c] = len(live)
+                live.append(c)
+            else:
+                new[c] = new[parent]
+        table = self.table
         rows: list[list[int | None]] = []
         for start in range(0, len(live), 1024):
             if poll and start:
                 self._poll()
             rows += [
-                [idx[rep(v)] if v is not None else None for v in self.table[c]]
+                [None if v is None else new[v] for v in table[c]]
                 for c in live[start : start + 1024]
             ]
         self.table = rows
-        freed = len(self.p) - len(live)
+        freed = len(p) - len(live)
         self.p = list(range(len(live)))
         return freed
 
@@ -267,14 +307,14 @@ def _hlt(
         while True:
             try:
                 for w in subgroup_cols:
-                    table.scan(0, w, fill=True)
+                    table.scan(0, w)
                 alpha = 0
                 while alpha < len(table.table):
                     if table.is_alive(alpha):
                         for r in relators:
                             if not table.is_alive(alpha):
                                 break
-                            table.scan(alpha, r, fill=True)
+                            table.scan(alpha, r)
                         if table.is_alive(alpha):
                             row = table.table[alpha]
                             for col in range(table.ncols):
@@ -285,12 +325,17 @@ def _hlt(
             except _TableFull:
                 pass
             table.lookahead(relators)
-            freed = table.compress(poll=True)
             # A lookahead that recovers under 5% of the budget is thrashing,
             # not converging; repeated full rescans would burn seconds for a
             # few hundred cosets of headroom.  Call the budget exhausted.
-            if freed < max(1, max_cosets // 20) or len(table.table) >= max_cosets:
+            # The rule reads the dead cosets before compressing, so a table
+            # that gives up is never compressed.
+            p = table.p
+            live = sum(map(eq, p, range(len(p))))
+            freed = len(p) - live
+            if freed < max(1, max_cosets // 20) or live >= max_cosets:
                 return _overflow(table, max_cosets, "max_cosets")
+            table.compress(poll=True)
     except _Deadline:
         # Lookahead, coincidence and compress poll the deadline too, so it
         # can fire outside a definition.

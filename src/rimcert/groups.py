@@ -54,10 +54,6 @@ class Word:
     def gen(index: int, exp: int = 1) -> "Word":
         return Word(((index, exp),))
 
-    @staticmethod
-    def from_letters(letters: Iterable[tuple[int, int]]) -> "Word":
-        return Word(tuple(letters))
-
     def __mul__(self, other: "Word") -> "Word":
         return Word(self.syllables + other.syllables)
 
@@ -217,14 +213,14 @@ def cyclic_normal_form(w: Word) -> tuple[int, ...]:
 # --- generator elimination -------------------------------------------------
 
 
-def _substitute_generator(w: Word, gen: int, image: Word) -> Word:
-    """Replace gen by image inside w (other generators unchanged)."""
+def _substitute_generator(w: Word, gen: int, image: Word, inverse: Word) -> Word:
+    """Replace gen by image, and its inverse by inverse, inside w."""
     syls: list[Syllable] = []
     for g, e in w.syllables:
         if g != gen:
             syls.append((g, e))
             continue
-        img = image if e > 0 else image.inverse()
+        img = image if e > 0 else inverse
         for _ in range(abs(e)):
             syls.extend(img.syllables)
     return Word(tuple(syls))
@@ -328,12 +324,13 @@ def collapse_presentation(
             break
         idx, gen = cand
         image = _solve_for(relators[idx], gen)
+        inverse = image.inverse()
         new_rels = []
         ok = True
         for k, r in enumerate(relators):
             if k == idx:
                 continue
-            sub = _substitute_generator(r, gen, image).cyclically_reduced()
+            sub = _substitute_generator(r, gen, image, inverse).cyclically_reduced()
             if sub.length() > MAX_RELATOR_LENGTH:
                 ok = False
                 break
@@ -343,9 +340,9 @@ def collapse_presentation(
             break
         relators = new_rels
         if meridian is not None:
-            meridian = _substitute_generator(meridian, gen, image)
+            meridian = _substitute_generator(meridian, gen, image, inverse)
         if longitude is not None:
-            longitude = _substitute_generator(longitude, gen, image)
+            longitude = _substitute_generator(longitude, gen, image, inverse)
         live.remove(gen)
 
     index = {g: i for i, g in enumerate(live)}

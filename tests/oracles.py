@@ -3,8 +3,9 @@
 Nothing here imports rimcert.  Alexander polynomials come from Seifert
 matrices via det(V^T - t V), the Arf invariant from the mod-2 Seifert
 quadratic form over a symplectic basis, determinants from fraction-free
-elimination.  Frozen expected values in the tests were produced by these
-routines, not by the code under test.
+elimination, and coset-table lookahead from a plain scan of its own.
+Frozen expected values in the tests were produced by these routines, not
+by the code under test.
 """
 
 # Polynomials are plain coefficient lists, index = exponent.
@@ -160,3 +161,41 @@ def int_det(rows):
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+# Coset-table lookahead, as the enumerator first ran it: every relator is
+# scanned from every live coset with a plain non-filling scan.  It takes a
+# CosetTable by duck typing (``table``, ``p`` and ``coincidence``) and has its
+# own scan, so it shares no scanning code with the table it checks.  It does
+# not poll a deadline.
+
+
+def _scan_without_filling(ct, alpha, word):
+    table = ct.table
+    f, i = alpha, 0
+    b, j = alpha, len(word) - 1
+    while i <= j and table[f][word[i]] is not None:
+        f = table[f][word[i]]
+        i += 1
+    if i > j:
+        if f != b:
+            ct.coincidence(f, b)
+        return
+    while j >= i and table[b][word[j] ^ 1] is not None:
+        b = table[b][word[j] ^ 1]
+        j -= 1
+    if j < i:
+        ct.coincidence(f, b)
+    elif j == i:
+        table[f][word[i]] = b
+        table[b][word[i] ^ 1] = f
+
+
+def reference_lookahead(ct, relators):
+    for alpha in range(len(ct.table)):
+        if ct.p[alpha] != alpha:
+            continue
+        for r in relators:
+            if ct.p[alpha] != alpha:
+                break
+            _scan_without_filling(ct, alpha, r)

@@ -28,8 +28,8 @@ def marked_presentations(draw):
     Whether the group is finite is left to the test to check.
     """
     d = draw(st.integers(2, 5))
-    u = Word.from_letters(draw(st.lists(LETTER, min_size=1, max_size=3)))
-    v = Word.from_letters(draw(st.lists(LETTER, min_size=2, max_size=4)))
+    u = Word(tuple(draw(st.lists(LETTER, min_size=1, max_size=3))))
+    v = Word(tuple(draw(st.lists(LETTER, min_size=2, max_size=4))))
     r = v ** draw(st.integers(2, 3))
     r = r * A ** -r.exponent_sum()
     conjugate = B.inverse() * u * A * u.inverse()

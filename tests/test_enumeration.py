@@ -9,10 +9,13 @@ from rimcert.enumeration import (
     EnumerationOverflow,
     _Deadline,
     _finish,
+    _TableFull,
     reidemeister_schreier,
     todd_coxeter,
 )
-from rimcert.groups import GroupPresentation, Word, commutator
+from rimcert.groups import GroupPresentation, Word, commutator, word_columns
+
+from oracles import reference_lookahead
 
 
 def _p(ngens, *relators):
@@ -137,9 +140,11 @@ def test_strategies_agree_on_random_finite_quotients():
         # abelian-ish quotients stay finite: two generators of bounded
         # order forced to commute, plus one random extra relator
         da, db = rng.randint(1, 6), rng.randint(1, 6)
-        extra = Word.from_letters(
-            (rng.randrange(2), rng.choice((1, -1)))
-            for _ in range(rng.randint(0, 6))
+        extra = Word(
+            tuple(
+                (rng.randrange(2), rng.choice((1, -1)))
+                for _ in range(rng.randint(0, 6))
+            )
         )
         p = _p(2, A**da, B**db, commutator(A, B), extra)
         hlt = todd_coxeter(p, [], max_cosets=2000)
@@ -187,6 +192,153 @@ def test_completed_table_survives_a_passed_deadline():
     r.table.deadline = time.monotonic() - 1.0
     again = _finish(r.table, 10_000)
     assert again.complete and again.index == 3000
+
+
+# -- lookahead and compress do the same work as the plain loops ---------------
+
+
+def _full_table(p, subgroup, limit):
+    """The HLT pass of todd_coxeter, stopped where the table fills up."""
+    relators = [word_columns(r) for r in p.relators]
+    table = CosetTable(p.ngens, limit)
+    try:
+        for w in subgroup:
+            table.scan(0, word_columns(w))
+        alpha = 0
+        while alpha < len(table.table):
+            if table.is_alive(alpha):
+                for r in relators:
+                    if not table.is_alive(alpha):
+                        break
+                    table.scan(alpha, r)
+                if table.is_alive(alpha):
+                    for col in range(table.ncols):
+                        if table.table[alpha][col] is None:
+                            table.define(alpha, col)
+            alpha += 1
+    except _TableFull:
+        return table, relators
+    return None, relators
+
+
+def _random_presentation(rng):
+    def word(n):
+        return Word(
+            tuple((rng.randrange(2), rng.choice((1, -1))) for _ in range(n))
+        )
+
+    rels = [A ** rng.randint(2, 7), B ** rng.randint(2, 7)]
+    rels += [word(rng.randint(3, 10)) for _ in range(rng.randint(1, 2))]
+    return _p(2, *rels), [word(rng.randint(0, 2))]
+
+
+def _full_tables(seed, count):
+    """(presentation, subgroup, limit) drawn until count of them fill up."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        p, sub = _random_presentation(rng)
+        limit = rng.randint(8, 300)
+        if _full_table(p, sub, limit)[0] is not None:
+            cases.append((p, sub, limit))
+    return cases
+
+
+def test_lookahead_matches_the_reference_loop():
+    merged = deduced = 0
+    for p, sub, limit in _full_tables(71, 150):
+        table, relators = _full_table(p, sub, limit)
+        reference, _ = _full_table(p, sub, limit)
+        before = [list(row) for row in table.table], list(table.p)
+        table.lookahead(relators)
+        reference_lookahead(reference, relators)
+        assert table.table == reference.table
+        assert table.p == reference.p
+        merged += table.p != before[1]
+        deduced += table.p == before[1] and table.table != before[0]
+    # Both kinds of lookahead work occur: some passes merge cosets, others
+    # only fill entries by deduction.
+    assert merged > 10 and deduced > 10
+
+
+def _collapsed_sweep_spec(knot, d, n):
+    """The presentation certify_cyclic enumerates for rim knot d m=1 n."""
+    from rimcert import collapse_presentation, spec_from_json, surgered_group
+
+    p = surgered_group(spec_from_json({"knot": knot, "d": d, "m": 1, "n": n}))
+    return collapse_presentation(p, protect=(p.meridian.syllables[0][0],))
+
+
+def test_lookahead_matches_the_reference_loop_on_a_sweep_spec():
+    q = _collapsed_sweep_spec("5_2", 3, 3)
+    table, relators = _full_table(q, [q.meridian], 3000)
+    reference, _ = _full_table(q, [q.meridian], 3000)
+    table.lookahead(relators)
+    reference_lookahead(reference, relators)
+    assert table.table == reference.table
+    assert table.p == reference.p
+
+
+def _dict_renumbering(table):
+    """Freed count and rows of compress, renumbered through a dict."""
+    p = list(table.p)
+
+    def rep(c):
+        while p[c] != c:
+            c = p[c]
+        return c
+
+    live = [c for c in range(len(p)) if rep(c) == c]
+    idx = {c: i for i, c in enumerate(live)}
+    rows = [
+        [None if v is None else idx[rep(v)] for v in table.table[c]]
+        for c in live
+    ]
+    return len(p) - len(live), rows
+
+
+def test_compress_matches_a_dict_renumbering():
+    checked = 0
+    for p, sub, limit in _full_tables(73, 60):
+        table, relators = _full_table(p, sub, limit)
+        table.lookahead(relators)
+        freed, rows = _dict_renumbering(table)
+        if not freed:
+            continue
+        assert table.compress() == freed
+        assert table.table == rows
+        assert table.p == list(range(len(rows)))
+        checked += 1
+    assert checked > 10
+
+
+def test_compress_maps_dead_cosets_to_their_representatives():
+    # Merges whose rows are not yet rerouted: an entry that points at a dead
+    # coset takes the new number of that coset's representative.
+    table = CosetTable(1, 100)
+    for c in range(6):
+        table.define(c, 0)
+    table.p[5] = 3
+    table.p[3] = 1
+    freed, rows = _dict_renumbering(table)
+    assert table.compress() == freed == 2
+    assert table.table == rows
+    assert rows[3:] == [[1, 1], [None, 1]]
+
+
+@pytest.mark.parametrize(
+    "knot, d, n, cosets_defined",
+    [("5_2", 3, 3, 149882), ("4_1", 5, 4, 114968)],
+)
+def test_overflowing_meridian_enumerations_define_the_same_cosets(
+    knot, d, n, cosets_defined
+):
+    # The counters of two sweep specs that overflow at the default limit,
+    # pinned so that faster lookahead or compress cannot change the work.
+    q = _collapsed_sweep_spec(knot, d, n)
+    r = todd_coxeter(q, [q.meridian], 100_000)
+    assert (r.complete, r.reason) == (False, "max_cosets")
+    assert r.cosets_defined == cosets_defined
 
 
 # -- Reidemeister-Schreier ---------------------------------------------------

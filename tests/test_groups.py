@@ -18,13 +18,15 @@ from rimcert.surgery import spec_from_json, surgered_group
 
 
 def w(*letters):
-    return Word.from_letters(letters)
+    return Word(tuple(letters))
 
 
 def _random_word(rng, ngens, max_len=8):
-    return Word.from_letters(
-        (rng.randrange(ngens), rng.choice((1, -1)))
-        for _ in range(rng.randint(0, max_len))
+    return Word(
+        tuple(
+            (rng.randrange(ngens), rng.choice((1, -1)))
+            for _ in range(rng.randint(0, max_len))
+        )
     )
 
 

@@ -89,9 +89,11 @@ def test_fox_derivative_product_rule():
     rng = random.Random(67)
 
     def rand_word():
-        return Word.from_letters(
-            (rng.randrange(2), rng.choice((1, -1)))
-            for _ in range(rng.randint(0, 6))
+        return Word(
+            tuple(
+                (rng.randrange(2), rng.choice((1, -1)))
+                for _ in range(rng.randint(0, 6))
+            )
         )
 
     for _ in range(100):
