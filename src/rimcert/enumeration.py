@@ -84,46 +84,63 @@ class CosetTable:
         self.table[beta][col ^ 1] = alpha
         return beta
 
-    def rep(self, k: int) -> int:
-        p = self.p
-        r = k
-        while p[r] != r:
-            r = p[r]
-        while p[k] != r:
-            p[k], k = r, p[k]
-        return r
-
-    def _merge(self, k: int, l: int, queue: list[int]) -> None:
-        phi, psi = self.rep(k), self.rep(l)
-        if phi != psi:
-            mu, nu = (phi, psi) if phi < psi else (psi, phi)
-            self.p[nu] = mu
-            queue.append(nu)
-
     def coincidence(self, alpha: int, beta: int) -> None:
-        queue: list[int] = []
-        self._merge(alpha, beta, queue)
+        """Merge two cosets and everything their merge forces.
+
+        Each merge keeps the smaller representative and queues the larger
+        one, whose row is then folded into its representative's.  Finding
+        a representative walks the parent list without compressing it:
+        only the parents of dead cosets would differ, and compress needs
+        nothing from those except that each is smaller than its child.
+        """
+        table, p = self.table, self.p
+        while p[alpha] != alpha:
+            alpha = p[alpha]
+        while p[beta] != beta:
+            beta = p[beta]
+        if alpha == beta:
+            return
+        if alpha > beta:
+            alpha, beta = beta, alpha
+        p[beta] = alpha
+        queue = [beta]
         qi = 0
         while qi < len(queue):
             gamma = queue[qi]
             qi += 1
             if qi & 1023 == 0:
                 self._poll()
-            row = self.table[gamma]
-            for x in range(self.ncols):
-                delta = row[x]
+            row = table[gamma]
+            for x, delta in enumerate(row):
                 if delta is None:
                     continue
-                self.table[delta][x ^ 1] = None
-                mu = self.rep(gamma)
-                nu = self.rep(delta)
-                if self.table[mu][x] is not None:
-                    self._merge(nu, self.table[mu][x], queue)
-                elif self.table[nu][x ^ 1] is not None:
-                    self._merge(mu, self.table[nu][x ^ 1], queue)
+                xi = x ^ 1
+                table[delta][xi] = None
+                mu = gamma
+                while p[mu] != mu:
+                    mu = p[mu]
+                nu = delta
+                while p[nu] != nu:
+                    nu = p[nu]
+                phi = table[mu][x]
+                if phi is not None:
+                    psi = nu
                 else:
-                    self.table[mu][x] = nu
-                    self.table[nu][x ^ 1] = mu
+                    phi = table[nu][xi]
+                    if phi is None:
+                        table[mu][x] = nu
+                        table[nu][xi] = mu
+                        continue
+                    psi = mu
+                # Merge the class of phi with psi, a representative already.
+                while p[phi] != phi:
+                    phi = p[phi]
+                if phi < psi:
+                    p[psi] = phi
+                    queue.append(psi)
+                elif phi > psi:
+                    p[phi] = psi
+                    queue.append(phi)
 
     # -- scanning --------------------------------------------------------
 

@@ -9,6 +9,7 @@ generators, which is exactly the freely reduced normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, groupby
 from typing import Iterable, Iterator, Sequence
 
 Syllable = tuple[int, int]
@@ -90,7 +91,10 @@ class Word:
         return sum(e for g, e in self.syllables if g == gen)
 
     def cyclically_reduced(self) -> "Word":
-        syls = list(self.syllables)
+        syls = self.syllables
+        if len(syls) < 2 or syls[0][0] != syls[-1][0]:
+            return self
+        syls = list(syls)
         while len(syls) > 1 and syls[0][0] == syls[-1][0]:
             g = syls[0][0]
             head, tail = syls[0][1], syls[-1][1]
@@ -194,96 +198,165 @@ def word_columns(w: Word) -> tuple[int, ...]:
 
     These are also the coset-table columns the enumerator scans.
     """
-    return tuple(2 * g if s > 0 else 2 * g + 1 for g, s in w.letters())
+    return tuple(
+        chain.from_iterable(
+            (2 * g,) * e if e > 0 else (2 * g + 1,) * -e for g, e in w.syllables
+        )
+    )
 
 
-def cyclic_normal_form(w: Word) -> tuple[int, ...]:
-    """Least rotation of the letter sequence of w and of w^-1."""
-    best: tuple[int, ...] | None = None
-    for cand in (w, w.inverse()):
-        letters = word_columns(cand)
-        n = len(letters)
-        for i in range(max(n, 1)):
-            rot = letters[i:] + letters[:i]
-            if best is None or rot < best:
-                best = rot
-    return best if best is not None else ()
+def _inverse(w: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(x ^ 1 for x in reversed(w))
 
 
-# --- generator elimination -------------------------------------------------
+def _positions(w: tuple[int, ...], x: int) -> list[int]:
+    found = []
+    try:
+        i = w.index(x)
+        while True:
+            found.append(i)
+            i = w.index(x, i + 1)
+    except ValueError:
+        return found
 
 
-def _substitute_generator(w: Word, gen: int, image: Word, inverse: Word) -> Word:
-    """Replace gen by image, and its inverse by inverse, inside w."""
-    syls: list[Syllable] = []
-    for g, e in w.syllables:
-        if g != gen:
-            syls.append((g, e))
-            continue
-        img = image if e > 0 else inverse
-        for _ in range(abs(e)):
-            syls.extend(img.syllables)
+def _columns_word(cols: Iterable[int]) -> Word:
+    """The Word whose word_columns are cols, which must be freely reduced."""
+    syls = []
+    for c, run in groupby(cols):
+        n = len(tuple(run))
+        syls.append((c >> 1, -n if c & 1 else n))
     return Word(tuple(syls))
 
 
-# Collapse stops at the first substitution that would make a relator longer
-# than this many letters.
-MAX_RELATOR_LENGTH = 4096
+def cyclic_normal_form(w: Word) -> tuple[int, ...]:
+    """Least rotation of the letter sequence of w and of w^-1.
+
+    A least rotation starts at a least letter, so only those rotations are
+    compared.
+    """
+    cols = word_columns(w)
+    if not cols:
+        return ()
+    best = cols
+    for letters in (cols, _inverse(cols)):
+        for i in _positions(letters, min(letters)):
+            rot = letters[i:] + letters[:i]
+            if rot < best:
+                best = rot
+    return best
 
 
-def _renumber(w: Word, index: dict[int, int]) -> Word:
-    return Word(tuple((index[g], e) for g, e in w.syllables))
+def _letter_counts(w: Word) -> tuple[tuple[int, int], ...]:
+    """Letters per generator, which rotation and inversion both keep."""
+    counts: dict[int, int] = {}
+    for g, e in w.syllables:
+        counts[g] = counts.get(g, 0) + abs(e)
+    return tuple(sorted(counts.items()))
 
 
 def dedupe_relators(relators: Iterable[Word]) -> list[Word]:
     """Cyclically reduced relators, without identities, one per class.
 
     Relators that are rotations or inverses of an earlier one are dropped.
+    Two relators can only be such copies when they have the same letters
+    per generator, so the cyclic normal forms are computed only within a
+    group of relators that agree there.
     """
-    seen: set[tuple[int, ...]] = set()
+    first: dict[tuple, Word] = {}
+    forms: dict[tuple, set[tuple[int, ...]]] = {}
     out = []
     for r in relators:
         r = r.cyclically_reduced()
+        if r.is_identity():
+            continue
+        counts = _letter_counts(r)
+        if counts not in first:
+            first[counts] = r
+            out.append(r)
+            continue
+        seen = forms.get(counts)
+        if seen is None:
+            seen = forms[counts] = {cyclic_normal_form(first[counts])}
         key = cyclic_normal_form(r)
-        if key and key not in seen:
+        if key not in seen:
             seen.add(key)
             out.append(r)
     return out
 
 
-def _find_single_occurrence(
-    relators: list[Word], protect: frozenset[int] = frozenset()
-) -> tuple[int, int] | None:
-    """(relator index, generator) where the generator occurs exactly once.
+# --- generator elimination, on column tuples ---------------------------------
 
-    The occurrence must be a single letter in that relator; candidates are
-    ordered by relator length then generator index for determinism.
-    Generators in ``protect`` are never offered for elimination.
+# Collapse stops at the first substitution that would make a relator longer
+# than this many letters.
+MAX_RELATOR_LENGTH = 4096
+
+
+def _substitute(
+    w: tuple[int, ...], col: int, image: tuple[int, ...], inverse: tuple[int, ...]
+) -> tuple[int, ...]:
+    """w with letter col replaced by image and col ^ 1 by inverse.
+
+    The pieces between occurrences are freely reduced already, so the
+    result is freely reduced by cancelling only where pieces meet.
+    """
+    if col not in w and col ^ 1 not in w:
+        return w
+    hits = sorted(_positions(w, col) + _positions(w, col ^ 1))
+    out = list(w[: hits[0]])
+    for pos, end in zip(hits, hits[1:] + [len(w)]):
+        for piece in (image if w[pos] == col else inverse, w[pos + 1 : end]):
+            k = 0
+            while out and k < len(piece) and out[-1] ^ piece[k] == 1:
+                out.pop()
+                k += 1
+            out.extend(piece[k:])
+    return tuple(out)
+
+
+def _cyclically_reduce(w: tuple[int, ...]) -> tuple[int, ...]:
+    """The column form of Word.cyclically_reduced, for a freely reduced w.
+
+    Inverse letters are stripped from both ends.  If what is left starts
+    and ends with the same letter, or its last letters are what a partial
+    cancellation left of the last syllable, that trailing run moves to the
+    front, as the merged end syllable does in Word.cyclically_reduced.
+    """
+    i, j = 0, len(w) - 1
+    while i < j and w[i] ^ w[j] == 1:
+        i += 1
+        j -= 1
+    if i > j:
+        return ()
+    last = w[j]
+    if w[i] == last or (j + 1 < len(w) and w[j + 1] == last):
+        k = j
+        while k > i and w[k - 1] == last:
+            k -= 1
+        if k > i:
+            return w[k : j + 1] + w[i:k]
+    return w[i : j + 1]
+
+
+def _single_occurrence(
+    relators: list[tuple[int, ...]], protect: frozenset[int]
+) -> tuple[int, int] | None:
+    """(relator index, generator) with the generator there exactly once.
+
+    Candidates are ordered by (relator length, generator, relator index),
+    and generators in ``protect`` are never offered.
     """
     best: tuple[int, int, int] | None = None
     for idx, r in enumerate(relators):
-        per_gen: dict[int, int] = {}
-        for g, e in r.syllables:
-            per_gen[g] = per_gen.get(g, 0) + abs(e)
-        for g, c in sorted(per_gen.items()):
-            if c == 1 and g not in protect:
-                key = (r.length(), g, idx)
-                if best is None or key < best:
-                    best = key
-    if best is None:
-        return None
-    return best[2], best[1]
-
-
-def _solve_for(r: Word, gen: int) -> Word:
-    """Given relator r containing gen exactly once, express gen's value."""
-    letters = list(r.letters())
-    pos = next(i for i, (g, _) in enumerate(letters) if g == gen)
-    sign = letters[pos][1]
-    # rotate so the gen letter is first: r ~ g^sign * w  =>  g^sign = w^-1
-    rest = letters[pos + 1 :] + letters[:pos]
-    w = Word(tuple(rest))
-    return w.inverse() if sign > 0 else w
+        n = len(r)
+        if best is not None and n > best[0]:
+            continue
+        for g in sorted({c >> 1 for c in set(r)}):
+            if g not in protect and r.count(2 * g) + r.count(2 * g + 1) == 1:
+                if best is None or (n, g, idx) < best:
+                    best = (n, g, idx)
+                break
+    return None if best is None else (best[2], best[1])
 
 
 def collapse_presentation(
@@ -297,61 +370,87 @@ def collapse_presentation(
     enumeration is usually far cheaper over two or three generators with
     long relators than over many short ones, so this routine keeps
     eliminating any generator that occurs as a single letter in some
-    relator until none is left.  It stops at the first elimination that
-    would make a relator longer than MAX_RELATOR_LENGTH (4096 letters),
-    keeping the presentation from before it.  Marked peripheral words are
-    rewritten through every elimination; the result presents the same
-    marked group.
+    relator until none is left.  Candidates are taken shortest relator
+    first, then lowest generator, then first relator.  It stops at the
+    first elimination that would make a relator longer than
+    MAX_RELATOR_LENGTH (4096 letters), keeping the presentation from
+    before it.  Marked peripheral words are rewritten through every
+    elimination; the result presents the same marked group.
+
+    The work is done on letter tuples in the word_columns encoding: 2g
+    stands for x_g and 2g+1 for its inverse, so two letters are inverse
+    exactly when their xor is 1.  A relator r = u x_g^s v solves to
+    x_g^s = (v u)^-1, and each occurrence of x_g or its inverse elsewhere
+    is replaced by that image or its inverse, cancelling only where the
+    pieces meet.  Relators without x_g are kept as they are.  Cyclic
+    reduction gives the rotation Word.cyclically_reduced gives: a merged
+    end syllable goes to the front, so a^2 X a^-3 becomes a^-1 X, not
+    X a^-1.
 
     Generators keep their input numbers while others are eliminated.  The
     survivors are renumbered once at the end, in their input order, in
-    relators, peripheral words and names alike; duplicate relators (up to
-    rotation and inversion) are dropped at the same point.
+    relators, peripheral words and names alike; Words are built only
+    then, and duplicate relators (up to rotation and inversion) are
+    dropped at the same point.
 
     Generators listed in ``protect`` survive the collapse.  Keeping the
     meridian generator alive lets a caller enumerate its cyclic subgroup
     over a one-letter generator instead of a rewritten conjugation word.
     """
-    relators = list(p.relators)
-    meridian = p.meridian
-    longitude = p.longitude
+    relators = [word_columns(r) for r in p.relators]
+    meridian = None if p.meridian is None else word_columns(p.meridian)
+    longitude = None if p.longitude is None else word_columns(p.longitude)
     live = list(range(p.ngens))
     kept = frozenset(protect)
 
     while len(live) > 1:
-        cand = _find_single_occurrence(relators, kept)
+        cand = _single_occurrence(relators, kept)
         if cand is None:
             break
         idx, gen = cand
-        image = _solve_for(relators[idx], gen)
-        inverse = image.inverse()
+        solved = relators[idx]
+        col = 2 * gen
+        pos = solved.index(col) if col in solved else solved.index(col + 1)
+        rest = solved[pos + 1 :] + solved[:pos]
+        # solved is a rotation of x_g^s rest, so x_g^s = rest^-1.
+        if solved[pos] == col:
+            image, inverse = _inverse(rest), rest
+        else:
+            image, inverse = rest, _inverse(rest)
         new_rels = []
-        ok = True
         for k, r in enumerate(relators):
             if k == idx:
                 continue
-            sub = _substitute_generator(r, gen, image, inverse).cyclically_reduced()
-            if sub.length() > MAX_RELATOR_LENGTH:
-                ok = False
+            sub = _cyclically_reduce(_substitute(r, col, image, inverse))
+            if len(sub) > MAX_RELATOR_LENGTH:
                 break
-            if not sub.is_identity():
+            if sub:
                 new_rels.append(sub)
-        if not ok:
-            break
-        relators = new_rels
-        if meridian is not None:
-            meridian = _substitute_generator(meridian, gen, image, inverse)
-        if longitude is not None:
-            longitude = _substitute_generator(longitude, gen, image, inverse)
-        live.remove(gen)
+        else:
+            # Every relator fits under the cap: the elimination stands.
+            relators = new_rels
+            if meridian is not None:
+                meridian = _substitute(meridian, col, image, inverse)
+            if longitude is not None:
+                longitude = _substitute(longitude, col, image, inverse)
+            live.remove(gen)
+            continue
+        # The cap was hit: keep the presentation from before this elimination.
+        break
 
-    index = {g: i for i, g in enumerate(live)}
+    colmap = [0] * (2 * p.ngens)
+    for i, g in enumerate(live):
+        colmap[2 * g], colmap[2 * g + 1] = 2 * i, 2 * i + 1
+
+    def word(w: tuple[int, ...]) -> Word:
+        return _columns_word(map(colmap.__getitem__, w))
+
     names = p.names()
     return GroupPresentation(
         ngens=len(live),
-        relators=tuple(_renumber(r, index) for r in dedupe_relators(relators)),
-        meridian=None if meridian is None else _renumber(meridian, index),
-        longitude=None if longitude is None else _renumber(longitude, index),
+        relators=tuple(dedupe_relators(word(r) for r in relators)),
+        meridian=None if meridian is None else word(meridian),
+        longitude=None if longitude is None else word(longitude),
         gen_names=tuple(names[g] for g in live),
     )
 

@@ -185,13 +185,18 @@ def alexander_polynomial(diagram: KnotDiagram) -> LaurentPolynomial:
     return delta
 
 
-def knot_determinant(diagram: KnotDiagram) -> int:
-    return abs(alexander_polynomial(diagram).evaluate(-1))
+def knot_determinant(delta: LaurentPolynomial) -> int:
+    """|Delta(-1)| of a knot's Alexander polynomial Delta."""
+    return abs(delta.evaluate(-1))
 
 
-def arf_invariant(diagram: KnotDiagram) -> int:
-    """Arf invariant from the determinant's residue mod 8."""
-    det = knot_determinant(diagram)
+def arf_invariant(delta: LaurentPolynomial) -> int:
+    """Arf invariant of a knot from its Alexander polynomial Delta.
+
+    Levine: the Arf invariant is 0 exactly when the determinant |Delta(-1)|
+    is 1 or 7 mod 8.
+    """
+    det = knot_determinant(delta)
     if det % 2 == 0:
         raise AssertionError("knot determinant must be odd")
     return 0 if det % 8 in (1, 7) else 1
@@ -206,8 +211,9 @@ class NormalInvariantReport:
     label: str
 
 
-def normal_invariant_report(diagram: KnotDiagram) -> NormalInvariantReport:
-    a = arf_invariant(diagram)
+def normal_invariant_report(delta: LaurentPolynomial) -> NormalInvariantReport:
+    """Normal invariant data from the companion's Alexander polynomial."""
+    a = arf_invariant(delta)
     return NormalInvariantReport(
         arf=a,
         normally_trivial=(a == 0),

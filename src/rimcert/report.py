@@ -16,7 +16,7 @@ from .braids import resolve_knot
 from .certify import CYCLIC, INCONCLUSIVE, NON_CYCLIC, CyclicityVerdict, certify_cyclic
 from .diagrams import KnotDiagram, braid_closure_diagram
 from .enumeration import DEFAULT_MAX_COSETS
-from .invariants import alexander_polynomial, normal_invariant_report
+from .invariants import alexander_polynomial, knot_determinant, normal_invariant_report
 from .laurent import LaurentPolynomial
 from .surgery import SurgerySpec, surgered_group
 
@@ -62,12 +62,12 @@ def invariant_block(diagram: KnotDiagram | None) -> dict | None:
     if diagram is None:
         return None
     delta = alexander_polynomial(diagram)
-    nir = normal_invariant_report(diagram)
+    nir = normal_invariant_report(delta)
     return {
         "alexander_polynomial": str(delta),
         "alexander_coefficients": delta.to_json(),
         "alexander_trivial": delta == LaurentPolynomial.one(),
-        "determinant": abs(delta.evaluate(-1)),
+        "determinant": knot_determinant(delta),
         "arf": nir.arf,
         "normal_invariant": nir.label,
     }

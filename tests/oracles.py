@@ -3,9 +3,10 @@
 Nothing here imports rimcert.  Alexander polynomials come from Seifert
 matrices via det(V^T - t V), the Arf invariant from the mod-2 Seifert
 quadratic form over a symplectic basis, determinants from fraction-free
-elimination, and coset-table lookahead from a plain scan of its own.
-Frozen expected values in the tests were produced by these routines, not
-by the code under test.
+elimination, coset-table lookahead from a plain scan of its own,
+coincidence from a union-find of its own, and generator collapse from
+syllable arithmetic on plain tuples.  Frozen expected values in the tests
+were produced by these routines, not by the code under test.
 """
 
 # Polynomials are plain coefficient lists, index = exponent.
@@ -199,3 +200,193 @@ def reference_lookahead(ct, relators):
             if ct.p[alpha] != alpha:
                 break
             _scan_without_filling(ct, alpha, r)
+
+
+# Coincidence, as the enumerator first ran it: a union-find with path
+# compression, each merge keeping the smaller representative.  It takes a
+# CosetTable by duck typing (``table``, ``p`` and ``ncols``) and does not
+# poll a deadline.
+
+
+def _reference_rep(ct, k):
+    p = ct.p
+    r = k
+    while p[r] != r:
+        r = p[r]
+    while p[k] != r:
+        p[k], k = r, p[k]
+    return r
+
+
+def _reference_merge(ct, k, l, queue):
+    phi, psi = _reference_rep(ct, k), _reference_rep(ct, l)
+    if phi != psi:
+        mu, nu = (phi, psi) if phi < psi else (psi, phi)
+        ct.p[nu] = mu
+        queue.append(nu)
+
+
+def reference_coincidence(ct, alpha, beta):
+    table = ct.table
+    queue = []
+    _reference_merge(ct, alpha, beta, queue)
+    qi = 0
+    while qi < len(queue):
+        gamma = queue[qi]
+        qi += 1
+        row = table[gamma]
+        for x in range(ct.ncols):
+            delta = row[x]
+            if delta is None:
+                continue
+            table[delta][x ^ 1] = None
+            mu = _reference_rep(ct, gamma)
+            nu = _reference_rep(ct, delta)
+            if table[mu][x] is not None:
+                _reference_merge(ct, nu, table[mu][x], queue)
+            elif table[nu][x ^ 1] is not None:
+                _reference_merge(ct, mu, table[nu][x ^ 1], queue)
+            else:
+                table[mu][x] = nu
+                table[nu][x ^ 1] = mu
+
+
+# Generator collapse, as it first ran on syllables.  Words are tuples of
+# (generator, nonzero exponent) syllables; relators come in as a
+# presentation holds them (cyclically reduced, shortest first).  The result
+# is (ngens, relators, meridian, longitude, names), with the relators sorted
+# the way a presentation sorts them.
+
+
+def _free_reduce(syllables):
+    out = []
+    for g, e in syllables:
+        if e == 0:
+            continue
+        if out and out[-1][0] == g:
+            out[-1][1] += e
+            if out[-1][1] == 0:
+                out.pop()
+        else:
+            out.append([g, e])
+    return tuple((g, e) for g, e in out)
+
+
+def _word_inverse(w):
+    return tuple((g, -e) for g, e in reversed(w))
+
+
+def _word_length(w):
+    return sum(abs(e) for _, e in w)
+
+
+def _word_letters(w):
+    return [(g, 1 if e > 0 else -1) for g, e in w for _ in range(abs(e))]
+
+
+def _cyclic_reduce(w):
+    syls = list(w)
+    while len(syls) > 1 and syls[0][0] == syls[-1][0]:
+        g, head, tail = syls[0][0], syls[0][1], syls[-1][1]
+        if head + tail == 0:
+            syls = syls[1:-1]
+        else:
+            syls = [(g, head + tail)] + syls[1:-1]
+            break
+    return _free_reduce(syls)
+
+
+def _rotation_class(w):
+    """Least rotation of the letters of w and of w^-1."""
+    rots = []
+    for cand in (w, _word_inverse(w)):
+        letters = _word_letters(cand)
+        rots += [tuple(letters[i:] + letters[:i]) for i in range(len(letters))]
+    return min(rots, default=())
+
+
+def _substitute(w, gen, image):
+    inverse = _word_inverse(image)
+    out = []
+    for g, e in w:
+        if g != gen:
+            out.append((g, e))
+            continue
+        for _ in range(abs(e)):
+            out.extend(image if e > 0 else inverse)
+    return _free_reduce(out)
+
+
+def _single_occurrence(relators, protect):
+    best = None
+    for idx, r in enumerate(relators):
+        per_gen = {}
+        for g, e in r:
+            per_gen[g] = per_gen.get(g, 0) + abs(e)
+        for g, c in sorted(per_gen.items()):
+            if c == 1 and g not in protect:
+                key = (_word_length(r), g, idx)
+                if best is None or key < best:
+                    best = key
+    return None if best is None else (best[2], best[1])
+
+
+def _solve_for(r, gen):
+    letters = _word_letters(r)
+    pos = next(i for i, (g, _) in enumerate(letters) if g == gen)
+    rest = _free_reduce(letters[pos + 1:] + letters[:pos])
+    return _word_inverse(rest) if letters[pos][1] > 0 else rest
+
+
+def reference_collapse(
+    ngens, relators, meridian, longitude, names, protect=(), cap=4096
+):
+    relators = list(relators)
+    live = list(range(ngens))
+    while len(live) > 1:
+        cand = _single_occurrence(relators, frozenset(protect))
+        if cand is None:
+            break
+        idx, gen = cand
+        image = _solve_for(relators[idx], gen)
+        new_rels = []
+        for k, r in enumerate(relators):
+            if k == idx:
+                continue
+            sub = _cyclic_reduce(_substitute(r, gen, image))
+            if _word_length(sub) > cap:
+                break
+            if sub:
+                new_rels.append(sub)
+        else:
+            relators = new_rels
+            if meridian is not None:
+                meridian = _substitute(meridian, gen, image)
+            if longitude is not None:
+                longitude = _substitute(longitude, gen, image)
+            live.remove(gen)
+            continue
+        break
+
+    seen = set()
+    kept = []
+    for r in relators:
+        key = _rotation_class(r)
+        if key not in seen:
+            seen.add(key)
+            kept.append(r)
+    index = {g: i for i, g in enumerate(live)}
+
+    def renumber(w):
+        return None if w is None else tuple((index[g], e) for g, e in w)
+
+    kept = sorted(
+        (renumber(r) for r in kept), key=lambda w: (_word_length(w), w)
+    )
+    return (
+        len(live),
+        tuple(kept),
+        renumber(meridian),
+        renumber(longitude),
+        tuple(names[g] for g in live),
+    )

@@ -317,10 +317,11 @@ def test_criterion_7_invariants_match_independent_oracles():
         oracle = LaurentPolynomial(tuple(alexander_from_seifert(seifert)), 0)
         if delta != oracle:
             mismatches.append((name, "oracle", str(delta)))
-        if arf_invariant(d) != frozen_arf[name]:
-            mismatches.append((name, "arf-frozen", arf_invariant(d)))
-        if arf_invariant(d) != arf_from_seifert(seifert):
-            mismatches.append((name, "arf-oracle", arf_invariant(d)))
+        arf = arf_invariant(delta)
+        if arf != frozen_arf[name]:
+            mismatches.append((name, "arf-frozen", arf))
+        if arf != arf_from_seifert(seifert):
+            mismatches.append((name, "arf-oracle", arf))
 
     rng = random.Random(71)
     checked = 0

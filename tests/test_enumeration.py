@@ -15,7 +15,7 @@ from rimcert.enumeration import (
 )
 from rimcert.groups import GroupPresentation, Word, commutator, word_columns
 
-from oracles import reference_lookahead
+from oracles import reference_coincidence, reference_lookahead
 
 
 def _p(ngens, *relators):
@@ -259,6 +259,40 @@ def test_lookahead_matches_the_reference_loop():
     # Both kinds of lookahead work occur: some passes merge cosets, others
     # only fill entries by deduction.
     assert merged > 10 and deduced > 10
+
+
+def _representatives(p):
+    reps = []
+    for c in range(len(p)):
+        while p[c] != c:
+            c = p[c]
+        reps.append(c)
+    return reps
+
+
+def test_coincidence_matches_the_reference_union_find():
+    # Random merges of live cosets in full tables: the same rows, and the
+    # same representative for every coset, dead ones included.  Parents of
+    # dead cosets may differ, since coincidence does not compress paths.
+    rng = random.Random(79)
+    cascades = 0
+    for p, sub, limit in _full_tables(79, 80):
+        table, _ = _full_table(p, sub, limit)
+        reference, _ = _full_table(p, sub, limit)
+        for _ in range(rng.randint(1, 4)):
+            live = [c for c in range(len(table.p)) if table.p[c] == c]
+            if len(live) < 2:
+                break
+            alpha, beta = rng.sample(live, 2)
+            table.coincidence(alpha, beta)
+            reference_coincidence(reference, alpha, beta)
+            assert table.table == reference.table
+            reps = _representatives(reference.p)
+            assert _representatives(table.p) == reps
+            cascades += len(live) - len(set(reps)) > 1
+        assert all(table.p[c] < c for c in range(len(table.p)) if table.p[c] != c)
+    # Most merges force further merges, so the queue is exercised.
+    assert cascades > 100
 
 
 def _collapsed_sweep_spec(knot, d, n):

@@ -8,13 +8,17 @@ from rimcert.groups import (
     MAX_RELATOR_LENGTH,
     GroupPresentation,
     Word,
+    _cyclically_reduce,
     collapse_presentation,
     commutator,
     format_word,
     parse_word,
     quotient,
+    word_columns,
 )
 from rimcert.surgery import spec_from_json, surgered_group
+
+from oracles import reference_collapse
 
 
 def w(*letters):
@@ -245,3 +249,43 @@ def test_collapse_shape_of_sweep_specs(spec, shape):
     p = _sweep_group(*spec)
     q = collapse_presentation(p, protect=_protect_like_certify(p))
     assert (q.ngens, len(q.relators), q.total_relator_length()) == shape
+
+
+def test_collapse_moves_a_merged_end_syllable_to_the_front():
+    # x = a^2 turns x b a^-3 into a^2 b a^-3, which cyclically reduces to
+    # a^-1 b as Word.cyclically_reduced does, not to the rotation b a^-1
+    # that stripping inverse letters from the ends alone would leave.
+    a, b, x = (Word.gen(i) for i in range(3))
+    assert (a**2 * b * a**-3).cyclically_reduced() == a.inverse() * b
+    assert _cyclically_reduce(word_columns(a**2 * b * a**-3)) == (1, 2)
+    assert _cyclically_reduce(word_columns(a**2 * b * a**3)) == (0,) * 5 + (2,)
+    p = GroupPresentation(
+        ngens=3, relators=(x.inverse() * a**2, x * b * a**-3), meridian=x
+    )
+    q = collapse_presentation(p, protect=(0, 1))
+    assert q.gen_names == ("a", "b")
+    assert q.relators == (a.inverse() * b,)
+    assert q.meridian == a**2
+
+
+def test_collapse_keeps_the_presentation_when_the_cap_is_hit_mid_elimination():
+    # a = y goes first.  Eliminating x = (y b^-1)^700 then rewrites x^2 to
+    # 2800 letters, within the cap, before x^3 would take 4200 letters: the
+    # whole elimination is dropped, x^2 included, and the collapse stops.
+    a, b, x, y = (Word.gen(i) for i in range(4))
+    p = GroupPresentation(
+        ngens=4,
+        relators=(y.inverse() * a, x**2, x**3, x.inverse() * (a * b.inverse()) ** 700),
+        meridian=a,
+    )
+    q = collapse_presentation(p)
+    b, x, y = (Word.gen(i) for i in range(3))
+    assert q.gen_names == ("b", "c", "d")
+    assert q.relators == (x**2, x**3, x.inverse() * (y * b.inverse()) ** 700)
+    assert q.meridian == y
+    expected = reference_collapse(
+        p.ngens, tuple(r.syllables for r in p.relators), p.meridian.syllables,
+        None, p.names(),
+    )
+    assert expected == (3, tuple(r.syllables for r in q.relators),
+                        q.meridian.syllables, None, q.gen_names)
