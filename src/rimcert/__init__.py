@@ -13,10 +13,7 @@ from .diagrams import (
 )
 from .enumeration import (
     DEFAULT_MAX_COSETS,
-    EnumerationOverflow,
     EnumerationResult,
-    SubgroupPresentation,
-    reidemeister_schreier,
     todd_coxeter,
 )
 from .groups import (
@@ -54,13 +51,11 @@ from .surgery import (
     SurgerySpec,
     annulus_rim_surgery_group,
     gluing_matrix,
-    meridian_kernel_words,
     plotnick_matrix,
     rim_surgery_group,
     spec_from_json,
     surgered_group,
     twist_roll_conjugator,
-    unbranched_cover_group,
     validate_gluing,
 )
 
@@ -72,7 +67,6 @@ __all__ = [
     "Crossing",
     "CyclicityVerdict",
     "DEFAULT_MAX_COSETS",
-    "EnumerationOverflow",
     "EnumerationResult",
     "GluingMatrix",
     "GroupPresentation",
@@ -81,7 +75,6 @@ __all__ = [
     "LaurentPolynomial",
     "NormalInvariantReport",
     "PlotnickMatrix",
-    "SubgroupPresentation",
     "SurgerySpec",
     "TangleDiagram",
     "TangleGroup",
@@ -107,14 +100,12 @@ __all__ = [
     "gluing_matrix",
     "invariant_block",
     "knot_determinant",
-    "meridian_kernel_words",
     "normal_invariant_report",
     "parse_braid",
     "parse_word",
     "plotnick_matrix",
     "poly_determinant",
     "quotient",
-    "reidemeister_schreier",
     "render_text",
     "resolve_knot",
     "rim_surgery_group",
@@ -125,7 +116,6 @@ __all__ = [
     "tangle_wirtinger",
     "todd_coxeter",
     "twist_roll_conjugator",
-    "unbranched_cover_group",
     "validate_gluing",
     "wirtinger",
     "__version__",

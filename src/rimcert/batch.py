@@ -15,21 +15,19 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .enumeration import DEFAULT_MAX_COSETS
 from .report import DEFAULT_TIMEOUT, certify
-from .surgery import spec_from_json
+from .surgery import is_integer, spec_from_json
 
 BATCH_SCHEMA = "rimcert.batch/1"
 
 
 def _as_range(value, what: str) -> list[int]:
     """An int means itself; [lo, hi] means the inclusive range."""
-    if isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer or [lo, hi]")
-    if isinstance(value, int):
+    if is_integer(value):
         return [value]
     if (
         isinstance(value, (list, tuple))
         and len(value) == 2
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
+        and all(is_integer(v) for v in value)
     ):
         lo, hi = value
         if hi < lo:

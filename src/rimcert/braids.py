@@ -64,9 +64,6 @@ class BraidWord:
     def is_knot(self) -> bool:
         return self.closure_components() == 1
 
-    def mirrored(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(-l for l in self.letters))
-
     def __str__(self) -> str:
         return format_braid(self)
 
@@ -97,13 +94,6 @@ def parse_braid(text: str) -> BraidWord:
 def format_braid(b: BraidWord) -> str:
     body = " ".join(str(l) for l in b.letters)
     return f"B{b.strands}: {body}".rstrip()
-
-
-def braid_connected_sum(a: BraidWord, b: BraidWord) -> BraidWord:
-    """Closure of the result is the connected sum of the two closures."""
-    shift = a.strands - 1
-    shifted = tuple(l + shift if l > 0 else l - shift for l in b.letters)
-    return BraidWord(a.strands + b.strands - 1, a.letters + shifted)
 
 
 @dataclass(frozen=True, slots=True)

@@ -75,6 +75,8 @@ def main() -> None:
 def certify_cmd(knot, d, m, n, kind, max_cosets, timeout, as_json) -> None:
     """Certify one surgery spec and print its report."""
     try:
+        if not timeout >= 0:  # written so that nan fails too
+            raise ValueError("timeout must be nonnegative; 0 disables it")
         spec = _build_spec(knot, d, m, n, kind)
         report = certify_spec(
             spec, max_cosets=max_cosets, timeout=timeout or None

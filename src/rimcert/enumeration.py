@@ -1,4 +1,4 @@
-"""Coset enumeration and subgroup presentations.
+"""Coset enumeration.
 
 The enumerator is the relator-based HLT strategy with coincidence handling
 and a lookahead pass when the table fills up.  Everything is deterministic:
@@ -12,16 +12,12 @@ Overflow with the limit that was hit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import eq
 
-from .groups import GroupPresentation, Word, dedupe_relators, word_columns
+from .groups import GroupPresentation, Word, word_columns
 
 DEFAULT_MAX_COSETS = 100_000
-
-
-class EnumerationOverflow(RuntimeError):
-    """Raised by callers that need a completed table and did not get one."""
 
 
 class _TableFull(Exception):
@@ -384,114 +380,3 @@ def todd_coxeter(
         if w.max_generator() >= p.ngens:
             raise ValueError("subgroup word uses an undefined generator")
     return _hlt(relators, subgroup_cols, p.ngens, max_cosets, deadline)
-
-
-@dataclass(frozen=True, slots=True)
-class SubgroupPresentation:
-    """Subgroup presentation on Schreier generators plus rewriting data."""
-
-    presentation: GroupPresentation
-    index: int
-    transversal: tuple[Word, ...]  # coset -> transversal word in the big group
-    schreier_words: tuple[Word, ...]  # subgroup generator -> word in the big group
-    table: CosetTable
-    _tree: frozenset[tuple[int, int]]
-    _gen_index: dict[tuple[int, int], int]
-
-    def rewrite(self, w: Word) -> Word:
-        """Rewrite a word of the big group lying in the subgroup."""
-        return self._rewrite_from(0, w, expect_return=True)
-
-    def _rewrite_from(self, start: int, w: Word, expect_return: bool) -> Word:
-        table = self.table.table
-        out: list[tuple[int, int]] = []
-        c = start
-        for g, s in w.letters():
-            if s > 0:
-                if (c, g) not in self._tree:
-                    out.append((self._gen_index[(c, g)], 1))
-                c = table[c][2 * g]
-            else:
-                prev = table[c][2 * g + 1]
-                if (prev, g) not in self._tree:
-                    out.append((self._gen_index[(prev, g)], -1))
-                c = prev
-        if expect_return and c != start:
-            raise ValueError("word does not lie in the subgroup")
-        return Word(tuple(out))
-
-
-def reidemeister_schreier(
-    p: GroupPresentation,
-    subgroup: list[Word] | tuple[Word, ...],
-    max_cosets: int = DEFAULT_MAX_COSETS,
-    deadline: float | None = None,
-) -> SubgroupPresentation:
-    """Present the subgroup generated by the given words.
-
-    The transversal is Schreier (BFS over the standardized table, columns in
-    generator order), generators are the non-tree table edges, and relators
-    are the rewrites of every conjugate of every relator by a transversal
-    representative.  The free rank bookkeeping index*(ngens-1)+1 holds by
-    construction and is asserted.
-    """
-    result = todd_coxeter(p, subgroup, max_cosets, deadline)
-    if not result.complete:
-        raise EnumerationOverflow(
-            f"coset enumeration exhausted {result.reason} "
-            f"(defined {result.cosets_defined}, limit {result.max_cosets})"
-        )
-    table = result.table
-    assert table is not None
-    n = result.index or 1
-
-    transversal: list[Word | None] = [None] * n
-    transversal[0] = Word.identity()
-    tree: set[tuple[int, int]] = set()
-    queue = [0]
-    qi = 0
-    while qi < len(queue):
-        c = queue[qi]
-        qi += 1
-        for col in range(table.ncols):
-            v = table.table[c][col]
-            if v is not None and transversal[v] is None:
-                g = col >> 1
-                step = 1 if col % 2 == 0 else -1
-                transversal[v] = transversal[c] * Word.gen(g, step)
-                tree.add((c, g) if step > 0 else (v, g))
-                queue.append(v)
-    if any(t is None for t in transversal):
-        raise AssertionError("coset table is not connected")
-
-    gen_index: dict[tuple[int, int], int] = {}
-    schreier_words: list[Word] = []
-    for c in range(n):
-        for g in range(p.ngens):
-            if (c, g) in tree:
-                continue
-            target = table.table[c][2 * g]
-            gen_index[(c, g)] = len(schreier_words)
-            schreier_words.append(
-                transversal[c] * Word.gen(g) * transversal[target].inverse()
-            )
-    if p.ngens > 0 and len(schreier_words) != n * (p.ngens - 1) + 1:
-        raise AssertionError("Schreier generator count must be n*(rank-1)+1")
-
-    sub = SubgroupPresentation(
-        presentation=GroupPresentation(ngens=len(schreier_words)),
-        index=n,
-        transversal=tuple(transversal),
-        schreier_words=tuple(schreier_words),
-        table=table,
-        _tree=frozenset(tree),
-        _gen_index=gen_index,
-    )
-
-    relators = dedupe_relators(
-        sub._rewrite_from(c, r, expect_return=True)
-        for c in range(n)
-        for r in p.relators
-    )
-    final = GroupPresentation(ngens=len(schreier_words), relators=tuple(relators))
-    return replace(sub, presentation=final)

@@ -3,9 +3,9 @@
 Nothing here imports rimcert.  Alexander polynomials come from Seifert
 matrices via det(V^T - t V), the Arf invariant from the mod-2 Seifert
 quadratic form over a symplectic basis, determinants from fraction-free
-elimination, coset-table lookahead from a plain scan of its own,
-coincidence from a union-find of its own, and generator collapse from
-syllable arithmetic on plain tuples.  Frozen expected values in the tests
+elimination, matrix products from a plain triple loop, coset-table
+lookahead from a plain scan of its own, coincidence from a union-find of
+its own, and generator collapse from syllable arithmetic on plain tuples.  Frozen expected values in the tests
 were produced by these routines, not by the code under test.
 """
 
@@ -162,6 +162,24 @@ def int_det(rows):
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def matmul(a, b):
+    """Integer matrix product on lists of rows."""
+    if not a or not b:
+        return [[0] * (len(b[0]) if b else 0) for _ in a]
+    rows, inner, cols = len(a), len(b), len(b[0])
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        ai = a[i]
+        oi = out[i]
+        for k in range(inner):
+            v = ai[k]
+            if v:
+                bk = b[k]
+                for j in range(cols):
+                    oi[j] += v * bk[j]
+    return out
 
 
 # Coset-table lookahead, as the enumerator first ran it: every relator is

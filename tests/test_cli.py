@@ -4,6 +4,7 @@ import json
 
 from click.testing import CliRunner
 
+import rimcert
 from rimcert.cli import EXIT_CERTIFIED, EXIT_ERROR, EXIT_INCONCLUSIVE, main
 
 
@@ -66,6 +67,16 @@ def test_zero_timeout_disables_the_deadline():
     r = _run("certify", "--knot", "unknot", "--d", "2", "--json",
              "--timeout", "0")
     assert json.loads(r.output)["limits"]["timeout"] is None
+
+
+def test_negative_timeout_is_an_error():
+    for args, env in [(["--timeout", "-1"], None),
+                      ([], {"RIMCERT_TIMEOUT": "-1"})]:
+        r = _run("certify", "--knot", "5_2", "--d", "3", "--m", "1",
+                 "--n", "3", *args, env=env)
+        assert r.exit_code == EXIT_ERROR
+        assert "error: timeout" in r.output
+        assert "limits:" not in r.output
 
 
 def test_batch_roundtrip_to_file(tmp_path):
@@ -140,3 +151,15 @@ def test_invariants_command():
 def test_invariants_accepts_braid_literals():
     r = _run("invariants", "--knot", "B3: 1 -2 1 -2", "--json")
     assert json.loads(r.output)["alexander_polynomial"] == "t^2-3t+1"
+
+
+def test_public_api_names_are_bound_and_unique():
+    missing = [name for name in rimcert.__all__ if not hasattr(rimcert, name)]
+    assert not missing
+    assert len(set(rimcert.__all__)) == len(rimcert.__all__)
+    # The cover builder is a test helper, not part of the package.
+    dropped = {"EnumerationOverflow", "SubgroupPresentation",
+               "reidemeister_schreier", "meridian_kernel_words",
+               "unbranched_cover_group"}
+    assert not dropped & set(rimcert.__all__)
+    assert not [name for name in dropped if hasattr(rimcert, name)]

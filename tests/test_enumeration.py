@@ -4,17 +4,10 @@ import time
 import pytest
 
 from rimcert.abelian import abelian_invariants
-from rimcert.enumeration import (
-    CosetTable,
-    EnumerationOverflow,
-    _Deadline,
-    _finish,
-    _TableFull,
-    reidemeister_schreier,
-    todd_coxeter,
-)
+from rimcert.enumeration import CosetTable, _Deadline, _finish, _TableFull, todd_coxeter
 from rimcert.groups import GroupPresentation, Word, commutator, word_columns
 
+from covers import EnumerationOverflow, reidemeister_schreier
 from oracles import reference_coincidence, reference_lookahead
 
 

@@ -13,15 +13,15 @@ from rimcert.surgery import (
     SurgerySpec,
     annulus_rim_surgery_group,
     gluing_matrix,
-    meridian_kernel_words,
     plotnick_matrix,
     rim_surgery_group,
     spec_from_json,
     surgered_group,
     twist_roll_conjugator,
-    unbranched_cover_group,
     validate_gluing,
 )
+
+from covers import meridian_kernel_words, unbranched_cover_group
 
 
 def _rim_spec(knot, d, m=0, n=0):
@@ -89,6 +89,12 @@ def test_spec_validation():
         spec_from_json({"knot": "3_1", "d": 2, "kind": "ribbon"})
     with pytest.raises(ValueError):
         spec_from_json({"knot": "3_1", "d": 2, "m": -1})
+    # Counts are JSON integers, as in batch sweeps: no bool, float or string
+    # is coerced into a different spec.
+    for key, value in [("d", 2.9), ("d", True), ("m", True), ("m", 1.0),
+                       ("n", "1"), ("n", None)]:
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            spec_from_json({"knot": "3_1", "d": 2, key: value})
     with pytest.raises(ValueError):
         SurgerySpec(knot=braid_closure_diagram(resolve_knot("3_1")), d=2,
                     kind="annulus")
