@@ -79,15 +79,17 @@ def _run_row(args: tuple[dict, int, float | None]) -> dict:
 
 def run_batch(config: dict) -> dict:
     """Certify every spec in the config; summary counts every verdict."""
-    max_cosets = int(config.get("max_cosets", DEFAULT_MAX_COSETS))
+    max_cosets = config.get("max_cosets", DEFAULT_MAX_COSETS)
+    parallelism = config.get("parallelism", 1)
+    if not all(is_integer(v) and v >= 1 for v in (max_cosets, parallelism)):
+        raise ValueError("max_cosets and parallelism must be integers >= 1")
     timeout = config.get("timeout", DEFAULT_TIMEOUT)
     if timeout is not None:
+        # nan and inf would be written back as NaN or Infinity, not JSON.
+        finite = type(timeout) in (int, float) and math.isfinite(timeout)
+        if not (finite and timeout > 0):
+            raise ValueError("timeout must be a positive number or null")
         timeout = float(timeout)
-    parallelism = int(config.get("parallelism", 1))
-    if max_cosets < 1 or parallelism < 1:
-        raise ValueError("limits and parallelism must be positive")
-    if timeout is not None and timeout <= 0:
-        raise ValueError("timeout must be positive or null")
 
     jobs = [(doc, max_cosets, timeout) for doc in expand_config(config)]
     if parallelism == 1 or len(jobs) <= 1:

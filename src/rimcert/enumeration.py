@@ -39,7 +39,6 @@ class CosetTable:
         "defined",
         "limit",
         "deadline",
-        "_ticks",
     )
 
     def __init__(self, ngens: int, limit: int, deadline: float | None = None):
@@ -50,7 +49,6 @@ class CosetTable:
         self.defined = 1
         self.limit = limit
         self.deadline = deadline
-        self._ticks = 0
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -60,8 +58,8 @@ class CosetTable:
     def _poll(self) -> None:
         """Raise _Deadline once the deadline has passed.
 
-        Callers poll once per 1024 definitions, merges, lookahead rows or
-        compressed rows, which keeps the clock reads off the hot path.
+        Callers poll once per 1024 definitions, merges or lookahead rows,
+        which keeps the clock reads off the hot path.
         """
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Deadline
@@ -69,8 +67,7 @@ class CosetTable:
     def define(self, alpha: int, col: int) -> int:
         if len(self.table) >= self.limit:
             raise _TableFull
-        self._ticks += 1
-        if self._ticks & 1023 == 0:
+        if self.defined & 1023 == 0:
             self._poll()
         beta = len(self.table)
         self.table.append([None] * self.ncols)
@@ -171,23 +168,23 @@ class CosetTable:
                 return
             self.define(f, word[i])
 
-    def lookahead(self, relators: list[tuple[int, ...]]) -> None:
-        """Scan every relator from every live coset without defining any.
+    def lookahead(self, relators: list[tuple[int, ...]], start: int) -> None:
+        """Scan each relator from each live coset from start on; define none.
 
-        This is the non-filling scan, inlined: one forward and one backward
-        pass per relator.  A gap of one letter is filled as a deduction, and
-        a scan whose two ends meet at different cosets merges them.
+        Rows below start must be complete, as HLT leaves the rows below its
+        cursor.  This is the non-filling scan, inlined: one forward and one
+        backward pass per relator.  A gap of one letter is filled as a
+        deduction, and a scan whose two ends meet at different cosets merges
+        them; only such a merge can kill alpha.
         """
         table, p = self.table, self.p
         scans = [(r, tuple(x ^ 1 for x in r), len(r) - 1) for r in relators]
-        for alpha in range(len(table)):
+        for alpha in range(start, len(table)):
             if alpha & 1023 == 1023:
                 self._poll()
             if p[alpha] != alpha:
                 continue
             for word, back, last in scans:
-                if p[alpha] != alpha:
-                    break
                 f, i = alpha, 0
                 while i <= last:
                     nxt = table[f][word[i]]
@@ -198,6 +195,8 @@ class CosetTable:
                 if i > last:
                     if f != alpha:
                         self.coincidence(f, alpha)
+                        if p[alpha] != alpha:
+                            break
                     continue
                 b, j = alpha, last
                 while j >= i:
@@ -208,18 +207,19 @@ class CosetTable:
                     j -= 1
                 if j < i:
                     self.coincidence(f, b)
+                    if p[alpha] != alpha:
+                        break
                 elif j == i:
                     table[f][word[i]] = b
                     table[b][back[i]] = f
 
-    def compress(self, poll: bool = False) -> int:
+    def compress(self) -> int:
         """Renumber the live cosets 0..n-1 and return how many were freed.
 
         A dead coset's parent is always a smaller coset (merges keep the
         smaller number), so one ascending pass maps every coset, dead or
-        alive, to the new number of its representative.  With ``poll`` the
-        deadline is checked once per 1024 rows; the table is replaced only
-        at the end, so a raise leaves it as it was.
+        alive, to the new number of its representative.  The enumeration
+        compresses once, when its table is complete, and does not poll.
         """
         p = self.p
         new = [0] * len(p)
@@ -231,18 +231,11 @@ class CosetTable:
             else:
                 new[c] = new[parent]
         table = self.table
-        rows: list[list[int | None]] = []
-        for start in range(0, len(live), 1024):
-            if poll and start:
-                self._poll()
-            rows += [
-                [None if v is None else new[v] for v in table[c]]
-                for c in live[start : start + 1024]
-            ]
-        self.table = rows
-        freed = len(p) - len(live)
+        self.table = [
+            [None if v is None else new[v] for v in table[c]] for c in live
+        ]
         self.p = list(range(len(live)))
-        return freed
+        return len(p) - len(live)
 
     def standardize(self) -> None:
         n = len(self.table)
@@ -315,13 +308,18 @@ def _hlt(
     max_cosets: int,
     deadline: float | None,
 ) -> EnumerationResult:
+    """HLT, with a lookahead round each time the table fills.
+
+    The rows below alpha are complete, so HLT resumes and lookahead starts
+    there; merges keep the smaller coset, so no round needs a renumbering.
+    """
     table = CosetTable(ngens, max_cosets, deadline)
+    alpha = 0
     try:
         while True:
             try:
                 for w in subgroup_cols:
                     table.scan(0, w)
-                alpha = 0
                 while alpha < len(table.table):
                     if table.is_alive(alpha):
                         for r in relators:
@@ -337,21 +335,21 @@ def _hlt(
                 break
             except _TableFull:
                 pass
-            table.lookahead(relators)
+            table.lookahead(relators, alpha)
             # A lookahead that recovers under 5% of the budget is thrashing,
             # not converging; repeated full rescans would burn seconds for a
             # few hundred cosets of headroom.  Call the budget exhausted.
-            # The rule reads the dead cosets before compressing, so a table
-            # that gives up is never compressed.
-            p = table.p
-            live = sum(map(eq, p, range(len(p))))
-            freed = len(p) - live
+            # Dead rows stay put and the limit grows by them, so define and
+            # freed count what they would count in a compressed table.
+            live = sum(map(eq, table.p, range(len(table.p))))
+            dead = len(table.p) - live
+            freed = dead - (table.limit - max_cosets)
             if freed < max(1, max_cosets // 20) or live >= max_cosets:
                 return _overflow(table, max_cosets, "max_cosets")
-            table.compress(poll=True)
+            table.limit = max_cosets + dead
     except _Deadline:
-        # Lookahead, coincidence and compress poll the deadline too, so it
-        # can fire outside a definition.
+        # Lookahead and coincidence poll the deadline too, so it can fire
+        # outside a definition.
         return _overflow(table, max_cosets, "timeout")
     # No poll past this point: the table is complete, and a late deadline
     # must not throw it away.

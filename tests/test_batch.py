@@ -93,6 +93,34 @@ def test_run_batch_validates_limits():
         run_batch({"timeout": -1})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("max_cosets", True),
+        ("max_cosets", "50000"),
+        ("max_cosets", 50000.0),
+        ("parallelism", 1.7),
+        ("parallelism", True),
+        ("timeout", True),
+        ("timeout", "60"),
+        ("timeout", float("nan")),
+        ("timeout", float("inf")),
+    ],
+)
+def test_run_batch_takes_only_json_numbers_as_limits(key, value):
+    # A bool is no count, a string is no number, and nan or inf would be
+    # written back as NaN or Infinity, which is not JSON.
+    spec = {"knot": "unknot", "d": 2}
+    with pytest.raises(ValueError, match=key):
+        run_batch({"specs": [spec], key: value})
+
+
+def test_run_batch_echoes_valid_limits():
+    doc = run_batch({"specs": [], "max_cosets": 500, "timeout": 5})
+    assert doc["limits"] == {"max_cosets": 500, "timeout": 5.0}
+    assert run_batch({"timeout": None})["limits"]["timeout"] is None
+
+
 def test_parallelism_does_not_change_the_bytes():
     config = {
         "sweeps": [{"knots": ["unknot", "3_1", "4_1"], "d": [2, 3],

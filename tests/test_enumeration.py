@@ -4,7 +4,13 @@ import time
 import pytest
 
 from rimcert.abelian import abelian_invariants
-from rimcert.enumeration import CosetTable, _Deadline, _finish, _TableFull, todd_coxeter
+from rimcert.enumeration import (
+    CosetTable,
+    EnumerationResult,
+    _finish,
+    _TableFull,
+    todd_coxeter,
+)
 from rimcert.groups import GroupPresentation, Word, commutator, word_columns
 
 from covers import EnumerationOverflow, reidemeister_schreier
@@ -163,20 +169,6 @@ def test_deadline_holds_through_lookahead(max_cosets, seconds):
     assert elapsed < seconds + 0.5
 
 
-def test_compress_in_the_loop_polls_the_deadline():
-    # A table with its deadline already gone: the compress that follows
-    # lookahead raises, and leaves the table as it was.
-    table = CosetTable(1, 10_000)
-    for c in range(3000):
-        table.define(c, 0)
-    table.deadline = time.monotonic() - 1.0
-    before = [list(row) for row in table.table]
-    with pytest.raises(_Deadline):
-        table.compress(poll=True)
-    assert table.table == before
-    assert table.compress() == 0
-
-
 def test_completed_table_survives_a_passed_deadline():
     # The compress in _finish never polls, so a table that completed just
     # before its deadline still returns its index.
@@ -190,14 +182,16 @@ def test_completed_table_survives_a_passed_deadline():
 # -- lookahead and compress do the same work as the plain loops ---------------
 
 
-def _full_table(p, subgroup, limit):
-    """The HLT pass of todd_coxeter, stopped where the table fills up."""
-    relators = [word_columns(r) for r in p.relators]
-    table = CosetTable(p.ngens, limit)
+def _hlt_pass(table, relators, subgroup_cols):
+    """One HLT pass of todd_coxeter from coset 0.
+
+    Returns the row the pass was on when the table filled up, or None if
+    the pass completes.
+    """
+    alpha = 0
     try:
-        for w in subgroup:
-            table.scan(0, word_columns(w))
-        alpha = 0
+        for w in subgroup_cols:
+            table.scan(0, w)
         while alpha < len(table.table):
             if table.is_alive(alpha):
                 for r in relators:
@@ -210,8 +204,20 @@ def _full_table(p, subgroup, limit):
                             table.define(alpha, col)
             alpha += 1
     except _TableFull:
-        return table, relators
-    return None, relators
+        return alpha
+    return None
+
+
+def _full_table(p, subgroup, limit):
+    """The HLT pass of todd_coxeter, stopped where the table fills up.
+
+    Returns the full table, the relators and the HLT cursor; the table is
+    None if the pass completes.
+    """
+    relators = [word_columns(r) for r in p.relators]
+    table = CosetTable(p.ngens, limit)
+    cursor = _hlt_pass(table, relators, [word_columns(w) for w in subgroup])
+    return (None if cursor is None else table), relators, cursor
 
 
 def _random_presentation(rng):
@@ -239,11 +245,14 @@ def _full_tables(seed, count):
 
 def test_lookahead_matches_the_reference_loop():
     merged = deduced = 0
+    # The table's pass starts at the HLT cursor, the reference's at coset 0:
+    # the rows below the cursor are complete, so scans from them find
+    # nothing.
     for p, sub, limit in _full_tables(71, 150):
-        table, relators = _full_table(p, sub, limit)
-        reference, _ = _full_table(p, sub, limit)
+        table, relators, cursor = _full_table(p, sub, limit)
+        reference, _, _ = _full_table(p, sub, limit)
         before = [list(row) for row in table.table], list(table.p)
-        table.lookahead(relators)
+        table.lookahead(relators, cursor)
         reference_lookahead(reference, relators)
         assert table.table == reference.table
         assert table.p == reference.p
@@ -270,8 +279,8 @@ def test_coincidence_matches_the_reference_union_find():
     rng = random.Random(79)
     cascades = 0
     for p, sub, limit in _full_tables(79, 80):
-        table, _ = _full_table(p, sub, limit)
-        reference, _ = _full_table(p, sub, limit)
+        table, _, _ = _full_table(p, sub, limit)
+        reference, _, _ = _full_table(p, sub, limit)
         for _ in range(rng.randint(1, 4)):
             live = [c for c in range(len(table.p)) if table.p[c] == c]
             if len(live) < 2:
@@ -298,9 +307,9 @@ def _collapsed_sweep_spec(knot, d, n):
 
 def test_lookahead_matches_the_reference_loop_on_a_sweep_spec():
     q = _collapsed_sweep_spec("5_2", 3, 3)
-    table, relators = _full_table(q, [q.meridian], 3000)
-    reference, _ = _full_table(q, [q.meridian], 3000)
-    table.lookahead(relators)
+    table, relators, cursor = _full_table(q, [q.meridian], 3000)
+    reference, _, _ = _full_table(q, [q.meridian], 3000)
+    table.lookahead(relators, cursor)
     reference_lookahead(reference, relators)
     assert table.table == reference.table
     assert table.p == reference.p
@@ -327,8 +336,8 @@ def _dict_renumbering(table):
 def test_compress_matches_a_dict_renumbering():
     checked = 0
     for p, sub, limit in _full_tables(73, 60):
-        table, relators = _full_table(p, sub, limit)
-        table.lookahead(relators)
+        table, relators, cursor = _full_table(p, sub, limit)
+        table.lookahead(relators, cursor)
         freed, rows = _dict_renumbering(table)
         if not freed:
             continue
@@ -351,6 +360,60 @@ def test_compress_maps_dead_cosets_to_their_representatives():
     assert table.compress() == freed == 2
     assert table.table == rows
     assert rows[3:] == [[1, 1], [None, 1]]
+
+
+def _restarting_hlt(p, subgroup, max_cosets):
+    """The round loop as todd_coxeter first ran it, and its lookahead rounds.
+
+    After a lookahead that does not give up, the live cosets are renumbered
+    and HLT starts again at coset 0, rescanning the rows it had finished.
+    Lookahead is the reference pass over every coset.
+    """
+    relators = [word_columns(r) for r in p.relators]
+    subgroup_cols = [word_columns(w) for w in subgroup]
+    table = CosetTable(p.ngens, max_cosets)
+    rounds = 0
+    while _hlt_pass(table, relators, subgroup_cols) is not None:
+        rounds += 1
+        reference_lookahead(table, relators)
+        live = sum(c == parent for c, parent in enumerate(table.p))
+        if len(table.p) - live < max(1, max_cosets // 20) or live >= max_cosets:
+            overflow = EnumerationResult(
+                False, None, table.defined, max_cosets, "max_cosets"
+            )
+            return overflow, rounds
+        table.compress()
+    return _finish(table, max_cosets), rounds
+
+
+def test_round_loop_matches_the_restarting_loop():
+    # Dead rows kept in place and HLT resumed at its cursor do the same
+    # work as compressing and restarting: the same counters, and the same
+    # standardized table when the enumeration completes.
+    several = resumed = 0
+    for p, sub, limit in _full_tables(89, 150):
+        expected, rounds = _restarting_hlt(p, sub, limit)
+        got = todd_coxeter(p, sub, limit)
+        assert got.stats() == expected.stats()
+        if expected.complete:
+            assert got.table.table == expected.table.table
+        several += rounds >= 2
+        resumed += rounds >= 1 and expected.complete
+    # Both kinds of run occur: some go on after two or more lookahead
+    # rounds, and some complete after a lookahead round.
+    assert several > 10 and resumed > 10
+
+
+def test_tiny_limits_overflow_in_the_subgroup_scan():
+    # The subgroup scan alone fills tables of up to four rows, so it must
+    # run inside the round loop; six rows complete the enumeration.
+    p = _p(2, A**6, B**2, (A * B) ** 2)
+    sub = [A**5 * B]
+    for k in range(1, 5):
+        r = todd_coxeter(p, sub, max_cosets=k)
+        assert (r.complete, r.reason, r.cosets_defined) == (False, "max_cosets", k)
+    r = todd_coxeter(p, sub, max_cosets=6)
+    assert r.complete and r.index == 6
 
 
 @pytest.mark.parametrize(
