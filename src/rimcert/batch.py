@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .enumeration import DEFAULT_MAX_COSETS
 from .report import DEFAULT_TIMEOUT, certify
-from .surgery import is_integer, spec_from_json
+from .surgery import KINDS, is_integer, spec_from_json
 
 BATCH_SCHEMA = "rimcert.batch/1"
 
@@ -43,7 +43,11 @@ def expand_sweep(sweep: dict) -> list[dict]:
     if isinstance(knots, str):
         knots = [knots]
     kind = sweep.get("kind", "rim")
-    coprime = bool(sweep.get("coprime", False))
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}")
+    coprime = sweep.get("coprime", False)
+    if not isinstance(coprime, bool):
+        raise ValueError("coprime must be true or false")
     ds = _as_range(sweep.get("d", 1), "d")
     ms = _as_range(sweep.get("m", 0), "m")
     ns = _as_range(sweep.get("n", 0), "n")

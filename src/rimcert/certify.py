@@ -107,8 +107,8 @@ def certify_cyclic(
     work = p
     collapsed = None
     if p.ngens > 3:
-        syl = p.meridian.syllables
-        keep = (syl[0][0],) if len(syl) == 1 and abs(syl[0][1]) == 1 else ()
+        m = p.meridian
+        keep = (m.max_generator(),) if m.length() == 1 else ()
         small = collapse_presentation(p, protect=keep)
         if small.ngens < p.ngens:
             work = small

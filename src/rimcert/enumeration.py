@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from operator import eq
 
-from .groups import GroupPresentation, Word, word_columns
+from .groups import GroupPresentation, Word
 
 DEFAULT_MAX_COSETS = 100_000
 
@@ -372,8 +372,8 @@ def todd_coxeter(
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
-    relators = [word_columns(r) for r in p.relators]
-    subgroup_cols = [word_columns(w) for w in subgroup]
+    relators = [r.cols for r in p.relators]
+    subgroup_cols = [w.cols for w in subgroup]
     for w in subgroup:
         if w.max_generator() >= p.ngens:
             raise ValueError("subgroup word uses an undefined generator")

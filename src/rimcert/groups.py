@@ -1,51 +1,92 @@
 """Freely reduced words and finite group presentations.
 
-Words are stored run-length encoded as (generator, exponent) syllables so
-that high powers such as mu^d stay short.  Generators are 0-based integer
-indices; exponents are nonzero.  Adjacent syllables always have distinct
-generators, which is exactly the freely reduced normal form.
+A word is stored as its letters, one int per letter: 2g for the generator
+x_g and 2g+1 for its inverse, so two letters are inverse exactly when
+their xor is 1.  These are also the coset-table columns the enumerator
+scans.  Generators are 0-based integer indices.  Words are built from
+run-length (generator, exponent) syllables, so that high powers such as
+mu^d are short to write, and read back as syllables for display and
+ordering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
 Syllable = tuple[int, int]
 
 
-def _reduce_syllables(syllables: Iterable[Syllable]) -> tuple[Syllable, ...]:
-    """Merge adjacent syllables with equal generators, dropping zeros.
+# --- letter tuples ------------------------------------------------------------
 
-    One stack pass suffices: a syllable that cancels is popped, and the next
-    syllable is merged with the neighbour that the pop exposed.
+
+def _append(out: list[int], piece: Sequence[int]) -> None:
+    """Extend the freely reduced out by the freely reduced piece.
+
+    Both are reduced already, so letters can cancel only where they meet.
     """
-    out: list[list[int]] = []
-    for gen, exp in syllables:
-        if exp == 0:
-            continue
-        if gen < 0:
-            raise ValueError(f"negative generator index {gen}")
-        if out and out[-1][0] == gen:
-            out[-1][1] += exp
-            if out[-1][1] == 0:
-                out.pop()
-        else:
-            out.append([gen, exp])
-    return tuple((g, e) for g, e in out)
+    k = 0
+    while out and k < len(piece) and out[-1] ^ piece[k] == 1:
+        out.pop()
+        k += 1
+    out.extend(piece[k:])
 
 
-@dataclass(frozen=True, slots=True)
+def _inverse(w: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(x ^ 1 for x in reversed(w))
+
+
+def _cyclically_reduce(w: tuple[int, ...]) -> tuple[int, ...]:
+    """Cyclic reduction of the freely reduced letters w.
+
+    Inverse letters are stripped from both ends.  If what is left starts
+    and ends with the same letter, or its last letters are what a partial
+    cancellation left of the last run, that trailing run moves to the
+    front: the two end runs become one syllable at the front, so
+    a^2 X a^-3 becomes a^-1 X, not X a^-1.
+    """
+    i, j = 0, len(w) - 1
+    while i < j and w[i] ^ w[j] == 1:
+        i += 1
+        j -= 1
+    if i > j:
+        return ()
+    last = w[j]
+    if w[i] == last or (j + 1 < len(w) and w[j + 1] == last):
+        k = j
+        while k > i and w[k - 1] == last:
+            k -= 1
+        if k > i:
+            return w[k : j + 1] + w[i:k]
+    return w[i : j + 1]
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Word:
-    """A freely reduced word in a free group on indexed generators."""
+    """A freely reduced word in a free group on indexed generators.
 
-    syllables: tuple[Syllable, ...] = ()
+    ``Word(syllables)`` reduces the (generator, nonzero exponent) pairs it
+    is given; ``cols`` holds the result as letters, no letter beside its
+    inverse.
+    """
 
-    def __post_init__(self) -> None:
-        reduced = _reduce_syllables(self.syllables)
-        if reduced != self.syllables:
-            object.__setattr__(self, "syllables", reduced)
+    cols: tuple[int, ...]
+
+    def __init__(self, syllables: Iterable[Syllable] = ()) -> None:
+        out: list[int] = []
+        for gen, exp in syllables:
+            if gen < 0:
+                raise ValueError(f"negative generator index {gen}")
+            _append(out, (2 * gen + (exp < 0),) * abs(exp))
+        object.__setattr__(self, "cols", tuple(out))
+
+    @staticmethod
+    def _of(cols: tuple[int, ...]) -> "Word":
+        """The Word of letters that are freely reduced already."""
+        w = object.__new__(Word)
+        object.__setattr__(w, "cols", cols)
+        return w
 
     @staticmethod
     def identity() -> "Word":
@@ -55,58 +96,56 @@ class Word:
     def gen(index: int, exp: int = 1) -> "Word":
         return Word(((index, exp),))
 
+    @property
+    def syllables(self) -> tuple[Syllable, ...]:
+        """Runs of one letter as (generator, exponent); neighbours differ."""
+        out = []
+        for c, run in groupby(self.cols):
+            n = len(tuple(run))
+            out.append((c >> 1, -n if c & 1 else n))
+        return tuple(out)
+
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.syllables + other.syllables)
+        out = list(self.cols)
+        _append(out, other.cols)
+        return Word._of(tuple(out))
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.syllables)))
+        return Word._of(_inverse(self.cols))
 
     def __pow__(self, k: int) -> "Word":
-        if k == 0:
-            return Word(())
-        base = self if k > 0 else self.inverse()
-        return Word(base.syllables * abs(k))
+        base = self.cols if k >= 0 else _inverse(self.cols)
+        out: list[int] = []
+        for _ in range(abs(k)):
+            _append(out, base)
+        return Word._of(tuple(out))
 
     def is_identity(self) -> bool:
-        return not self.syllables
+        return not self.cols
 
     def length(self) -> int:
-        """Number of letters (total absolute exponent)."""
-        return sum(abs(e) for _, e in self.syllables)
+        """Number of letters."""
+        return len(self.cols)
 
     def letters(self) -> Iterator[tuple[int, int]]:
         """Yield single letters (gen, +1|-1) left to right."""
-        for g, e in self.syllables:
-            step = 1 if e > 0 else -1
-            for _ in range(abs(e)):
-                yield g, step
+        for c in self.cols:
+            yield c >> 1, -1 if c & 1 else 1
 
     def max_generator(self) -> int:
         """Largest generator index used, or -1 for the identity."""
-        return max((g for g, _ in self.syllables), default=-1)
+        return max(self.cols) >> 1 if self.cols else -1
 
     def exponent_sum(self, gen: int | None = None) -> int:
         if gen is None:
-            return sum(e for _, e in self.syllables)
-        return sum(e for g, e in self.syllables if g == gen)
+            return len(self.cols) - 2 * sum(c & 1 for c in self.cols)
+        return self.cols.count(2 * gen) - self.cols.count(2 * gen + 1)
 
     def cyclically_reduced(self) -> "Word":
-        syls = self.syllables
-        if len(syls) < 2 or syls[0][0] != syls[-1][0]:
-            return self
-        syls = list(syls)
-        while len(syls) > 1 and syls[0][0] == syls[-1][0]:
-            g = syls[0][0]
-            head, tail = syls[0][1], syls[-1][1]
-            if head + tail == 0:
-                syls = syls[1:-1]
-            else:
-                syls = [(g, head + tail)] + syls[1:-1]
-                break
-        return Word(tuple(syls))
+        return Word._of(_cyclically_reduce(self.cols))
 
     def __str__(self) -> str:
-        if not self.syllables:
+        if not self.cols:
             return "1"
         return "*".join(
             f"x{g}" if e == 1 else f"x{g}^{e}" for g, e in self.syllables
@@ -193,22 +232,6 @@ def quotient(p: GroupPresentation, extra_relators: Iterable[Word]) -> GroupPrese
 # --- relator normal forms, for duplicate detection and relator lookup -----
 
 
-def word_columns(w: Word) -> tuple[int, ...]:
-    """Letters as single ints: 2g for x_g, 2g+1 for its inverse.
-
-    These are also the coset-table columns the enumerator scans.
-    """
-    return tuple(
-        chain.from_iterable(
-            (2 * g,) * e if e > 0 else (2 * g + 1,) * -e for g, e in w.syllables
-        )
-    )
-
-
-def _inverse(w: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x ^ 1 for x in reversed(w))
-
-
 def _positions(w: tuple[int, ...], x: int) -> list[int]:
     found = []
     try:
@@ -220,22 +243,13 @@ def _positions(w: tuple[int, ...], x: int) -> list[int]:
         return found
 
 
-def _columns_word(cols: Iterable[int]) -> Word:
-    """The Word whose word_columns are cols, which must be freely reduced."""
-    syls = []
-    for c, run in groupby(cols):
-        n = len(tuple(run))
-        syls.append((c >> 1, -n if c & 1 else n))
-    return Word(tuple(syls))
-
-
 def cyclic_normal_form(w: Word) -> tuple[int, ...]:
     """Least rotation of the letter sequence of w and of w^-1.
 
     A least rotation starts at a least letter, so only those rotations are
     compared.
     """
-    cols = word_columns(w)
+    cols = w.cols
     if not cols:
         return ()
     best = cols
@@ -250,8 +264,8 @@ def cyclic_normal_form(w: Word) -> tuple[int, ...]:
 def _letter_counts(w: Word) -> tuple[tuple[int, int], ...]:
     """Letters per generator, which rotation and inversion both keep."""
     counts: dict[int, int] = {}
-    for g, e in w.syllables:
-        counts[g] = counts.get(g, 0) + abs(e)
+    for c in w.cols:
+        counts[c >> 1] = counts.get(c >> 1, 0) + 1
     return tuple(sorted(counts.items()))
 
 
@@ -285,7 +299,7 @@ def dedupe_relators(relators: Iterable[Word]) -> list[Word]:
     return out
 
 
-# --- generator elimination, on column tuples ---------------------------------
+# --- generator elimination, on letter tuples ---------------------------------
 
 # Collapse stops at the first substitution that would make a relator longer
 # than this many letters.
@@ -297,45 +311,17 @@ def _substitute(
 ) -> tuple[int, ...]:
     """w with letter col replaced by image and col ^ 1 by inverse.
 
-    The pieces between occurrences are freely reduced already, so the
-    result is freely reduced by cancelling only where pieces meet.
+    The pieces between occurrences are freely reduced already, and so are
+    image and inverse.
     """
     if col not in w and col ^ 1 not in w:
         return w
     hits = sorted(_positions(w, col) + _positions(w, col ^ 1))
     out = list(w[: hits[0]])
     for pos, end in zip(hits, hits[1:] + [len(w)]):
-        for piece in (image if w[pos] == col else inverse, w[pos + 1 : end]):
-            k = 0
-            while out and k < len(piece) and out[-1] ^ piece[k] == 1:
-                out.pop()
-                k += 1
-            out.extend(piece[k:])
+        _append(out, image if w[pos] == col else inverse)
+        _append(out, w[pos + 1 : end])
     return tuple(out)
-
-
-def _cyclically_reduce(w: tuple[int, ...]) -> tuple[int, ...]:
-    """The column form of Word.cyclically_reduced, for a freely reduced w.
-
-    Inverse letters are stripped from both ends.  If what is left starts
-    and ends with the same letter, or its last letters are what a partial
-    cancellation left of the last syllable, that trailing run moves to the
-    front, as the merged end syllable does in Word.cyclically_reduced.
-    """
-    i, j = 0, len(w) - 1
-    while i < j and w[i] ^ w[j] == 1:
-        i += 1
-        j -= 1
-    if i > j:
-        return ()
-    last = w[j]
-    if w[i] == last or (j + 1 < len(w) and w[j + 1] == last):
-        k = j
-        while k > i and w[k - 1] == last:
-            k -= 1
-        if k > i:
-            return w[k : j + 1] + w[i:k]
-    return w[i : j + 1]
 
 
 def _single_occurrence(
@@ -377,15 +363,12 @@ def collapse_presentation(
     before it.  Marked peripheral words are rewritten through every
     elimination; the result presents the same marked group.
 
-    The work is done on letter tuples in the word_columns encoding: 2g
-    stands for x_g and 2g+1 for its inverse, so two letters are inverse
-    exactly when their xor is 1.  A relator r = u x_g^s v solves to
-    x_g^s = (v u)^-1, and each occurrence of x_g or its inverse elsewhere
-    is replaced by that image or its inverse, cancelling only where the
-    pieces meet.  Relators without x_g are kept as they are.  Cyclic
-    reduction gives the rotation Word.cyclically_reduced gives: a merged
-    end syllable goes to the front, so a^2 X a^-3 becomes a^-1 X, not
-    X a^-1.
+    The work is done on the letter tuples Words hold.  A relator
+    r = u x_g^s v solves to x_g^s = (v u)^-1, and each occurrence of x_g
+    or its inverse elsewhere is replaced by that image or its inverse,
+    cancelling only where the pieces meet.  Relators without x_g are kept
+    as they are, and the others are cyclically reduced as
+    Word.cyclically_reduced does.
 
     Generators keep their input numbers while others are eliminated.  The
     survivors are renumbered once at the end, in their input order, in
@@ -397,9 +380,9 @@ def collapse_presentation(
     meridian generator alive lets a caller enumerate its cyclic subgroup
     over a one-letter generator instead of a rewritten conjugation word.
     """
-    relators = [word_columns(r) for r in p.relators]
-    meridian = None if p.meridian is None else word_columns(p.meridian)
-    longitude = None if p.longitude is None else word_columns(p.longitude)
+    relators = [r.cols for r in p.relators]
+    meridian = None if p.meridian is None else p.meridian.cols
+    longitude = None if p.longitude is None else p.longitude.cols
     live = list(range(p.ngens))
     kept = frozenset(protect)
 
@@ -443,7 +426,7 @@ def collapse_presentation(
         colmap[2 * g], colmap[2 * g + 1] = 2 * i, 2 * i + 1
 
     def word(w: tuple[int, ...]) -> Word:
-        return _columns_word(map(colmap.__getitem__, w))
+        return Word._of(tuple(map(colmap.__getitem__, w)))
 
     names = p.names()
     return GroupPresentation(

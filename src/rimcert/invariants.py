@@ -138,15 +138,12 @@ def fox_derivative(w: Word, gen: int) -> LaurentPolynomial:
     """
     coeffs: dict[int, int] = {}
     prefix = 0
-    for g, e in w.syllables:
+    for g, s in w.letters():
         if g == gen:
-            if e > 0:
-                for i in range(e):
-                    coeffs[prefix + i] = coeffs.get(prefix + i, 0) + 1
-            else:
-                for i in range(1, -e + 1):
-                    coeffs[prefix - i] = coeffs.get(prefix - i, 0) - 1
-        prefix += e
+            # x contributes t^prefix; x^-1 contributes -t^(prefix - 1).
+            at = prefix if s > 0 else prefix - 1
+            coeffs[at] = coeffs.get(at, 0) + s
+        prefix += s
     return _poly(coeffs)
 
 

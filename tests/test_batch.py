@@ -40,6 +40,14 @@ def test_sweep_rejects_malformed_input():
         expand_sweep({"knot": "unknot", "d": True})
     with pytest.raises(ValueError):
         expand_sweep({"knot": "unknot", "d": [1, 2, 3]})
+    # "false" is a non-empty string, which bool() would read as true.
+    for coprime in ("false", 0, 1, None):
+        with pytest.raises(ValueError):
+            expand_sweep({"knot": "unknot", "d": [2, 4], "coprime": coprime})
+    with pytest.raises(ValueError):
+        expand_sweep({"knot": "unknot", "kind": "bogus"})
+    with pytest.raises(ValueError):
+        run_batch({"sweeps": [{"knot": "unknot", "d": 2, "coprime": "false"}]})
 
 
 def test_config_lists_specs_before_sweeps():

@@ -3,17 +3,15 @@
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from rimcert.groups import (  # noqa: E402
     GroupPresentation,
     Word,
-    _cyclically_reduce,
     collapse_presentation,
     cyclic_normal_form,
     dedupe_relators,
-    word_columns,
 )
 
 from oracles import reference_collapse  # noqa: E402
@@ -84,20 +82,10 @@ def test_collapse_matches_the_syllable_oracle(p, protect):
         assert got == expected
 
 
-@settings(deadline=None, derandomize=True, database=None)
-@given(_words(3, 0, 12))
-@example(Word(((0, 2), (1, 1), (0, -3))))
-@example(Word(((0, 3), (1, 1), (0, -1))))
-@example(Word(((0, 2), (1, 1), (0, 1))))
-@example(Word(((0, 1), (1, 1), (2, 1), (1, -1), (0, 2))))
-def test_column_cyclic_reduction_matches_the_word_rotation(w):
-    assert _cyclically_reduce(word_columns(w)) == word_columns(w.cyclically_reduced())
-
-
 def _brute_normal_form(w):
     forms = []
     for cand in (w, w.inverse()):
-        cols = word_columns(cand)
+        cols = cand.cols
         forms += [cols[i:] + cols[:i] for i in range(len(cols))]
     return min(forms, default=())
 

@@ -11,7 +11,7 @@ from rimcert.enumeration import (
     _TableFull,
     todd_coxeter,
 )
-from rimcert.groups import GroupPresentation, Word, commutator, word_columns
+from rimcert.groups import GroupPresentation, Word, commutator
 
 from covers import EnumerationOverflow, reidemeister_schreier
 from oracles import reference_coincidence, reference_lookahead
@@ -214,9 +214,9 @@ def _full_table(p, subgroup, limit):
     Returns the full table, the relators and the HLT cursor; the table is
     None if the pass completes.
     """
-    relators = [word_columns(r) for r in p.relators]
+    relators = [r.cols for r in p.relators]
     table = CosetTable(p.ngens, limit)
-    cursor = _hlt_pass(table, relators, [word_columns(w) for w in subgroup])
+    cursor = _hlt_pass(table, relators, [w.cols for w in subgroup])
     return (None if cursor is None else table), relators, cursor
 
 
@@ -369,8 +369,8 @@ def _restarting_hlt(p, subgroup, max_cosets):
     and HLT starts again at coset 0, rescanning the rows it had finished.
     Lookahead is the reference pass over every coset.
     """
-    relators = [word_columns(r) for r in p.relators]
-    subgroup_cols = [word_columns(w) for w in subgroup]
+    relators = [r.cols for r in p.relators]
+    subgroup_cols = [w.cols for w in subgroup]
     table = CosetTable(p.ngens, max_cosets)
     rounds = 0
     while _hlt_pass(table, relators, subgroup_cols) is not None:

@@ -1,4 +1,4 @@
-"""Property test: building a Word freely reduces it, letter by letter."""
+"""Property tests: Word against free reduction done letter by letter and on syllables."""
 
 import pytest
 
@@ -7,6 +7,8 @@ from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from rimcert.groups import Word  # noqa: E402
+
+from oracles import _cyclic_reduce, _free_reduce, _word_inverse  # noqa: E402
 
 SYLLABLES = st.lists(
     st.tuples(st.integers(0, 2), st.integers(-3, 3)), max_size=12
@@ -42,3 +44,19 @@ def test_word_syllables_are_freely_reduced(syllables):
     assert all(exp != 0 for _, exp in got)
     assert all(g != h for (g, _), (h, _) in zip(got, got[1:]))
     assert got == _cancel_letters(syllables)
+
+
+@given(SYLLABLES, SYLLABLES, st.integers(-3, 3))
+@example([(0, 2), (1, 1), (0, -3)], [], 1)
+@example([(0, 3), (1, 1), (0, -1)], [], 1)
+@example([(0, 2), (1, 1), (0, 1)], [], 1)
+@example([(0, 1), (1, 1), (2, 1), (1, -1), (0, 2)], [], 1)
+def test_word_operations_match_the_syllable_oracles(s, t, k):
+    a, b = Word(s), Word(t)
+    ref_a, ref_b = _free_reduce(s), _free_reduce(t)
+    assert Word(a.syllables) == a
+    assert (a * b).syllables == _free_reduce(ref_a + ref_b)
+    assert a.inverse().syllables == _word_inverse(ref_a)
+    base = ref_a if k > 0 else _word_inverse(ref_a)
+    assert (a**k).syllables == _free_reduce(base * abs(k))
+    assert a.cyclically_reduced().syllables == _cyclic_reduce(ref_a)
