@@ -142,11 +142,18 @@ class AbelianInvariants:
 
 
 def relator_matrix(p: GroupPresentation) -> Matrix:
-    """Exponent-sum matrix: rows index relators, columns index generators."""
-    return [
-        [r.exponent_sum(g) for g in range(p.ngens)]
-        for r in p.relators
-    ]
+    """Exponent-sum matrix: rows index relators, columns index generators.
+
+    One pass over each relator's letters: letter c is generator c >> 1,
+    with exponent -1 when c is odd.
+    """
+    mat = []
+    for r in p.relators:
+        row = [0] * p.ngens
+        for c in r.cols:
+            row[c >> 1] += 1 - 2 * (c & 1)
+        mat.append(row)
+    return mat
 
 
 def abelian_invariants(p: GroupPresentation) -> AbelianInvariants:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from .enumeration import DEFAULT_MAX_COSETS
 from .report import DEFAULT_TIMEOUT, certify
@@ -81,6 +82,16 @@ def _run_row(args: tuple[dict, int, float | None]) -> dict:
         return {"schema": BATCH_SCHEMA, "spec": doc, "error": str(exc)}
 
 
+def _run_isolated(job: tuple[dict, int, float | None]) -> dict:
+    """Run one row in a pool of its own; a dead worker becomes a row error."""
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        try:
+            return pool.submit(_run_row, job).result()
+        except BrokenProcessPool:
+            return {"schema": BATCH_SCHEMA, "spec": job[0],
+                    "error": "worker process died"}
+
+
 def run_batch(config: dict) -> dict:
     """Certify every spec in the config; summary counts every verdict."""
     max_cosets = config.get("max_cosets", DEFAULT_MAX_COSETS)
@@ -99,9 +110,17 @@ def run_batch(config: dict) -> dict:
     if parallelism == 1 or len(jobs) <= 1:
         rows = [_run_row(job) for job in jobs]
     else:
-        # map() preserves submission order, which is the config order.
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            rows = list(pool.map(_run_row, jobs))
+        # map() preserves submission order, which is the config order.  A
+        # worker that dies (out of memory, a signal) breaks the whole pool:
+        # the rows with no result yet then run one by one, each in its own
+        # pool, so only the row that kills its worker is lost.
+        rows = []
+        try:
+            with ProcessPoolExecutor(max_workers=parallelism) as pool:
+                for row in pool.map(_run_row, jobs):
+                    rows.append(row)
+        except BrokenProcessPool:
+            rows += [_run_isolated(job) for job in jobs[len(rows):]]
 
     summary = {"total": len(rows), "cyclic": 0, "non_cyclic": 0,
                "inconclusive": 0, "error": 0}

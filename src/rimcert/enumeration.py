@@ -312,9 +312,14 @@ def _hlt(
 
     The rows below alpha are complete, so HLT resumes and lookahead starts
     there; merges keep the smaller coset, so no round needs a renumbering.
+    The enumeration gives up after a round that frees under 5% of
+    max_cosets, leaves the table full, or frees so few rows, against the
+    round before it, that the next round is predicted to free under 5%.
     """
     table = CosetTable(ngens, max_cosets, deadline)
     alpha = 0
+    floor = max(1, max_cosets // 20)
+    last = max_cosets
     try:
         while True:
             try:
@@ -338,14 +343,19 @@ def _hlt(
             table.lookahead(relators, alpha)
             # A lookahead that recovers under 5% of the budget is thrashing,
             # not converging; repeated full rescans would burn seconds for a
-            # few hundred cosets of headroom.  Call the budget exhausted.
+            # few hundred cosets of headroom.  Rounds decay, so the next one
+            # is predicted to free freed * (freed / last): give up when that
+            # is under 5% too, rather than pay for a round that would fail.
+            # A round that passed freed at least floor rows, so last >= floor
+            # and the one test also catches a round that freed under 5%.
             # Dead rows stay put and the limit grows by them, so define and
             # freed count what they would count in a compressed table.
             live = sum(map(eq, table.p, range(len(table.p))))
             dead = len(table.p) - live
             freed = dead - (table.limit - max_cosets)
-            if freed < max(1, max_cosets // 20) or live >= max_cosets:
+            if freed * freed < last * floor or live >= max_cosets:
                 return _overflow(table, max_cosets, "max_cosets")
+            last = freed
             table.limit = max_cosets + dead
     except _Deadline:
         # Lookahead and coincidence poll the deadline too, so it can fire
@@ -368,7 +378,10 @@ def todd_coxeter(
     Overflow result naming the exhausted limit.  A later retry with a larger
     limit can only turn Overflow into Complete, never change an index.
     Relators are scanned whole (HLT) and lookahead recovers space when the
-    table fills.
+    table fills.  The limit is exhausted when a lookahead round frees under
+    5% of max_cosets, or when its yield freed * (freed / last), with last
+    the previous round's yield (max_cosets before the first round), predicts
+    a next round under 5%.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")

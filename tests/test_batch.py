@@ -1,10 +1,13 @@
 """Batch expansion, execution, and deterministic serialization."""
 
 import json
+import multiprocessing
+import os
+import signal
 
 import pytest
 
-from rimcert import batch_json, expand_config, run_batch
+from rimcert import batch, batch_json, expand_config, run_batch
 from rimcert.batch import expand_sweep
 
 
@@ -138,6 +141,47 @@ def test_parallelism_does_not_change_the_bytes():
     serial = batch_json(run_batch({**config, "parallelism": 1}))
     parallel = batch_json(run_batch({**config, "parallelism": 4}))
     assert serial == parallel
+
+
+def test_a_dying_worker_costs_only_its_own_row(monkeypatch):
+    # The d=3 row kills the process that runs it, as an out-of-memory kill
+    # would.  Workers inherit the patch through fork, and the test process
+    # never runs a row itself.  One pool of two workers breaks, then each
+    # row without a result runs in a pool of one: at most five processes.
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers inherit the patched certify only through fork")
+    parent = os.getpid()
+    real = batch.certify
+
+    def certify(spec, **limits):
+        assert os.getpid() != parent
+        if spec.d == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(spec, **limits)
+
+    config = {
+        "specs": [
+            {"knot": "unknot", "d": 2},
+            {"knot": "4_1", "d": 3, "m": 1},
+            {"knot": "3_1", "d": 2, "m": 0},
+        ],
+        "max_cosets": 20_000,
+        "parallelism": 2,
+    }
+    with monkeypatch.context() as patch:
+        patch.setattr(batch, "certify", certify)
+        doc = run_batch(config)
+    first, dead, last = doc["rows"]
+    assert dead == {
+        "schema": "rimcert.batch/1",
+        "spec": {"knot": "4_1", "d": 3, "m": 1},
+        "error": "worker process died",
+    }
+    serial = run_batch({**config, "parallelism": 1})["rows"]
+    assert [first, last] == [serial[0], serial[2]]
+    assert doc["summary"] == {
+        "total": 3, "cyclic": 1, "non_cyclic": 1, "inconclusive": 0, "error": 1,
+    }
 
 
 def test_batch_json_is_canonical():

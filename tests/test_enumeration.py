@@ -152,12 +152,16 @@ def test_strategies_agree_on_random_finite_quotients():
 
 
 @pytest.mark.parametrize(
-    "max_cosets, seconds", [(100_000, 1.0), (400_000, 1.0), (400_000, 2.0)]
+    "max_cosets, seconds", [(100_000, 0.4), (400_000, 1.0), (400_000, 2.0)]
 )
 def test_deadline_holds_through_lookahead(max_cosets, seconds):
     # The collapsed meridian enumeration of 5_2 d=3 m=1 n=3 fills its table
-    # early and then spends seconds in lookahead and coincidence handling,
-    # which must poll the deadline just as defining a coset does.
+    # early and then spends most of its time in lookahead and coincidence
+    # handling, which must poll the deadline just as defining a coset does.
+    # On 2 vCPUs (Python 3.11) the 100000-row table fills after about
+    # 0.15 s, its first lookahead round ends at about 0.55 s, and the run
+    # gives up after about 1.2 s; the 400000-row run takes about 5 s.
+    # Each deadline is under half the run, so it fires, and in lookahead.
     from rimcert import collapse_presentation, spec_from_json, surgered_group
 
     p = surgered_group(spec_from_json({"knot": "5_2", "d": 3, "m": 1, "n": 3}))
@@ -297,11 +301,11 @@ def test_coincidence_matches_the_reference_union_find():
     assert cascades > 100
 
 
-def _collapsed_sweep_spec(knot, d, n):
-    """The presentation certify_cyclic enumerates for rim knot d m=1 n."""
+def _collapsed_sweep_spec(knot, d, n, m=1):
+    """The presentation certify_cyclic enumerates for rim knot d m n."""
     from rimcert import collapse_presentation, spec_from_json, surgered_group
 
-    p = surgered_group(spec_from_json({"knot": knot, "d": d, "m": 1, "n": n}))
+    p = surgered_group(spec_from_json({"knot": knot, "d": d, "m": m, "n": n}))
     return collapse_presentation(p, protect=(p.meridian.syllables[0][0],))
 
 
@@ -367,21 +371,27 @@ def _restarting_hlt(p, subgroup, max_cosets):
 
     After a lookahead that does not give up, the live cosets are renumbered
     and HLT starts again at coset 0, rescanning the rows it had finished.
-    Lookahead is the reference pass over every coset.
+    Lookahead is the reference pass over every coset.  The give-up rule is
+    todd_coxeter's: a round that frees under 5% of the budget, or whose
+    yield predicts a next round under 5%, ends the enumeration.
     """
     relators = [r.cols for r in p.relators]
     subgroup_cols = [w.cols for w in subgroup]
     table = CosetTable(p.ngens, max_cosets)
+    floor = max(1, max_cosets // 20)
+    last = max_cosets
     rounds = 0
     while _hlt_pass(table, relators, subgroup_cols) is not None:
         rounds += 1
         reference_lookahead(table, relators)
         live = sum(c == parent for c, parent in enumerate(table.p))
-        if len(table.p) - live < max(1, max_cosets // 20) or live >= max_cosets:
+        freed = len(table.p) - live
+        if freed < floor or freed * freed < last * floor or live >= max_cosets:
             overflow = EnumerationResult(
                 False, None, table.defined, max_cosets, "max_cosets"
             )
             return overflow, rounds
+        last = freed
         table.compress()
     return _finish(table, max_cosets), rounds
 
@@ -418,17 +428,44 @@ def test_tiny_limits_overflow_in_the_subgroup_scan():
 
 @pytest.mark.parametrize(
     "knot, d, n, cosets_defined",
-    [("5_2", 3, 3, 149882), ("4_1", 5, 4, 114968)],
+    [("5_2", 3, 3, 137099), ("4_1", 5, 4, 100000)],
 )
 def test_overflowing_meridian_enumerations_define_the_same_cosets(
     knot, d, n, cosets_defined
 ):
     # The counters of two sweep specs that overflow at the default limit,
     # pinned so that faster lookahead or compress cannot change the work.
+    # 5_2 gives up after its second lookahead round, whose yield predicts a
+    # third under 5% of the table; 4_1 gives up after its first.
     q = _collapsed_sweep_spec(knot, d, n)
     r = todd_coxeter(q, [q.meridian], 100_000)
     assert (r.complete, r.reason) == (False, "max_cosets")
     assert r.cosets_defined == cosets_defined
+
+
+def test_the_decided_spec_that_fills_its_table_still_completes(monkeypatch):
+    # 5_2 d=4 m=3 n=1 is the one decided sweep spec whose meridian table
+    # fills at the default limit.  Its one lookahead round frees about 63%
+    # of the table, so the give-up rule lets HLT go on, and it completes.
+    from rimcert import certify, spec_from_json
+
+    rounds = []
+    lookahead = CosetTable.lookahead
+
+    def counted(table, relators, start):
+        rounds.append(start)
+        lookahead(table, relators, start)
+
+    q = _collapsed_sweep_spec("5_2", 4, 1, m=3)
+    with monkeypatch.context() as patch:
+        patch.setattr(CosetTable, "lookahead", counted)
+        r = todd_coxeter(q, [q.meridian], 100_000)
+    assert r.complete and r.index == 12144
+    assert len(rounds) == 1
+    spec = spec_from_json({"knot": "5_2", "d": 4, "m": 3, "n": 1})
+    verdict = certify(spec, max_cosets=100_000, timeout=60).verdict
+    assert verdict.status == "non_cyclic"
+    assert verdict.witness["group_order"] == 48576
 
 
 # -- Reidemeister-Schreier ---------------------------------------------------

@@ -1,4 +1,5 @@
-"""Property tests: Word against free reduction done letter by letter and on syllables."""
+"""Property tests: Word against letter-by-letter and syllable free reduction,
+and relator_matrix against exponent_sum."""
 
 import pytest
 
@@ -6,7 +7,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from rimcert.groups import Word  # noqa: E402
+from rimcert.abelian import relator_matrix  # noqa: E402
+from rimcert.groups import GroupPresentation, Word  # noqa: E402
 
 from oracles import _cyclic_reduce, _free_reduce, _word_inverse  # noqa: E402
 
@@ -60,3 +62,14 @@ def test_word_operations_match_the_syllable_oracles(s, t, k):
     base = ref_a if k > 0 else _word_inverse(ref_a)
     assert (a**k).syllables == _free_reduce(base * abs(k))
     assert a.cyclically_reduced().syllables == _cyclic_reduce(ref_a)
+
+
+@given(st.lists(SYLLABLES, max_size=5), st.integers(0, 2))
+@example([[(0, 2), (2, -3), (0, 1)], [(1, -1)]], 1)
+def test_relator_matrix_matches_the_exponent_sums(relators, extra):
+    # One pass per relator gives the row that exponent_sum gives generator
+    # by generator; generators no relator uses get zero columns.
+    p = GroupPresentation(3 + extra, tuple(Word(s) for s in relators))
+    assert relator_matrix(p) == [
+        [r.exponent_sum(g) for g in range(p.ngens)] for r in p.relators
+    ]
