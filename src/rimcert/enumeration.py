@@ -7,6 +7,15 @@ entries are filled lowest coset first, lowest column first, and coincidences
 always keep the smallest coset number as representative.  Outcomes are
 values, not exceptions: either Complete(index) with the finished table or
 Overflow with the limit that was hit.
+
+The table is stored by column, one list per letter, so that a scan step is
+two subscripts: each relator's views, the column lists its letters read
+forward and the columns of their inverses read backward, are built once per
+enumeration, and a step from coset f at letter i is fw[i][f].  Lookahead
+reads a relator's first forward and last backward entry at a coset before
+it scans: a scan of two or more letters that can step neither way does
+nothing, and about a sixth of the lookahead scans of an overflowing
+enumeration are skipped that way.
 """
 
 from __future__ import annotations
@@ -29,12 +38,18 @@ class _Deadline(Exception):
 
 
 class CosetTable:
-    """Rows are cosets, columns alternate generator and inverse."""
+    """One list per column: cols[x][c] is coset c times letter x.
+
+    Columns alternate generator and inverse, so letter x ^ 1 is the inverse
+    of letter x.  A definition appends one entry to every column.  Columns
+    are never replaced, only rebuilt in place, so the views of a relator
+    (see views) stay valid for the whole enumeration.
+    """
 
     __slots__ = (
         "ngens",
         "ncols",
-        "table",
+        "cols",
         "p",
         "defined",
         "limit",
@@ -44,7 +59,7 @@ class CosetTable:
     def __init__(self, ngens: int, limit: int, deadline: float | None = None):
         self.ngens = ngens
         self.ncols = 2 * ngens
-        self.table: list[list[int | None]] = [[None] * self.ncols]
+        self.cols: list[list[int | None]] = [[None] for _ in range(self.ncols)]
         self.p: list[int] = [0]
         self.defined = 1
         self.limit = limit
@@ -52,8 +67,20 @@ class CosetTable:
 
     # -- bookkeeping ---------------------------------------------------
 
-    def is_alive(self, c: int) -> bool:
-        return self.p[c] == c
+    def rows(self) -> list[list[int | None]]:
+        """The table one list per coset, dead cosets included."""
+        cols = self.cols
+        return [[col[c] for col in cols] for c in range(len(self.p))]
+
+    def views(self, word: tuple[int, ...]) -> tuple[tuple, tuple]:
+        """The columns a scan of word reads, built once per enumeration.
+
+        fw[i] is the column of word[i] and bw[i] that of its inverse, so a
+        step forward from f is fw[i][f] and a step backward from b, which
+        reads the word from its end, is bw[j][b].
+        """
+        cols = self.cols
+        return tuple(cols[x] for x in word), tuple(cols[x ^ 1] for x in word)
 
     def _poll(self) -> None:
         """Raise _Deadline once the deadline has passed.
@@ -64,29 +91,31 @@ class CosetTable:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Deadline
 
-    def define(self, alpha: int, col: int) -> int:
-        if len(self.table) >= self.limit:
+    def define(self, alpha: int, x: int) -> int:
+        p = self.p
+        beta = len(p)
+        if beta >= self.limit:
             raise _TableFull
         if self.defined & 1023 == 0:
             self._poll()
-        beta = len(self.table)
-        self.table.append([None] * self.ncols)
-        self.p.append(beta)
+        for col in self.cols:
+            col.append(None)
+        p.append(beta)
         self.defined += 1
-        self.table[alpha][col] = beta
-        self.table[beta][col ^ 1] = alpha
+        self.cols[x][alpha] = beta
+        self.cols[x ^ 1][beta] = alpha
         return beta
 
     def coincidence(self, alpha: int, beta: int) -> None:
         """Merge two cosets and everything their merge forces.
 
         Each merge keeps the smaller representative and queues the larger
-        one, whose row is then folded into its representative's.  Finding
-        a representative walks the parent list without compressing it:
-        only the parents of dead cosets would differ, and compress needs
+        one, whose entries are then folded into its representative's.
+        Finding a representative walks the parent list without compressing
+        it: only the parents of dead cosets would differ, and compress needs
         nothing from those except that each is smaller than its child.
         """
-        table, p = self.table, self.p
+        p = self.p
         while p[alpha] != alpha:
             alpha = p[alpha]
         while p[beta] != beta:
@@ -96,6 +125,9 @@ class CosetTable:
         if alpha > beta:
             alpha, beta = beta, alpha
         p[beta] = alpha
+        # Each column beside its inverse's, in column order.
+        cols = self.cols
+        pairs = [(col, cols[x ^ 1]) for x, col in enumerate(cols)]
         queue = [beta]
         qi = 0
         while qi < len(queue):
@@ -103,26 +135,25 @@ class CosetTable:
             qi += 1
             if qi & 1023 == 0:
                 self._poll()
-            row = table[gamma]
-            for x, delta in enumerate(row):
+            for col, inv in pairs:
+                delta = col[gamma]
                 if delta is None:
                     continue
-                xi = x ^ 1
-                table[delta][xi] = None
+                inv[delta] = None
                 mu = gamma
                 while p[mu] != mu:
                     mu = p[mu]
                 nu = delta
                 while p[nu] != nu:
                     nu = p[nu]
-                phi = table[mu][x]
+                phi = col[mu]
                 if phi is not None:
                     psi = nu
                 else:
-                    phi = table[nu][xi]
+                    phi = inv[nu]
                     if phi is None:
-                        table[mu][x] = nu
-                        table[nu][xi] = mu
+                        col[mu] = nu
+                        inv[nu] = mu
                         continue
                     psi = mu
                 # Merge the class of phi with psi, a representative already.
@@ -137,14 +168,20 @@ class CosetTable:
 
     # -- scanning --------------------------------------------------------
 
-    def scan(self, alpha: int, word: tuple[int, ...]) -> None:
-        """Scan word from alpha, defining cosets until it closes."""
-        table = self.table
+    def scan(self, alpha: int, view: tuple[tuple, tuple]) -> None:
+        """Scan a word's views from alpha, defining cosets until it closes.
+
+        The definition is define, inlined: the scan goes on forward from
+        the new coset.
+        """
+        fw, bw = view
+        p, cols = self.p, self.cols
+        limit = self.limit
         f, i = alpha, 0
-        b, j = alpha, len(word) - 1
+        b, j = alpha, len(fw) - 1
         while True:
             while i <= j:
-                nxt = table[f][word[i]]
+                nxt = fw[i][f]
                 if nxt is None:
                     break
                 f = nxt
@@ -154,7 +191,7 @@ class CosetTable:
                     self.coincidence(f, b)
                 return
             while j >= i:
-                prev = table[b][word[j] ^ 1]
+                prev = bw[j][b]
                 if prev is None:
                     break
                 b = prev
@@ -163,44 +200,64 @@ class CosetTable:
                 self.coincidence(f, b)
                 return
             if j == i:
-                table[f][word[i]] = b
-                table[b][word[i] ^ 1] = f
+                fw[i][f] = b
+                bw[i][b] = f
                 return
-            self.define(f, word[i])
+            beta = len(p)
+            if beta >= limit:
+                raise _TableFull
+            if self.defined & 1023 == 0:
+                self._poll()
+            for col in cols:
+                col.append(None)
+            p.append(beta)
+            self.defined += 1
+            fw[i][f] = beta
+            bw[i][beta] = f
+            f = beta
+            i += 1
 
-    def lookahead(self, relators: list[tuple[int, ...]], start: int) -> None:
+    def lookahead(self, views: list[tuple[tuple, tuple]], start: int) -> None:
         """Scan each relator from each live coset from start on; define none.
 
         Rows below start must be complete, as HLT leaves the rows below its
         cursor.  This is the non-filling scan, inlined: one forward and one
         backward pass per relator.  A gap of one letter is filled as a
         deduction, and a scan whose two ends meet at different cosets merges
-        them; only such a merge can kill alpha.
+        them; only such a merge can kill alpha.  A scan of two or more
+        letters that can step neither forward nor backward from alpha does
+        nothing, so it is skipped after reading those two entries.
         """
-        table, p = self.table, self.p
-        scans = [(r, tuple(x ^ 1 for x in r), len(r) - 1) for r in relators]
-        for alpha in range(start, len(table)):
+        p = self.p
+        scans = [(fw, bw, fw[0], bw[-1], len(fw) - 1) for fw, bw in views]
+        for alpha in range(start, len(p)):
             if alpha & 1023 == 1023:
                 self._poll()
             if p[alpha] != alpha:
                 continue
-            for word, back, last in scans:
-                f, i = alpha, 0
-                while i <= last:
-                    nxt = table[f][word[i]]
-                    if nxt is None:
-                        break
-                    f = nxt
-                    i += 1
-                if i > last:
-                    if f != alpha:
-                        self.coincidence(f, alpha)
-                        if p[alpha] != alpha:
+            for fw, bw, first, back, last in scans:
+                f = first[alpha]
+                if f is None:
+                    if last and back[alpha] is None:
+                        continue
+                    f, i = alpha, 0
+                else:
+                    i = 1
+                    while i <= last:
+                        nxt = fw[i][f]
+                        if nxt is None:
                             break
-                    continue
+                        f = nxt
+                        i += 1
+                    if i > last:
+                        if f != alpha:
+                            self.coincidence(f, alpha)
+                            if p[alpha] != alpha:
+                                break
+                        continue
                 b, j = alpha, last
                 while j >= i:
-                    prev = table[b][back[j]]
+                    prev = bw[j][b]
                     if prev is None:
                         break
                     b = prev
@@ -210,8 +267,8 @@ class CosetTable:
                     if p[alpha] != alpha:
                         break
                 elif j == i:
-                    table[f][word[i]] = b
-                    table[b][back[i]] = f
+                    fw[i][f] = b
+                    bw[i][b] = f
 
     def compress(self) -> int:
         """Renumber the live cosets 0..n-1 and return how many were freed.
@@ -230,34 +287,35 @@ class CosetTable:
                 live.append(c)
             else:
                 new[c] = new[parent]
-        table = self.table
-        self.table = [
-            [None if v is None else new[v] for v in table[c]] for c in live
-        ]
-        self.p = list(range(len(live)))
-        return len(p) - len(live)
+        for col in self.cols:
+            col[:] = [None if v is None else new[v] for v in map(col.__getitem__, live)]
+        p[:] = range(len(live))
+        return len(new) - len(live)
 
     def standardize(self) -> None:
-        n = len(self.table)
-        order: dict[int, int] = {0: 0}
+        """Renumber the cosets in breadth-first order from coset 0."""
+        n = len(self.p)
+        cols = self.cols
+        order: list[int | None] = [None] * n
+        order[0] = 0
         queue = [0]
         qi = 0
         while qi < len(queue):
             c = queue[qi]
             qi += 1
-            for col in range(self.ncols):
-                v = self.table[c][col]
-                if v is not None and v not in order:
-                    order[v] = len(order)
+            for col in cols:
+                v = col[c]
+                if v is not None and order[v] is None:
+                    order[v] = len(queue)
                     queue.append(v)
         for c in range(n):
-            order.setdefault(c, len(order))
-        new: list[list[int | None]] = [[] for _ in range(n)]
-        for c in range(n):
-            new[order[c]] = [
-                order[v] if v is not None else None for v in self.table[c]
+            if order[c] is None:
+                order[c] = len(queue)
+                queue.append(c)
+        for col in cols:
+            col[:] = [
+                None if v is None else order[v] for v in map(col.__getitem__, queue)
             ]
-        self.table = new
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,7 +352,7 @@ def _finish(table: CosetTable, max_cosets: int) -> EnumerationResult:
     table.standardize()
     return EnumerationResult(
         complete=True,
-        index=len(table.table),
+        index=len(table.p),
         cosets_defined=table.defined,
         max_cosets=max_cosets,
         table=table,
@@ -317,30 +375,32 @@ def _hlt(
     round before it, that the next round is predicted to free under 5%.
     """
     table = CosetTable(ngens, max_cosets, deadline)
+    p, cols = table.p, table.cols
+    views = [table.views(r) for r in relators]
+    subgroup_views = [table.views(w) for w in subgroup_cols]
     alpha = 0
     floor = max(1, max_cosets // 20)
     last = max_cosets
     try:
         while True:
             try:
-                for w in subgroup_cols:
-                    table.scan(0, w)
-                while alpha < len(table.table):
-                    if table.is_alive(alpha):
-                        for r in relators:
-                            if not table.is_alive(alpha):
+                for v in subgroup_views:
+                    table.scan(0, v)
+                while alpha < len(p):
+                    if p[alpha] == alpha:
+                        for v in views:
+                            if p[alpha] != alpha:
                                 break
-                            table.scan(alpha, r)
-                        if table.is_alive(alpha):
-                            row = table.table[alpha]
-                            for col in range(table.ncols):
-                                if row[col] is None:
-                                    table.define(alpha, col)
+                            table.scan(alpha, v)
+                        if p[alpha] == alpha:
+                            for x, col in enumerate(cols):
+                                if col[alpha] is None:
+                                    table.define(alpha, x)
                     alpha += 1
                 break
             except _TableFull:
                 pass
-            table.lookahead(relators, alpha)
+            table.lookahead(views, alpha)
             # A lookahead that recovers under 5% of the budget is thrashing,
             # not converging; repeated full rescans would burn seconds for a
             # few hundred cosets of headroom.  Rounds decay, so the next one
@@ -350,8 +410,8 @@ def _hlt(
             # and the one test also catches a round that freed under 5%.
             # Dead rows stay put and the limit grows by them, so define and
             # freed count what they would count in a compressed table.
-            live = sum(map(eq, table.p, range(len(table.p))))
-            dead = len(table.p) - live
+            live = sum(map(eq, p, range(len(p))))
+            dead = len(p) - live
             freed = dead - (table.limit - max_cosets)
             if freed * freed < last * floor or live >= max_cosets:
                 return _overflow(table, max_cosets, "max_cosets")

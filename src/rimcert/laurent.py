@@ -47,13 +47,6 @@ class LaurentPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_unit(self) -> bool:
-        """True for +-t^k."""
-        return len(self.coeffs) == 1 and abs(self.coeffs[0]) == 1
-
-    def min_exp(self) -> int:
-        return self.base
-
     def max_exp(self) -> int:
         return self.base + len(self.coeffs) - 1
 
@@ -91,10 +84,6 @@ class LaurentPolynomial:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return LaurentPolynomial(tuple(out), self.base + other.base)
-
-    def shifted(self, k: int) -> "LaurentPolynomial":
-        """Multiply by t^k."""
-        return LaurentPolynomial(self.coeffs, self.base + k)
 
     def divexact(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         """Exact division; raises if the division leaves a remainder."""
@@ -141,9 +130,6 @@ class LaurentPolynomial:
         if c[-1] < 0:
             c = tuple(-x for x in c)
         return LaurentPolynomial(c, 0)
-
-    def is_palindromic(self) -> bool:
-        return self.coeffs == tuple(reversed(self.coeffs))
 
     def __str__(self) -> str:
         if self.is_zero():

@@ -43,7 +43,7 @@ class SubgroupPresentation:
         return self._rewrite_from(0, w, expect_return=True)
 
     def _rewrite_from(self, start: int, w: Word, expect_return: bool) -> Word:
-        table = self.table.table
+        table = self.table.rows()
         out: list[tuple[int, int]] = []
         c = start
         for g, s in w.letters():
@@ -83,6 +83,7 @@ def reidemeister_schreier(
         )
     table = result.table
     assert table is not None
+    rows = table.rows()
     n = result.index or 1
 
     transversal: list[Word | None] = [None] * n
@@ -94,7 +95,7 @@ def reidemeister_schreier(
         c = queue[qi]
         qi += 1
         for col in range(table.ncols):
-            v = table.table[c][col]
+            v = rows[c][col]
             if v is not None and transversal[v] is None:
                 g = col >> 1
                 step = 1 if col % 2 == 0 else -1
@@ -110,7 +111,7 @@ def reidemeister_schreier(
         for g in range(p.ngens):
             if (c, g) in tree:
                 continue
-            target = table.table[c][2 * g]
+            target = rows[c][2 * g]
             gen_index[(c, g)] = len(schreier_words)
             schreier_words.append(
                 transversal[c] * Word.gen(g) * transversal[target].inverse()

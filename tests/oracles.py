@@ -4,8 +4,9 @@ Nothing here imports rimcert.  Alexander polynomials come from Seifert
 matrices via det(V^T - t V), the Arf invariant from the mod-2 Seifert
 quadratic form over a symplectic basis, determinants from fraction-free
 elimination, matrix products from a plain triple loop, coset-table
-lookahead from a plain scan of its own, coincidence from a union-find of
-its own, and generator collapse from syllable arithmetic on plain tuples.  Frozen expected values in the tests
+lookahead from a plain scan of its own on a row-major table of its own,
+coincidence from a union-find of its own, and generator collapse from
+syllable arithmetic on plain tuples.  Frozen expected values in the tests
 were produced by these routines, not by the code under test.
 """
 
@@ -25,6 +26,12 @@ def poly_add(a, b):
     for i, c in enumerate(b):
         out[i] += c
     return poly_trim(out)
+
+
+def is_palindrome(coeffs):
+    """Coefficients that read the same from either end (symmetric up to a
+    power of t, for a Laurent polynomial's trimmed coefficient tuple)."""
+    return tuple(coeffs) == tuple(reversed(coeffs))
 
 
 def poly_neg(a):
@@ -182,11 +189,68 @@ def matmul(a, b):
     return out
 
 
+# Coset tables one list per coset, as the enumerator first stored them.  The
+# reference passes below run on a RowTable built from the start state of the
+# table they check (``CosetTable.rows()`` and ``p``), so they share no
+# storage and no scanning code with it.  RowTable.coincidence is the
+# enumerator's merge as it first ran on rows: a queue of dead cosets, the
+# smaller representative kept, parents walked without path compression.  So
+# a RowTable and a CosetTable that merge the same cosets end with the same
+# parent lists, dead cosets included.
+
+
+class RowTable:
+    def __init__(self, rows, p, ncols):
+        self.table = [list(row) for row in rows]
+        self.p = list(p)
+        self.ncols = ncols
+
+    def coincidence(self, alpha, beta):
+        table, p = self.table, self.p
+        while p[alpha] != alpha:
+            alpha = p[alpha]
+        while p[beta] != beta:
+            beta = p[beta]
+        if alpha == beta:
+            return
+        if alpha > beta:
+            alpha, beta = beta, alpha
+        p[beta] = alpha
+        queue = [beta]
+        qi = 0
+        while qi < len(queue):
+            gamma = queue[qi]
+            qi += 1
+            for x, delta in enumerate(table[gamma]):
+                if delta is None:
+                    continue
+                table[delta][x ^ 1] = None
+                mu = gamma
+                while p[mu] != mu:
+                    mu = p[mu]
+                nu = delta
+                while p[nu] != nu:
+                    nu = p[nu]
+                if table[mu][x] is not None:
+                    phi, psi = table[mu][x], nu
+                elif table[nu][x ^ 1] is not None:
+                    phi, psi = table[nu][x ^ 1], mu
+                else:
+                    table[mu][x] = nu
+                    table[nu][x ^ 1] = mu
+                    continue
+                while p[phi] != phi:
+                    phi = p[phi]
+                if phi != psi:
+                    lo, hi = min(phi, psi), max(phi, psi)
+                    p[hi] = lo
+                    queue.append(hi)
+
+
 # Coset-table lookahead, as the enumerator first ran it: every relator is
 # scanned from every live coset with a plain non-filling scan.  It takes a
-# CosetTable by duck typing (``table``, ``p`` and ``coincidence``) and has its
-# own scan, so it shares no scanning code with the table it checks.  It does
-# not poll a deadline.
+# RowTable (``table``, ``p`` and ``coincidence``) and does not poll a
+# deadline.
 
 
 def _scan_without_filling(ct, alpha, word):
@@ -222,8 +286,7 @@ def reference_lookahead(ct, relators):
 
 # Coincidence, as the enumerator first ran it: a union-find with path
 # compression, each merge keeping the smaller representative.  It takes a
-# CosetTable by duck typing (``table``, ``p`` and ``ncols``) and does not
-# poll a deadline.
+# RowTable (``table``, ``p`` and ``ncols``) and does not poll a deadline.
 
 
 def _reference_rep(ct, k):

@@ -17,7 +17,14 @@ import pytest
 
 from conftest import record_acceptance
 from covers import reidemeister_schreier, unbranched_cover_group
-from oracles import SEIFERT, alexander_from_seifert, arf_from_seifert, int_det, matmul
+from oracles import (
+    SEIFERT,
+    alexander_from_seifert,
+    arf_from_seifert,
+    int_det,
+    is_palindrome,
+    matmul,
+)
 
 from rimcert import (
     GroupPresentation,
@@ -335,7 +342,7 @@ def test_criterion_7_invariants_match_independent_oracles():
             continue
         checked += 1
         delta = alexander_polynomial(braid_closure_diagram(braid))
-        if abs(delta.evaluate(1)) != 1 or not delta.is_palindromic():
+        if abs(delta.evaluate(1)) != 1 or not is_palindrome(delta.coeffs):
             mismatches.append(("random", braid.to_json(), str(delta)))
     ok = not mismatches
     record_acceptance(

@@ -14,7 +14,7 @@ from rimcert.enumeration import (
 from rimcert.groups import GroupPresentation, Word, commutator
 
 from covers import EnumerationOverflow, reidemeister_schreier
-from oracles import reference_coincidence, reference_lookahead
+from oracles import RowTable, reference_coincidence, reference_lookahead
 
 
 def _p(ngens, *relators):
@@ -173,6 +173,15 @@ def test_deadline_holds_through_lookahead(max_cosets, seconds):
     assert elapsed < seconds + 0.5
 
 
+def test_a_scan_polls_the_deadline_while_it_defines():
+    # The first relator scan of <a | a^3000> defines 2999 cosets without
+    # leaving scan, so it must poll the deadline on its 1024th definition,
+    # just as define does.
+    r = todd_coxeter(_p(1, A**3000), [], deadline=time.monotonic() - 1.0)
+    assert r.reason == "timeout"
+    assert r.cosets_defined == 1024
+
+
 def test_completed_table_survives_a_passed_deadline():
     # The compress in _finish never polls, so a table that completed just
     # before its deadline still returns its index.
@@ -192,20 +201,22 @@ def _hlt_pass(table, relators, subgroup_cols):
     Returns the row the pass was on when the table filled up, or None if
     the pass completes.
     """
+    views = [table.views(r) for r in relators]
+    p = table.p
     alpha = 0
     try:
         for w in subgroup_cols:
-            table.scan(0, w)
-        while alpha < len(table.table):
-            if table.is_alive(alpha):
-                for r in relators:
-                    if not table.is_alive(alpha):
+            table.scan(0, table.views(w))
+        while alpha < len(p):
+            if p[alpha] == alpha:
+                for v in views:
+                    if p[alpha] != alpha:
                         break
-                    table.scan(alpha, r)
-                if table.is_alive(alpha):
-                    for col in range(table.ncols):
-                        if table.table[alpha][col] is None:
-                            table.define(alpha, col)
+                    table.scan(alpha, v)
+                if p[alpha] == alpha:
+                    for x, col in enumerate(table.cols):
+                        if col[alpha] is None:
+                            table.define(alpha, x)
             alpha += 1
     except _TableFull:
         return alpha
@@ -247,24 +258,60 @@ def _full_tables(seed, count):
     return cases
 
 
+def _mirror(table):
+    """A row-major copy of table's state, for the reference passes."""
+    return RowTable(table.rows(), table.p, table.ncols)
+
+
+def _lookahead(table, relators, start):
+    table.lookahead([table.views(r) for r in relators], start)
+
+
+def _short_relators(rng):
+    """A one-letter, a two-letter and a three-letter relator on 2 generators.
+
+    The three-letter one is x y x^-1: its first letter and its last inverse
+    letter read the same column, the two entries lookahead reads before it
+    decides to scan.  Lookahead takes letter tuples as they come, reduced
+    or not.
+    """
+    x, y = rng.randrange(4), rng.randrange(4)
+    return [(x,), (rng.randrange(4), rng.randrange(4)), (x, y, x ^ 1)]
+
+
 def test_lookahead_matches_the_reference_loop():
-    merged = deduced = 0
+    rng = random.Random(72)
+    merged = deduced = short = 0
     # The table's pass starts at the HLT cursor, the reference's at coset 0:
     # the rows below the cursor are complete, so scans from them find
     # nothing.
     for p, sub, limit in _full_tables(71, 150):
         table, relators, cursor = _full_table(p, sub, limit)
-        reference, _, _ = _full_table(p, sub, limit)
-        before = [list(row) for row in table.table], list(table.p)
-        table.lookahead(relators, cursor)
+        reference = _mirror(table)
+        before = table.rows(), list(table.p)
+        _lookahead(table, relators, cursor)
         reference_lookahead(reference, relators)
-        assert table.table == reference.table
+        assert table.rows() == reference.table
         assert table.p == reference.p
         merged += table.p != before[1]
-        deduced += table.p == before[1] and table.table != before[0]
+        deduced += table.p == before[1] and table.rows() != before[0]
+        # A second pass over short relators too, which the rows below the
+        # cursor need not close, so it starts at coset 0.  Short scans are
+        # where a scan steps backward but not forward from its first coset,
+        # and where a one-letter relator fills its own gap.
+        relators = relators + _short_relators(rng)
+        reference = _mirror(table)
+        before = table.rows()
+        _lookahead(table, relators, 0)
+        reference_lookahead(reference, relators)
+        assert table.rows() == reference.table
+        assert table.p == reference.p
+        short += table.rows() != before
     # Both kinds of lookahead work occur: some passes merge cosets, others
     # only fill entries by deduction.
     assert merged > 10 and deduced > 10
+    # Nearly every short pass changes the table.
+    assert short > 100
 
 
 def _representatives(p):
@@ -284,7 +331,7 @@ def test_coincidence_matches_the_reference_union_find():
     cascades = 0
     for p, sub, limit in _full_tables(79, 80):
         table, _, _ = _full_table(p, sub, limit)
-        reference, _, _ = _full_table(p, sub, limit)
+        reference = _mirror(table)
         for _ in range(rng.randint(1, 4)):
             live = [c for c in range(len(table.p)) if table.p[c] == c]
             if len(live) < 2:
@@ -292,7 +339,7 @@ def test_coincidence_matches_the_reference_union_find():
             alpha, beta = rng.sample(live, 2)
             table.coincidence(alpha, beta)
             reference_coincidence(reference, alpha, beta)
-            assert table.table == reference.table
+            assert table.rows() == reference.table
             reps = _representatives(reference.p)
             assert _representatives(table.p) == reps
             cascades += len(live) - len(set(reps)) > 1
@@ -312,10 +359,10 @@ def _collapsed_sweep_spec(knot, d, n, m=1):
 def test_lookahead_matches_the_reference_loop_on_a_sweep_spec():
     q = _collapsed_sweep_spec("5_2", 3, 3)
     table, relators, cursor = _full_table(q, [q.meridian], 3000)
-    reference, _, _ = _full_table(q, [q.meridian], 3000)
-    table.lookahead(relators, cursor)
+    reference = _mirror(table)
+    _lookahead(table, relators, cursor)
     reference_lookahead(reference, relators)
-    assert table.table == reference.table
+    assert table.rows() == reference.table
     assert table.p == reference.p
 
 
@@ -330,10 +377,8 @@ def _dict_renumbering(table):
 
     live = [c for c in range(len(p)) if rep(c) == c]
     idx = {c: i for i, c in enumerate(live)}
-    rows = [
-        [None if v is None else idx[rep(v)] for v in table.table[c]]
-        for c in live
-    ]
+    before = table.rows()
+    rows = [[None if v is None else idx[rep(v)] for v in before[c]] for c in live]
     return len(p) - len(live), rows
 
 
@@ -341,12 +386,12 @@ def test_compress_matches_a_dict_renumbering():
     checked = 0
     for p, sub, limit in _full_tables(73, 60):
         table, relators, cursor = _full_table(p, sub, limit)
-        table.lookahead(relators, cursor)
+        _lookahead(table, relators, cursor)
         freed, rows = _dict_renumbering(table)
         if not freed:
             continue
         assert table.compress() == freed
-        assert table.table == rows
+        assert table.rows() == rows
         assert table.p == list(range(len(rows)))
         checked += 1
     assert checked > 10
@@ -362,7 +407,7 @@ def test_compress_maps_dead_cosets_to_their_representatives():
     table.p[3] = 1
     freed, rows = _dict_renumbering(table)
     assert table.compress() == freed == 2
-    assert table.table == rows
+    assert table.rows() == rows
     assert rows[3:] == [[1, 1], [None, 1]]
 
 
@@ -371,7 +416,8 @@ def _restarting_hlt(p, subgroup, max_cosets):
 
     After a lookahead that does not give up, the live cosets are renumbered
     and HLT starts again at coset 0, rescanning the rows it had finished.
-    Lookahead is the reference pass over every coset.  The give-up rule is
+    Lookahead is the reference pass over every coset, run on a row-major
+    copy whose rows and parents are then copied back.  The give-up rule is
     todd_coxeter's: a round that frees under 5% of the budget, or whose
     yield predicts a next round under 5%, ends the enumeration.
     """
@@ -383,7 +429,11 @@ def _restarting_hlt(p, subgroup, max_cosets):
     rounds = 0
     while _hlt_pass(table, relators, subgroup_cols) is not None:
         rounds += 1
-        reference_lookahead(table, relators)
+        reference = _mirror(table)
+        reference_lookahead(reference, relators)
+        for x, col in enumerate(table.cols):
+            col[:] = [row[x] for row in reference.table]
+        table.p[:] = reference.p
         live = sum(c == parent for c, parent in enumerate(table.p))
         freed = len(table.p) - live
         if freed < floor or freed * freed < last * floor or live >= max_cosets:
@@ -406,7 +456,7 @@ def test_round_loop_matches_the_restarting_loop():
         got = todd_coxeter(p, sub, limit)
         assert got.stats() == expected.stats()
         if expected.complete:
-            assert got.table.table == expected.table.table
+            assert got.table.rows() == expected.table.rows()
         several += rounds >= 2
         resumed += rounds >= 1 and expected.complete
     # Both kinds of run occur: some go on after two or more lookahead

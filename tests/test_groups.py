@@ -89,6 +89,20 @@ def test_quotient_appends_relators_and_keeps_marks():
     assert q.meridian == a and q.longitude == b
     with pytest.raises(ValueError):
         quotient(p, [Word.gen(5)])
+    # The added relators land where a new presentation's sort puts them.
+    # Short words share lengths and repeat, and some are not cyclically
+    # reduced or reduce to the identity.
+    rng = random.Random(31)
+    for _ in range(300):
+        p = GroupPresentation(
+            ngens=2,
+            relators=tuple(_random_word(rng, 2, 4) for _ in range(rng.randint(0, 6))),
+            meridian=a,
+        )
+        extra = [_random_word(rng, 2, 4) for _ in range(rng.randint(0, 6))]
+        assert quotient(p, extra) == GroupPresentation(
+            ngens=2, relators=p.relators + tuple(extra), meridian=a
+        )
 
 
 # -- collapse_presentation ---------------------------------------------------

@@ -18,7 +18,7 @@ from rimcert.invariants import (
 )
 from rimcert.laurent import LaurentPolynomial
 
-from oracles import SEIFERT, alexander_from_seifert, arf_from_seifert
+from oracles import SEIFERT, alexander_from_seifert, arf_from_seifert, is_palindrome
 
 
 def _diagram(name):
@@ -89,7 +89,7 @@ def test_alexander_properties_on_random_braids():
     for braid in _random_knot_braids(200, seed=61):
         delta = alexander_polynomial(braid_closure_diagram(braid))
         assert abs(delta.evaluate(1)) == 1
-        assert delta.is_palindromic()
+        assert is_palindrome(delta.coeffs)
         assert knot_determinant(delta) % 2 == 1
 
 
@@ -143,12 +143,12 @@ def test_wirtinger_longitude_is_nullhomologous():
 
 def _image_permutation(table, word):
     """Permutation of the cosets of a completed regular table."""
-    n = len(table.table)
+    rows = table.rows()
     out = []
-    for c in range(n):
+    for c in range(len(rows)):
         x = c
         for g, s in word.letters():
-            x = table.table[x][2 * g] if s > 0 else table.table[x][2 * g + 1]
+            x = rows[x][2 * g] if s > 0 else rows[x][2 * g + 1]
         out.append(x)
     return out
 
@@ -163,7 +163,7 @@ def test_peripheral_pair_commutes_in_finite_quotients():
         r = todd_coxeter(q, [])
         assert r.complete
         comm = commutator(p.meridian, p.longitude)
-        n = len(r.table.table)
+        n = len(r.table.rows())
         assert _image_permutation(r.table, comm) == list(range(n))
 
 
