@@ -3,7 +3,10 @@
 The question is always the same: is the presented group cyclic of the
 expected order d?  The answer is three-valued and every "yes" or "no"
 carries a finite certificate that a skeptical checker could replay.
-"inconclusive" is an honest resource failure, never a guess.
+One coset enumeration decides it, that of the meridian subgroup.
+"inconclusive" is never a guess: either that enumeration hit its limits,
+or the meridian does not generate the abelianization, which the
+meridian's index needs to prove anything.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ class CyclicityVerdict:
     """A three-valued answer with its witness and replayable certificate.
 
     ``order`` is the order d that was asked about, on every status; it is
-    not a computed group order.  A completed group order, where there is
+    not a computed group order.  A derived group order, where there is
     one, is ``witness["group_order"]``.
     """
 
@@ -69,16 +72,18 @@ def certify_cyclic(
     """Decide whether the presented group is cyclic of order d.
 
     Stage 1 compares abelian invariants (cheap, exact, refutation only).
-    Stage 2 enumerates cosets of the marked meridian subgroup.  Index 1
-    together with the stage-1 abelianization pins the group down to Z/d.
-    A finished index k > 1 refutes cyclicity when the meridian generates
-    the abelianization, checked as a trivial abelianization of the group
-    with the meridian killed: in a cyclic group such an element generates
-    everything.  The group order is then k*d when meridian^d is a relator,
-    since the meridian has order exactly d; otherwise it is enumerated.
-    When the meridian does not generate the abelianization, the enumerated
-    group order decides alone: cyclic exactly when it equals d.  A meridian
-    enumeration that overflows ends the run inconclusive.
+    Stage 2 enumerates cosets of the marked meridian subgroup, the only
+    enumeration.  Index 1 together with the stage-1 abelianization pins
+    the group down to Z/d.  A finished index k > 1 refutes cyclicity when
+    the meridian generates the abelianization, checked as a trivial
+    abelianization of the group with the meridian killed: in a cyclic
+    group such an element generates everything.  The group order is then
+    k*d when meridian^d is a relator, since the meridian has order exactly
+    d; otherwise the index alone is the witness.  When that premise fails
+    the index proves nothing, and the run ends inconclusive at stage
+    "premise": the whole group is not enumerated.  A surgered group always
+    meets the premise, since its meridian normally generates it.  A
+    meridian enumeration that overflows ends the run inconclusive.
     """
     if d < 1:
         raise ValueError("expected order must be positive")
@@ -144,76 +149,51 @@ def certify_cyclic(
         )
 
     premise = abelian_invariants(quotient(work, [work.meridian]))
-    refutes = premise.is_cyclic_of_order(1)
-    power = _relator_position(work, work.meridian**d) if refutes else None
-    order = None
-    if power is None:
-        order = todd_coxeter(work, [], max_cosets, deadline)
-    if refutes:
-        # The index witness stands on its own; a group order strengthens
-        # the certificate.  The meridian generates H1 = Z/d, so its order
-        # is a multiple of d, and a meridian^d relator makes it exactly d.
-        witness = {"meridian_subgroup_index": merid.index}
-        extra = {}
-        if power is not None:
-            witness["group_order"] = merid.index * d
-            extra["order_derivation"] = {
-                "meridian_order": d,
-                "meridian_power_relator": power,
-                "meridian_quotient_invariants": _invariants_json(premise),
-            }
-        elif order.complete:
-            witness["group_order"] = order.index
-            extra["order_enumeration"] = order.stats()
+    if not premise.is_cyclic_of_order(1):
         return CyclicityVerdict(
-            status=NON_CYCLIC,
+            status=INCONCLUSIVE,
             order=d,
             justification=(
-                "the meridian normally generates but its cyclic subgroup "
-                f"has finite index {merid.index} > 1; in a cyclic group an "
-                "element generating the abelianization generates everything"
+                f"the meridian subgroup has index {merid.index} > 1, but the "
+                "meridian does not generate the abelianization, so the index "
+                "proves nothing; the certifier does not enumerate the whole "
+                "group"
             ),
-            witness=witness,
+            witness={},
             certificate=cert(
-                "meridian_index",
-                enumeration=merid.stats(),
-                abelian_invariants=_invariants_json(inv),
-                **extra,
+                "premise",
+                meridian_enumeration=merid.stats(),
+                meridian_quotient_invariants=_invariants_json(premise),
             ),
         )
-
-    # The meridian misses part of the abelianization, so its index proves
-    # nothing; the group order decides.
-    evidence = {
-        "meridian_enumeration": merid.stats(),
-        "meridian_quotient_invariants": _invariants_json(premise),
-        "abelian_invariants": _invariants_json(inv),
-    }
-    if not order.complete:
-        return _inconclusive(
-            d, cert("overflow", order_enumeration=order.stats(), **evidence)
-        )
-    if order.index == d:
-        return CyclicityVerdict(
-            status=CYCLIC,
-            order=d,
-            justification=(
-                f"the group has order {d}, equal to the order of its "
-                "abelianization, so it is abelian and cyclic of order "
-                f"{d}"
-            ),
-            witness={"group_order": order.index},
-            certificate=cert("group_order", enumeration=order.stats(), **evidence),
-        )
+    # The index witness stands on its own; a group order strengthens the
+    # certificate.  The meridian generates H1 = Z/d, so its order is a
+    # multiple of d, and a meridian^d relator makes it exactly d.
+    witness = {"meridian_subgroup_index": merid.index}
+    extra = {}
+    power = _relator_position(work, work.meridian**d)
+    if power is not None:
+        witness["group_order"] = merid.index * d
+        extra["order_derivation"] = {
+            "meridian_order": d,
+            "meridian_power_relator": power,
+            "meridian_quotient_invariants": _invariants_json(premise),
+        }
     return CyclicityVerdict(
         status=NON_CYCLIC,
         order=d,
         justification=(
-            f"the group has order {order.index}, but a cyclic group "
-            f"with this abelianization would have order {d}"
+            "the meridian normally generates but its cyclic subgroup "
+            f"has finite index {merid.index} > 1; in a cyclic group an "
+            "element generating the abelianization generates everything"
         ),
-        witness={"group_order": order.index},
-        certificate=cert("group_order", enumeration=order.stats(), **evidence),
+        witness=witness,
+        certificate=cert(
+            "meridian_index",
+            enumeration=merid.stats(),
+            abelian_invariants=_invariants_json(inv),
+            **extra,
+        ),
     )
 
 

@@ -62,11 +62,15 @@ class KnotDiagram:
             raise ValueError("a knot diagram has as many arcs as crossings")
         if self.writhe != sum(x.sign for x in self.crossings):
             raise ValueError("stored writhe disagrees with crossing signs")
-        ins = sorted(x.under_in for x in self.crossings)
-        outs = sorted(x.under_out for x in self.crossings)
-        if ins != list(range(c)) or outs != list(range(c)):
-            raise ValueError("each arc must end and start exactly one underpass")
+        # Arcs are numbered in traversal order: arc k dives under into arc
+        # k+1, and the last arc closes up into arc 0.  The longitude reads
+        # the underpasses in this order, and it also makes the diagram one
+        # component.
+        if sorted(x.under_in for x in self.crossings) != list(range(c)):
+            raise ValueError("each arc must end exactly one underpass")
         for x in self.crossings:
+            if x.under_out != (x.under_in + 1) % c:
+                raise ValueError("arcs must be numbered in traversal order")
             if not (0 <= x.over < self.n_arcs):
                 raise ValueError("crossing references an unknown over arc")
 
@@ -128,6 +132,11 @@ class TangleDiagram:
                     raise ValueError("strand arcs are not chained by underpasses")
         if len(self.a1) != 1 or len(self.a2) != 1 or len(self.a3) != 2:
             raise ValueError("boundary loops must encircle one, one and two arcs")
+        for arc, sign in self.a1 + self.a2 + self.a3:
+            if not 0 <= arc < self.n_arcs:
+                raise ValueError("boundary loop references an unknown arc")
+            if sign not in (-1, 1):
+                raise ValueError("boundary loop signs must be +1 or -1")
 
     def to_json(self) -> dict:
         return {

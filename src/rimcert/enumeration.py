@@ -47,7 +47,6 @@ class CosetTable:
     """
 
     __slots__ = (
-        "ngens",
         "ncols",
         "cols",
         "p",
@@ -57,7 +56,6 @@ class CosetTable:
     )
 
     def __init__(self, ngens: int, limit: int, deadline: float | None = None):
-        self.ngens = ngens
         self.ncols = 2 * ngens
         self.cols: list[list[int | None]] = [[None] for _ in range(self.ncols)]
         self.p: list[int] = [0]

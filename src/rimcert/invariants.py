@@ -31,8 +31,9 @@ def _crossing_relator(c: Crossing) -> Word:
 
 
 def _traversal_order(crossings: tuple[Crossing, ...]) -> list[Crossing]:
-    # Arc k ends at the k-th underpass of the traversal, so sorting by
-    # under_in recovers the order in which the strand dives under.
+    # KnotDiagram.validate numbers arcs in traversal order, so arc k ends
+    # at the k-th underpass and sorting by under_in recovers the order in
+    # which the strand dives under.
     return sorted(crossings, key=lambda c: c.under_in)
 
 

@@ -119,15 +119,6 @@ class CertificationReport:
         return doc
 
 
-def _enumerated_index(verdict: CyclicityVerdict) -> int | None:
-    w = verdict.witness
-    if "meridian_subgroup_index" in w:
-        return w["meridian_subgroup_index"]
-    if "group_order" in w:
-        return w["group_order"]
-    return None
-
-
 def certify(
     spec: SurgerySpec,
     max_cosets: int = DEFAULT_MAX_COSETS,
@@ -144,7 +135,7 @@ def certify(
         group={
             "generators": group.ngens,
             "relators": len(group.relators),
-            "enumerated_index": _enumerated_index(verdict),
+            "enumerated_index": verdict.witness.get("meridian_subgroup_index"),
         },
         invariants=invariants,
         conclusions=conclusions_for(verdict.status, invariants),

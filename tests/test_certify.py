@@ -77,7 +77,6 @@ def test_non_cyclic_meridian_index_with_order():
     cert = v.certificate
     assert cert["stage"] == "meridian_index"
     assert cert["enumeration"]["index"] == 3
-    assert "order_enumeration" not in cert
     derivation = cert["order_derivation"]
     assert derivation["meridian_order"] == 2
     position = derivation["meridian_power_relator"]
@@ -91,10 +90,11 @@ def test_non_cyclic_meridian_index_with_order():
     assert order.complete and order.index == 6
 
 
-def test_order_is_enumerated_when_meridian_power_is_no_relator():
+def test_index_alone_refutes_when_meridian_power_is_no_relator():
     # S3 again, with a^2 = 1 only as a consequence of "a a b b" and "b b".
-    # The premise holds, but no relator word says the meridian has order
-    # d, so the group order comes from the whole-group enumeration.
+    # The premise holds, so the index refutes cyclicity; no relator word
+    # says the meridian has order d, so no group order is derived, and the
+    # whole group is not enumerated.
     p = GroupPresentation(
         ngens=2,
         relators=tuple(
@@ -104,10 +104,11 @@ def test_order_is_enumerated_when_meridian_power_is_no_relator():
     )
     v = certify_cyclic(p, 2)
     assert v.status == NON_CYCLIC
-    assert v.witness == {"meridian_subgroup_index": 3, "group_order": 6}
+    assert v.certified
+    assert v.witness == {"meridian_subgroup_index": 3}
     cert = v.certificate
     assert cert["stage"] == "meridian_index"
-    assert cert["order_enumeration"]["index"] == 6
+    assert cert["enumeration"]["index"] == 3
     assert "order_derivation" not in cert
 
 
@@ -126,13 +127,13 @@ def test_order_is_enumerated_when_meridian_power_is_no_relator():
 )
 def test_acceptance_non_cyclic_specs_take_the_derived_order(knot, d, m, n, order):
     # The non-cyclic specs the acceptance tests certify must derive their
-    # group order; a silent fall back to enumeration would show here.
+    # group order from a meridian^d relator; without one the witness would
+    # hold the index alone.
     v = certify_cyclic(_rim(knot, d, m, n), d)
     assert v.status == NON_CYCLIC
     assert v.witness["group_order"] == order
     cert = v.certificate
     assert cert["order_derivation"]["meridian_order"] == d
-    assert "order_enumeration" not in cert
 
 
 def test_inconclusive_is_honest_about_limits():
@@ -145,57 +146,52 @@ def test_inconclusive_is_honest_about_limits():
     assert cert["stage"] == "overflow"
     assert not cert["meridian_enumeration"]["complete"]
     assert cert["meridian_enumeration"]["reason"] == "max_cosets"
-    assert "order_enumeration" not in cert
     assert cert["limits"]["max_cosets"] == 500
 
 
-def test_meridian_missing_part_of_h1_is_decided_by_order():
-    # The meridian's index is > 1 in both groups, but it does not generate
-    # the abelianization, so the index proves nothing; the completed group
-    # order d shows both groups cyclic.
-    z4 = GroupPresentation(
-        ngens=1, relators=(parse_word("a a a a", "a"),), meridian=Word.gen(0, 2)
-    )
-    z6 = GroupPresentation(
-        ngens=2,
-        relators=(
-            parse_word("a a a", AB),
-            parse_word("b b", AB),
-            parse_word("a b A B", AB),
-        ),
-        meridian=Word.gen(0),
-    )
-    for p, d in ((z4, 4), (z6, 6)):
-        v = certify_cyclic(p, d)
-        assert v.status == CYCLIC
-        assert v.witness == {"group_order": d}
-        cert = v.certificate
-        assert cert["stage"] == "group_order"
-        assert cert["meridian_enumeration"]["index"] > 1
-        assert cert["meridian_quotient_invariants"]["torsion"] != []
+Z4_MARKED_BY_A2 = GroupPresentation(
+    ngens=1, relators=(parse_word("a a a a", "a"),), meridian=Word.gen(0, 2)
+)
+Z6_MARKED_BY_A = GroupPresentation(
+    ngens=2,
+    relators=(
+        parse_word("a a a", AB),
+        parse_word("b b", AB),
+        parse_word("a b A B", AB),
+    ),
+    meridian=Word.gen(0),
+)
+# S3 x Z/3 marked by a transposition: H1 is Z/6 and the group has order 18.
+S3_X_Z3_MARKED_BY_A = GroupPresentation(
+    ngens=3,
+    relators=tuple(
+        parse_word(r, ("a", "b", "c"))
+        for r in ("a a", "b b", "a b a b a b", "c c c", "a c A C", "b c B C")
+    ),
+    meridian=Word.gen(0),
+)
 
 
-def test_meridian_missing_part_of_h1_with_other_order_is_non_cyclic():
-    # S3 x Z/3 marked by a transposition: H1 is Z/6, the meridian misses
-    # the Z/3 factor, and the group has order 18.
-    abc = ("a", "b", "c")
-    p = GroupPresentation(
-        ngens=3,
-        relators=tuple(
-            parse_word(r, abc)
-            for r in ("a a", "b b", "a b a b a b", "c c c", "a c A C", "b c B C")
-        ),
-        meridian=Word.gen(0),
-    )
-    v = certify_cyclic(p, 6)
-    assert v.status == NON_CYCLIC
-    assert v.witness == {"group_order": 18}
-    assert v.certificate["stage"] == "group_order"
-    # Without the order, the meridian index alone decides nothing.
-    v = certify_cyclic(p, 6, max_cosets=12)
+@pytest.mark.parametrize(
+    "p, d",
+    [(Z4_MARKED_BY_A2, 4), (Z6_MARKED_BY_A, 6), (S3_X_Z3_MARKED_BY_A, 6)],
+    ids=["z4", "z6", "s3xz3"],
+)
+def test_meridian_missing_part_of_h1_is_inconclusive(p, d):
+    # The meridian's index is > 1, but the meridian does not generate the
+    # abelianization, so the index proves nothing: two of these groups are
+    # cyclic of order d and one is not.  The certifier does not enumerate
+    # the whole group, so it says so instead of deciding.
+    v = certify_cyclic(p, d)
     assert v.status == INCONCLUSIVE
-    assert v.certificate["meridian_enumeration"]["index"] == 9
-    assert v.certificate["order_enumeration"]["reason"] == "max_cosets"
+    assert not v.certified
+    assert v.witness == {}
+    assert "does not enumerate the whole group" in v.justification
+    cert = v.certificate
+    assert cert["stage"] == "premise"
+    assert cert["meridian_enumeration"]["complete"]
+    assert cert["meridian_enumeration"]["index"] > 1
+    assert cert["meridian_quotient_invariants"]["torsion"] != []
 
 
 def test_timeout_reported_in_certificate():

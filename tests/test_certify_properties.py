@@ -1,4 +1,5 @@
-"""Property test: a derived group order equals the enumerated one."""
+"""Property tests: the certifier's premise holds on surgery specs, and a
+derived group order equals the enumerated one."""
 
 import pytest
 
@@ -9,7 +10,13 @@ from hypothesis import strategies as st  # noqa: E402
 from rimcert import GroupPresentation, Word, certify_cyclic, todd_coxeter  # noqa: E402
 from rimcert.abelian import abelian_invariants  # noqa: E402
 from rimcert.certify import CYCLIC, NON_CYCLIC  # noqa: E402
-from rimcert.groups import quotient  # noqa: E402
+from rimcert.braids import BraidWord  # noqa: E402
+from rimcert.groups import (  # noqa: E402
+    collapse_presentation,
+    cyclic_normal_form,
+    quotient,
+)
+from rimcert.surgery import spec_from_json, surgered_group  # noqa: E402
 
 A, B = Word.gen(0), Word.gen(1)
 MAX_COSETS = 5000
@@ -63,3 +70,41 @@ def test_derived_order_equals_enumerated_order(case):
         "group_order": order.index,
     }
     assert v.certificate["order_derivation"]["meridian_order"] == d
+
+
+@st.composite
+def braid_specs(draw):
+    """A rim or annulus spec on a random knot braid of 2-4 strands."""
+    strands = draw(st.integers(2, 4))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(1, strands - 1), st.sampled_from((1, -1))),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    braid = BraidWord(strands, tuple(i * s for i, s in pairs))
+    assume(braid.is_knot())
+    return {
+        "knot": str(braid),
+        "d": draw(st.integers(1, 6)),
+        "m": draw(st.integers(0, 5)),
+        "n": draw(st.integers(0, 4)),
+        "kind": draw(st.sampled_from(("rim", "annulus"))),
+    }
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(braid_specs())
+def test_surgered_groups_meet_the_premise_of_the_meridian_index(doc):
+    # The certifier enumerates only the meridian subgroup.  Its index
+    # decides a surgery spec because the meridian normally generates the
+    # group (the group with it killed has trivial H1) and meridian^d is a
+    # relator of the presentation it enumerates, collapsed or not.
+    g = surgered_group(spec_from_json(doc))
+    assert g.meridian.length() == 1
+    assert abelian_invariants(quotient(g, [g.meridian])).is_cyclic_of_order(1)
+    power = cyclic_normal_form((g.meridian ** doc["d"]).cyclically_reduced())
+    small = collapse_presentation(g, protect=(g.meridian.max_generator(),))
+    for p in (g, small):
+        assert power in {cyclic_normal_form(r) for r in p.relators}

@@ -8,6 +8,9 @@ from rimcert.diagrams import (
     band_double,
     braid_closure_diagram,
 )
+from rimcert.surgery import spec_from_json
+
+TABLE_KNOTS = ("unknot", "3_1", "4_1", "5_1", "5_2")
 
 
 def test_crossing_sign_validation():
@@ -37,15 +40,39 @@ def test_trefoil_closure_structure():
 
 
 def test_closures_of_all_table_knots_validate():
-    for name in ("unknot", "3_1", "4_1", "5_1", "5_2"):
+    for name in TABLE_KNOTS:
         d = braid_closure_diagram(resolve_knot(name))
         d.validate()
         assert d.n_arcs == max(1, len(d.crossings))
 
 
 def test_diagram_json_round_trip():
-    d = braid_closure_diagram(resolve_knot("4_1"))
-    assert KnotDiagram.from_json(d.to_json()) == d
+    for name in TABLE_KNOTS:
+        d = braid_closure_diagram(resolve_knot(name))
+        assert KnotDiagram.from_json(d.to_json()) == d
+
+
+def test_knot_diagram_arcs_must_follow_the_traversal():
+    # Swapping arcs 1 and 2 of the trefoil still has every arc end and
+    # start one underpass, but the longitude would read the underpasses
+    # out of order: this spec was certified cyclic, while the named
+    # trefoil spec is non-cyclic of order 600.
+    doc = braid_closure_diagram(resolve_knot("3_1")).to_json()
+    swap = {1: 2, 2: 1}
+    for c in doc["crossings"]:
+        for key in ("over", "under_in", "under_out"):
+            c[key] = swap.get(c[key], c[key])
+    with pytest.raises(ValueError, match="traversal order"):
+        spec_from_json({"knot": doc, "d": 5, "m": 1, "n": 4})
+    # A Hopf link: each one-arc component dives under the other and comes
+    # back to itself.
+    hopf = KnotDiagram(
+        crossings=(Crossing(1, 0, 0, 1), Crossing(0, 1, 1, 1)),
+        n_arcs=2,
+        writhe=2,
+    )
+    with pytest.raises(ValueError, match="traversal order"):
+        hopf.validate()
 
 
 def test_band_double_counts():
@@ -79,3 +106,27 @@ def test_tangle_json_round_trip():
 def test_tangle_boundary_loops_shape():
     t = band_double(braid_closure_diagram(resolve_knot("5_2")), 0)
     assert len(t.a1) == 1 and len(t.a2) == 1 and len(t.a3) == 2
+
+
+@pytest.mark.parametrize(
+    "loop, slot, value, message",
+    [
+        # Sign 0 made the meridian the identity and sign 5 its fifth
+        # power; both raw tangles were certified as surgery specs.
+        ("a1", 1, 0, "signs"),
+        ("a1", 1, 5, "signs"),
+        ("a3", 1, 2, "signs"),
+        ("a2", 0, -1, "unknown arc"),
+        ("a3", 0, 10**6, "unknown arc"),
+    ],
+    ids=["a1-sign-0", "a1-sign-5", "a3-sign-2", "a2-arc-negative", "a3-arc-too-big"],
+)
+def test_tangle_boundary_loops_need_unit_signs_and_known_arcs(
+    loop, slot, value, message
+):
+    doc = band_double(braid_closure_diagram(resolve_knot("3_1")), 0).to_json()
+    pairs = [list(p) for p in doc[loop]]
+    pairs[0][slot] = value
+    bad = dict(doc, **{loop: pairs})
+    with pytest.raises(ValueError, match=message):
+        spec_from_json({"knot": bad, "d": 3, "m": 1, "kind": "annulus"})
