@@ -27,7 +27,6 @@ from .groups import (
 )
 from .invariants import (
     NormalInvariantReport,
-    TangleGroup,
     alexander_polynomial,
     arf_invariant,
     fox_derivative,
@@ -49,13 +48,10 @@ from .surgery import (
     GluingMatrix,
     PlotnickMatrix,
     SurgerySpec,
-    annulus_rim_surgery_group,
     gluing_matrix,
     plotnick_matrix,
-    rim_surgery_group,
     spec_from_json,
     surgered_group,
-    twist_roll_conjugator,
     validate_gluing,
 )
 
@@ -77,11 +73,9 @@ __all__ = [
     "PlotnickMatrix",
     "SurgerySpec",
     "TangleDiagram",
-    "TangleGroup",
     "Word",
     "abelian_invariants",
     "alexander_polynomial",
-    "annulus_rim_surgery_group",
     "arf_invariant",
     "CertificationReport",
     "band_double",
@@ -108,14 +102,12 @@ __all__ = [
     "quotient",
     "render_text",
     "resolve_knot",
-    "rim_surgery_group",
     "run_batch",
     "smith_normal_form",
     "spec_from_json",
     "surgered_group",
     "tangle_wirtinger",
     "todd_coxeter",
-    "twist_roll_conjugator",
     "validate_gluing",
     "wirtinger",
     "__version__",

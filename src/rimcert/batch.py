@@ -14,9 +14,10 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
+from .diagrams import is_integer
 from .enumeration import DEFAULT_MAX_COSETS
 from .report import DEFAULT_TIMEOUT, certify
-from .surgery import KINDS, is_integer, spec_from_json
+from .surgery import KINDS, spec_from_json
 
 BATCH_SCHEMA = "rimcert.batch/1"
 

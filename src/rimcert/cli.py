@@ -18,7 +18,6 @@ from .braids import resolve_knot
 from .diagrams import braid_closure_diagram
 from .enumeration import DEFAULT_MAX_COSETS
 from .groups import format_word
-from .invariants import tangle_wirtinger, wirtinger
 from .report import DEFAULT_TIMEOUT, certify as certify_spec, invariant_block, render_text
 from .surgery import (
     ANNULUS,
@@ -26,7 +25,7 @@ from .surgery import (
     gluing_matrix,
     plotnick_matrix,
     spec_from_json,
-    twist_roll_conjugator,
+    surgery_recipe,
 )
 
 EXIT_CERTIFIED = 0
@@ -171,28 +170,23 @@ def explain_text(spec) -> str:
             "the cyclicity question is genuinely open here"
         )
 
+    base, w, boundary = surgery_recipe(spec)
+    names = base.names()
     if spec.kind == RIM:
-        base = wirtinger(spec.knot)
-        names = base.names()
-        w = twist_roll_conjugator(base, spec.m, spec.n)
         lines.append(f"companion group: {base.ngens} generators, "
                      f"{len(base.relators)} crossing relators")
         lines.append(f"surface meridian: {format_word(base.meridian, names)}")
         lines.append(f"companion longitude: {format_word(base.longitude, names)}")
         lines.append(f"surgery relator: meridian^{spec.d}")
     else:
-        tg = tangle_wirtinger(spec.knot)
-        names = tg.presentation.names()
-        w = twist_roll_conjugator(tg.presentation, spec.m, spec.n)
-        lines.append(f"tangle group: {tg.presentation.ngens} generators, "
-                     f"{len(tg.presentation.relators)} crossing relators")
+        lines.append(f"tangle group: {base.ngens} generators, "
+                     f"{len(base.relators)} crossing relators")
         lines.append("boundary relators:")
-        lines.append(f"  surface meridian power: ({format_word(tg.a1, names)})^{spec.d}")
-        lines.append(f"  difference loop dies: {format_word(tg.a3, names)}")
         lines.append(
-            "  strand meridians agree: "
-            f"{format_word(tg.a1 * tg.a2.inverse(), names)}"
+            f"  surface meridian power: ({format_word(base.meridian, names)})^{spec.d}"
         )
+        lines.append(f"  difference loop dies: {format_word(boundary[1], names)}")
+        lines.append(f"  strand meridians agree: {format_word(boundary[2], names)}")
 
     if w.is_identity():
         lines.append("conjugator: trivial (m = n = 0), so no commutator relators")

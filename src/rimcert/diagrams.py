@@ -21,6 +21,24 @@ from dataclasses import dataclass
 from .braids import BraidWord
 
 
+def is_integer(value) -> bool:
+    """A JSON integer: an int that is not a bool (floats and strings fail)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_int(doc: dict, key: str) -> int:
+    if not is_integer(doc[key]):
+        raise ValueError(f"diagram field {key!r} must be an integer")
+    return doc[key]
+
+
+def _json_ints(doc: dict, key: str) -> tuple[int, ...]:
+    value = doc[key]
+    if not isinstance(value, (list, tuple)) or not all(is_integer(v) for v in value):
+        raise ValueError(f"diagram field {key!r} must be a list of integers")
+    return tuple(value)
+
+
 @dataclass(frozen=True, slots=True)
 class Crossing:
     over: int
@@ -42,7 +60,8 @@ class Crossing:
 
     @staticmethod
     def from_json(doc: dict) -> "Crossing":
-        return Crossing(doc["over"], doc["under_in"], doc["under_out"], doc["sign"])
+        keys = ("over", "under_in", "under_out", "sign")
+        return Crossing(*(_json_int(doc, k) for k in keys))
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,8 +108,8 @@ class KnotDiagram:
         braid = parse_braid(doc["braid"]) if doc.get("braid") else None
         d = KnotDiagram(
             crossings=tuple(Crossing.from_json(c) for c in doc["crossings"]),
-            n_arcs=doc["arcs"],
-            writhe=doc["writhe"],
+            n_arcs=_json_int(doc, "arcs"),
+            writhe=_json_int(doc, "writhe"),
             braid=braid,
         )
         d.validate()
@@ -102,26 +121,36 @@ class TangleDiagram:
     """Two open strands in a ball, with the three marked boundary loops.
 
     `strand1` and `strand2` list each strand's arcs in order along its own
-    orientation; the strands are anti-parallel copies of the source knot.
-    Boundary loops are stored as signed arc sequences: a1 and a2 each
-    encircle one arc at the same end of the band, a3 encircles both.
+    orientation; the strands are anti-parallel copies of the source knot,
+    so strand 1 starts where strand 2 ends.  The boundary loops are signed
+    arc sequences at that shared end, derived from the strands: a1 and a2
+    each encircle one arc, a3 = a1 * a2^-1 encircles both.
     """
 
     crossings: tuple[Crossing, ...]
     n_arcs: int
     strand1: tuple[int, ...]
     strand2: tuple[int, ...]
-    a1: tuple[tuple[int, int], ...]
-    a2: tuple[tuple[int, int], ...]
-    a3: tuple[tuple[int, int], ...]
     source_writhe: int
 
+    @property
+    def a1(self) -> tuple[tuple[int, int], ...]:
+        return ((self.strand1[0], 1),)
+
+    @property
+    def a2(self) -> tuple[tuple[int, int], ...]:
+        return ((self.strand2[-1], 1),)
+
+    @property
+    def a3(self) -> tuple[tuple[int, int], ...]:
+        return self.a1 + ((self.strand2[-1], -1),)
+
     def validate(self) -> None:
-        arcs = set(self.strand1) | set(self.strand2)
-        if arcs != set(range(self.n_arcs)) or len(self.strand1) + len(
-            self.strand2
-        ) != self.n_arcs:
+        arcs = sorted(self.strand1 + self.strand2)
+        if not (self.strand1 and self.strand2) or arcs != list(range(self.n_arcs)):
             raise ValueError("strand arc lists must partition the arcs")
+        if len(self.crossings) != self.n_arcs - 2:
+            raise ValueError("a two-strand tangle has two more arcs than crossings")
         by_in = {x.under_in: x for x in self.crossings}
         if len(by_in) != len(self.crossings):
             raise ValueError("an arc ends at more than one underpass")
@@ -130,13 +159,6 @@ class TangleDiagram:
                 x = by_in.get(a)
                 if x is None or x.under_out != b:
                     raise ValueError("strand arcs are not chained by underpasses")
-        if len(self.a1) != 1 or len(self.a2) != 1 or len(self.a3) != 2:
-            raise ValueError("boundary loops must encircle one, one and two arcs")
-        for arc, sign in self.a1 + self.a2 + self.a3:
-            if not 0 <= arc < self.n_arcs:
-                raise ValueError("boundary loop references an unknown arc")
-            if sign not in (-1, 1):
-                raise ValueError("boundary loop signs must be +1 or -1")
 
     def to_json(self) -> dict:
         return {
@@ -152,17 +174,21 @@ class TangleDiagram:
 
     @staticmethod
     def from_json(doc: dict) -> "TangleDiagram":
+        """Parse a tangle; boundary loops in `doc` must be the derived ones."""
         t = TangleDiagram(
             crossings=tuple(Crossing.from_json(c) for c in doc["crossings"]),
-            n_arcs=doc["arcs"],
-            strand1=tuple(doc["strand1"]),
-            strand2=tuple(doc["strand2"]),
-            a1=tuple((a, s) for a, s in doc["a1"]),
-            a2=tuple((a, s) for a, s in doc["a2"]),
-            a3=tuple((a, s) for a, s in doc["a3"]),
-            source_writhe=doc["source_writhe"],
+            n_arcs=_json_int(doc, "arcs"),
+            strand1=_json_ints(doc, "strand1"),
+            strand2=_json_ints(doc, "strand2"),
+            source_writhe=_json_int(doc, "source_writhe"),
         )
         t.validate()
+        for key in ("a1", "a2", "a3"):
+            loop = [list(p) for p in getattr(t, key)]
+            if doc.get(key, loop) != loop:
+                raise ValueError(
+                    f"boundary loop {key} must be {loop}, derived from the strands"
+                )
         return t
 
 
@@ -322,9 +348,6 @@ def band_double(diagram: KnotDiagram, framing: int) -> TangleDiagram:
         n_arcs=next_arc,
         strand1=tuple(s1),
         strand2=tuple(s2),
-        a1=((s1[0], 1),),
-        a2=((s2[-1], 1),),
-        a3=((s1[0], 1), (s2[-1], -1)),
         source_writhe=braid.writhe(),
     )
     t.validate()

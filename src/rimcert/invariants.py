@@ -30,92 +30,50 @@ def _crossing_relator(c: Crossing) -> Word:
     )
 
 
-def _traversal_order(crossings: tuple[Crossing, ...]) -> list[Crossing]:
-    # KnotDiagram.validate numbers arcs in traversal order, so arc k ends
-    # at the k-th underpass and sorting by under_in recovers the order in
-    # which the strand dives under.
-    return sorted(crossings, key=lambda c: c.under_in)
+def _marked_group(
+    crossings: tuple[Crossing, ...], n_arcs: int, meridian: Word, arcs: tuple[int, ...]
+) -> GroupPresentation:
+    """Crossing relators, marked by `meridian` and by the longitude of the
+    strand that runs along `arcs`.
+
+    With the out = over^s * in * over^-s relator convention, the framed
+    push-off picks up the inverse over-meridian at each underpass; a power
+    of the last arc then cancels the strand's linking with itself.  The
+    sign pairing is forced: the wrong pairing fails [longitude, meridian]
+    = 1, checked in finite quotients by the tests.
+    """
+    by_in = {c.under_in: c for c in crossings}
+    letters = [(by_in[a].over, -by_in[a].sign) for a in arcs[:-1]]
+    strand = set(arcs)
+    letters.append((arcs[-1], -sum(s for g, s in letters if g in strand)))
+    return GroupPresentation(
+        ngens=n_arcs,
+        relators=tuple(_crossing_relator(c) for c in crossings),
+        meridian=meridian,
+        longitude=Word(letters),
+    )
 
 
 def wirtinger(diagram: KnotDiagram) -> GroupPresentation:
-    """Knot group of the diagram with meridian and longitude marked."""
-    diagram.validate()
-    meridian = Word.gen(0)
-    # With the out = over^s * in * over^-s relator convention, the framed
-    # push-off picks up the inverse over-meridian at each underpass; the
-    # meridian power then cancels the self-linking.  The sign pairing is
-    # forced: the wrong pairing fails [longitude, meridian] = 1, checked
-    # in finite quotients by the tests.
-    letters: list[tuple[int, int]] = []
-    for c in _traversal_order(diagram.crossings):
-        letters.append((c.over, -c.sign))
-    letters.append((0, diagram.writhe))
-    longitude = Word(tuple(letters))
-    relators = tuple(_crossing_relator(c) for c in diagram.crossings)
-    return GroupPresentation(
-        ngens=diagram.n_arcs,
-        relators=relators,
-        meridian=meridian,
-        longitude=longitude,
-    )
+    """Knot group of the diagram with meridian and longitude marked.
 
-
-@dataclass(frozen=True, slots=True)
-class TangleGroup:
-    """Tangle complement group with the marked boundary words.
-
-    ``a1`` and ``a2`` are the meridians of the two strands read off at the
-    shared endpoint, ``a3`` is their difference a1 * a2^-1, which bounds in
-    the complement of the band the two strands double.  ``longitude`` runs
-    along the second strand with its own-strand exponent sum cancelled, so
-    at framing zero it also has exponent sum zero against the first strand.
+    Arcs are numbered in traversal order, so the longitude walks them in
+    order and closes up on arc 0.
     """
-
-    presentation: GroupPresentation
-    a1: Word
-    a2: Word
-    a3: Word
-    longitude: Word
+    diagram.validate()
+    arcs = (*range(len(diagram.crossings)), 0)
+    return _marked_group(diagram.crossings, diagram.n_arcs, Word.gen(0), arcs)
 
 
-def tangle_wirtinger(tangle: TangleDiagram) -> TangleGroup:
-    """Group of the doubled-band tangle with boundary data."""
+def tangle_wirtinger(tangle: TangleDiagram) -> GroupPresentation:
+    """Group of the doubled-band tangle, marked by the boundary loop a1.
+
+    The longitude runs along the second strand with its own linking
+    cancelled, so at framing zero it also links the first strand zero
+    times.
+    """
     tangle.validate()
-    relators = tuple(_crossing_relator(c) for c in tangle.crossings)
-    by_under_in = {c.under_in: c for c in tangle.crossings}
-
-    # Same inverse-over-meridian convention as the closed-diagram
-    # longitude; the trailing power cancels the second strand's linking
-    # with itself, so at framing zero the word also links the first
-    # strand zero times.
-    letters: list[tuple[int, int]] = []
-    strand2 = set(tangle.strand2)
-    for arc, nxt in zip(tangle.strand2, tangle.strand2[1:]):
-        c = by_under_in[arc]
-        if c.under_out != nxt:
-            raise ValueError("strand 2 underpasses do not chain")
-        letters.append((c.over, -c.sign))
-    own = sum(s for g, s in letters if g in strand2)
-    letters.append((tangle.strand2[-1], -own))
-    longitude = Word(tuple(letters))
-
-    a3 = Word(tangle.a3)
-    # The difference loop is the meridian of the band's core circle, which
-    # is what twisting conjugates by; mark it so the conjugator builder
-    # can treat closed diagrams and tangles uniformly.
-    presentation = GroupPresentation(
-        ngens=tangle.n_arcs,
-        relators=relators,
-        meridian=a3,
-        longitude=longitude,
-    )
-    return TangleGroup(
-        presentation=presentation,
-        a1=Word(tangle.a1),
-        a2=Word(tangle.a2),
-        a3=a3,
-        longitude=longitude,
-    )
+    return _marked_group(tangle.crossings, tangle.n_arcs, Word(tangle.a1), tangle.strand2)
 
 
 # -- Fox calculus ---------------------------------------------------------

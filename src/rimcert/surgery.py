@@ -11,10 +11,16 @@ roll counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .braids import resolve_knot
-from .diagrams import KnotDiagram, TangleDiagram, band_double, braid_closure_diagram
+from .diagrams import (
+    KnotDiagram,
+    TangleDiagram,
+    band_double,
+    braid_closure_diagram,
+    is_integer,
+)
 from .groups import GroupPresentation, Word, commutator, quotient
 from .invariants import tangle_wirtinger, wirtinger
 
@@ -184,11 +190,6 @@ class SurgerySpec:
         }
 
 
-def is_integer(value) -> bool:
-    """A JSON integer: an int that is not a bool (floats and strings fail)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def spec_from_json(doc: dict) -> SurgerySpec:
     """Parse {"knot": name|braid|diagram, "d", "m", "n", "kind"}."""
     if not isinstance(doc, dict):
@@ -220,58 +221,37 @@ def spec_from_json(doc: dict) -> SurgerySpec:
 # -- surgered groups --------------------------------------------------------
 
 
-def twist_roll_conjugator(p: GroupPresentation, m: int, n: int) -> Word:
-    """The regluing conjugator: longitude^n * meridian^m, freely reduced.
+def surgery_recipe(spec: SurgerySpec) -> tuple[GroupPresentation, Word, list[Word]]:
+    """The base group marked by the surface meridian, the conjugator and
+    the boundary relators.
 
-    The two peripheral words commute in the group but not freely, so the
-    order is fixed once here; swapping it changes nothing any caller can
-    observe because the presentations differ by conjugate relator sets.
+    Rim: the knot group; the regluing kills meridian^d.  Annulus: the band
+    tangle's group, marked by the first boundary loop a1; the regluing
+    kills a1^d and the difference loop a3, and identifies the two strand
+    meridians.  The conjugator is longitude^n * core^m, where the core
+    loop is the meridian (rim) or a3, the meridian of the band's core
+    circle (annulus).  The two factors commute in the group but not
+    freely; the order is fixed once here.
     """
-    if p.meridian is None or p.longitude is None:
-        raise ValueError("presentation is missing peripheral words")
-    return (p.longitude ** n) * (p.meridian ** m)
-
-
-def _commute_with_all(ngens: int, w: Word) -> list[Word]:
-    if w.is_identity():
-        return []
-    return [commutator(Word.gen(i), w) for i in range(ngens)]
-
-
-def rim_surgery_group(spec: SurgerySpec) -> GroupPresentation:
-    """Group of the complement after m-twisted n-rolled rim surgery.
-
-    Relators on top of the knot group: meridian^d, and one commutator per
-    generator forcing the twist/roll conjugator to be central.
-    """
-    if spec.kind != RIM:
-        raise ValueError("spec kind must be rim")
-    base = wirtinger(spec.knot)
-    w = twist_roll_conjugator(base, spec.m, spec.n)
-    extra = [base.meridian ** spec.d]
-    extra.extend(_commute_with_all(base.ngens, w))
-    return quotient(base, extra)
-
-
-def annulus_rim_surgery_group(spec: SurgerySpec) -> GroupPresentation:
-    """Group of the complement after annulus rim surgery along a band.
-
-    The tangle's boundary data provides the three marked loops: the two
-    strand meridians at the shared end and their difference.  Surgery
-    kills the d-th power of the first, identifies the two, kills the
-    difference, and makes the conjugator central.  The surviving meridian
-    of the surgered surface is the first marked loop.
-    """
-    if spec.kind != ANNULUS:
-        raise ValueError("spec kind must be annulus")
-    tg = tangle_wirtinger(spec.knot)
-    w = twist_roll_conjugator(tg.presentation, spec.m, spec.n)
-    extra = [tg.a1 ** spec.d, tg.a3, tg.a1 * tg.a2.inverse()]
-    extra.extend(_commute_with_all(tg.presentation.ngens, w))
-    return replace(quotient(tg.presentation, extra), meridian=tg.a1)
+    if spec.kind == RIM:
+        base = wirtinger(spec.knot)
+        core = base.meridian
+        boundary = [core ** spec.d]
+    else:
+        base = tangle_wirtinger(spec.knot)
+        core = Word(spec.knot.a3)
+        a1, a2 = base.meridian, Word(spec.knot.a2)
+        boundary = [a1 ** spec.d, core, a1 * a2.inverse()]
+    return base, (base.longitude ** spec.n) * (core ** spec.m), boundary
 
 
 def surgered_group(spec: SurgerySpec) -> GroupPresentation:
-    if spec.kind == RIM:
-        return rim_surgery_group(spec)
-    return annulus_rim_surgery_group(spec)
+    """Group of the complement after the spec's surgery.
+
+    Relators on top of the base group: the boundary relators, and one
+    commutator per generator forcing the conjugator to be central.
+    """
+    base, w, extra = surgery_recipe(spec)
+    if not w.is_identity():
+        extra += [commutator(Word.gen(i), w) for i in range(base.ngens)]
+    return quotient(base, extra)

@@ -5,8 +5,9 @@ matrices via det(V^T - t V), the Arf invariant from the mod-2 Seifert
 quadratic form over a symplectic basis, determinants from fraction-free
 elimination, matrix products from a plain triple loop, coset-table
 lookahead from a plain scan of its own on a row-major table of its own,
-coincidence from a union-find of its own, and generator collapse from
-syllable arithmetic on plain tuples.  Frozen expected values in the tests
+coincidence from a union-find of its own, generator collapse from
+syllable arithmetic on plain tuples, and the rim-surgered group from the
+braid's Artin action on such tuples, with no diagram.  Frozen expected values in the tests
 were produced by these routines, not by the code under test.
 """
 
@@ -471,3 +472,82 @@ def reference_collapse(
         renumber(longitude),
         tuple(names[g] for g in live),
     )
+
+
+# The rim-surgered group of a braid closure from the braid's Artin action
+# (Birman, *Braids, Links, and Mapping Class Groups*, 1974).  Generator j
+# is the meridian of the strand at position j (0-based) at the top of the
+# braid; words are syllable tuples as above.
+
+
+def _artin_letter(letter, j):
+    """Image of generator j under sigma_i (letter i) or its inverse (-i)."""
+    i = abs(letter) - 1
+    if j not in (i, i + 1):
+        return ((j, 1),)
+    if letter > 0:
+        return ((i, 1), (i + 1, 1), (i, -1)) if j == i else ((i, 1),)
+    return ((i + 1, 1),) if j == i else ((i + 1, -1), (i, 1), (i + 1, 1))
+
+
+def _artin_apply(letter, w):
+    out = []
+    for g, e in _word_letters(w):
+        image = _artin_letter(letter, g)
+        out.extend(image if e > 0 else _word_inverse(image))
+    return _free_reduce(out)
+
+
+def _artin_images(strands, letters):
+    """The images of the generators under the braid, one word each."""
+    images = [((j, 1),) for j in range(strands)]
+    for letter in letters:
+        images = [_artin_apply(letter, w) for w in images]
+    return images
+
+
+def _artin_longitude(images):
+    """The longitude at generator 0 of the closure of the braid.
+
+    Each image is a conjugate W x_k W^-1 of a generator.  Following the
+    closure's strand from x_0 through k multiplies the W's into a word
+    that commutes with x_0 in the closure's group; a power of x_0 cancels
+    its exponent sum, and the inverse gives the package's orientation.
+    """
+    conj = []
+    for w in images:
+        letters = _word_letters(w)
+        mid = len(letters) // 2
+        head, (k, e), tail = letters[:mid], letters[mid], letters[mid + 1:]
+        if e != 1 or tuple(tail) != _word_inverse(tuple(head)):
+            raise AssertionError("a braid image must conjugate a generator")
+        conj.append((head, k))
+    word, j = [], 0
+    while True:
+        head, j = conj[j]
+        word.extend(head)
+        if j == 0:
+            break
+    total = sum(e for _, e in word)
+    return _word_inverse(_free_reduce(word + [(0, -total)]))
+
+
+def artin_rim_group(strands, letters, d, m, n):
+    """(ngens, relators) of the m-twisted n-rolled rim surgery group.
+
+    The closure's group is <x_j | x_j = beta(x_j)>; the surgery kills x_0^d
+    and makes longitude^n * x_0^m central.  x_0 is the meridian.
+    """
+    images = _artin_images(strands, letters)
+    relators = [_free_reduce(((j, -1),) + w) for j, w in enumerate(images)]
+    relators.append(((0, d),))
+    longitude = _artin_longitude(images)
+    conjugator = _free_reduce(longitude * n + ((0, m),))
+    if conjugator:
+        for j in range(strands):
+            relators.append(
+                _free_reduce(
+                    ((j, -1),) + _word_inverse(conjugator) + ((j, 1),) + conjugator
+                )
+            )
+    return strands, [r for r in relators if r]

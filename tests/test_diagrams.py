@@ -109,24 +109,75 @@ def test_tangle_boundary_loops_shape():
 
 
 @pytest.mark.parametrize(
-    "loop, slot, value, message",
+    "loop, slot, value",
     [
         # Sign 0 made the meridian the identity and sign 5 its fifth
         # power; both raw tangles were certified as surgery specs.
-        ("a1", 1, 0, "signs"),
-        ("a1", 1, 5, "signs"),
-        ("a3", 1, 2, "signs"),
-        ("a2", 0, -1, "unknown arc"),
-        ("a3", 0, 10**6, "unknown arc"),
+        ("a1", 1, 0),
+        ("a1", 1, 5),
+        ("a3", 1, 2),
+        ("a2", 0, -1),
+        ("a3", 0, 10**6),
     ],
     ids=["a1-sign-0", "a1-sign-5", "a3-sign-2", "a2-arc-negative", "a3-arc-too-big"],
 )
-def test_tangle_boundary_loops_need_unit_signs_and_known_arcs(
-    loop, slot, value, message
-):
+def test_tangle_boundary_loops_need_unit_signs_and_known_arcs(loop, slot, value):
     doc = band_double(braid_closure_diagram(resolve_knot("3_1")), 0).to_json()
     pairs = [list(p) for p in doc[loop]]
     pairs[0][slot] = value
     bad = dict(doc, **{loop: pairs})
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"boundary loop {loop} must be"):
         spec_from_json({"knot": bad, "d": 3, "m": 1, "kind": "annulus"})
+
+
+def test_tangle_boundary_loops_sit_at_the_shared_end():
+    # Unit signs on known arcs, but a1 on strand 2's last arc and a3 on
+    # strand 2's first: this raw tangle was certified non_cyclic at the
+    # abelianization (Z + Z/3), while the band of the trefoil has H1 = Z/3.
+    doc = band_double(braid_closure_diagram(resolve_knot("3_1")), 0).to_json()
+    assert (doc["strand1"][0], doc["strand2"][0], doc["strand2"][-1]) == (0, 10, 19)
+    bad = dict(doc, a1=[[19, 1]], a2=[[19, 1]], a3=[[10, 1], [19, -1]])
+    with pytest.raises(ValueError, match="boundary loop a1 must be"):
+        spec_from_json({"knot": bad, "d": 3, "m": 1, "kind": "annulus"})
+    # The loops are derived from the strands, so a document may leave them out.
+    lean = {k: v for k, v in doc.items() if k not in ("a1", "a2", "a3")}
+    assert TangleDiagram.from_json(lean) == TangleDiagram.from_json(doc)
+
+
+def test_tangle_crossings_all_sit_on_the_strands():
+    # A crossing where strand 1 ends adds a relator that no arc of the
+    # band accounts for; this raw tangle was certified cyclic.
+    doc = band_double(braid_closure_diagram(resolve_knot("3_1")), 0).to_json()
+    doc["crossings"].append({"over": 0, "under_in": 9, "under_out": 10, "sign": 1})
+    with pytest.raises(ValueError, match="two more arcs than crossings"):
+        spec_from_json({"knot": doc, "d": 3, "m": 1, "kind": "annulus"})
+
+
+@pytest.mark.parametrize(
+    "kind, path, value",
+    [
+        # A float over arc failed late in the relator's XOR, a float sign
+        # in a sequence product; a float strand was certified cyclic.
+        ("rim", ("crossings", 0, "over"), 1.0),
+        ("rim", ("crossings", 1, "sign"), 1.0),
+        ("rim", ("crossings", 2, "under_in"), True),
+        ("rim", ("arcs",), "3"),
+        ("rim", ("writhe",), 3.0),
+        ("annulus", ("crossings", 0, "under_out"), 1.0),
+        ("annulus", ("strand1", 0), 0.0),
+        ("annulus", ("strand2",), "10"),
+        ("annulus", ("source_writhe",), 3.0),
+    ],
+    ids=["over", "sign", "under_in", "arcs", "writhe", "under_out", "strand1",
+         "strand2", "source_writhe"],
+)
+def test_diagram_json_takes_only_json_integers(kind, path, value):
+    knot = braid_closure_diagram(resolve_knot("3_1"))
+    doc = (band_double(knot, 0) if kind == "annulus" else knot).to_json()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    field = [key for key in path if isinstance(key, str)][-1]
+    with pytest.raises(ValueError, match=f"diagram field '{field}' must be"):
+        spec_from_json({"knot": doc, "d": 3, "m": 1, "kind": kind})

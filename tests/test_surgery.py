@@ -1,27 +1,31 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from rimcert.abelian import abelian_invariants
+from rimcert.certify import certify_cyclic
 from rimcert.braids import resolve_knot
 from rimcert.diagrams import band_double, braid_closure_diagram
 from rimcert.enumeration import todd_coxeter
-from rimcert.groups import Word
-from rimcert.invariants import wirtinger
+from rimcert.groups import GroupPresentation, Word
+from rimcert.invariants import tangle_wirtinger, wirtinger
 from rimcert.surgery import (
     SurgerySpec,
-    annulus_rim_surgery_group,
     gluing_matrix,
     plotnick_matrix,
-    rim_surgery_group,
     spec_from_json,
     surgered_group,
-    twist_roll_conjugator,
+    surgery_recipe,
     validate_gluing,
 )
 
 from covers import meridian_kernel_words, unbranched_cover_group
+from oracles import artin_rim_group
+
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool.json"
 
 
 def _rim_spec(knot, d, m=0, n=0):
@@ -112,9 +116,21 @@ def test_spec_round_trips_raw_diagrams():
 
 def test_conjugator_word():
     p = wirtinger(braid_closure_diagram(resolve_knot("3_1")))
-    w = twist_roll_conjugator(p, 2, 0)
+    base, w, boundary = surgery_recipe(_rim_spec("3_1", 2, m=2))
+    assert base == p
     assert w == p.meridian**2
-    assert twist_roll_conjugator(p, 0, 0).is_identity()
+    assert boundary == [p.meridian**2]
+    assert surgery_recipe(_rim_spec("3_1", 2))[1].is_identity()
+    assert surgery_recipe(_rim_spec("3_1", 2, n=3))[1] == p.longitude**3
+    # The annulus twist runs around the band's core circle, whose meridian
+    # is the difference loop a3, not the surface meridian a1.
+    t = band_double(braid_closure_diagram(resolve_knot("3_1")), 0)
+    spec = spec_from_json({"knot": "3_1", "d": 2, "m": 2, "n": 1, "kind": "annulus"})
+    base, w, boundary = surgery_recipe(spec)
+    a1, a2, a3 = Word(t.a1), Word(t.a2), Word(t.a3)
+    assert base == tangle_wirtinger(t)
+    assert w == base.longitude * a3**2
+    assert boundary == [a1**2, a3, a1 * a2.inverse()]
 
 
 def test_rim_group_h1_is_z_mod_d():
@@ -129,7 +145,7 @@ def test_rim_group_relator_budget():
     # crossing relators + meridian power + one commutator per generator
     spec = _rim_spec("4_1", 2, m=1, n=1)
     base = wirtinger(braid_closure_diagram(resolve_knot("4_1")))
-    g = rim_surgery_group(spec)
+    g = surgered_group(spec)
     assert g.ngens == base.ngens
     assert len(g.relators) == len(base.relators) + 1 + base.ngens
 
@@ -137,7 +153,7 @@ def test_rim_group_relator_budget():
 def test_rim_group_trivial_conjugator_has_no_commutators():
     spec = _rim_spec("4_1", 2, m=0, n=0)
     base = wirtinger(braid_closure_diagram(resolve_knot("4_1")))
-    g = rim_surgery_group(spec)
+    g = surgered_group(spec)
     assert len(g.relators) == len(base.relators) + 1
 
 
@@ -152,20 +168,37 @@ def test_annulus_group_h1_is_z_mod_d():
 
 
 def test_annulus_meridian_is_rebadged():
-    spec = spec_from_json({"knot": "3_1", "d": 2, "kind": "annulus"})
+    # The surgered group keeps the tangle group's mark, the surface
+    # meridian a1, not the a3 difference loop that the twist runs around.
+    spec = spec_from_json({"knot": "3_1", "d": 2, "m": 1, "kind": "annulus"})
     t = band_double(braid_closure_diagram(resolve_knot("3_1")), 0)
-    g = annulus_rim_surgery_group(spec)
-    assert g.meridian.length() == 1  # a1, not the a3 difference loop
+    g = surgered_group(spec)
+    assert g.meridian == Word(t.a1) == tangle_wirtinger(t).meridian
+    assert g.meridian.length() == 1
     assert g.ngens == t.n_arcs
 
 
-def test_kind_dispatch_guards():
-    rim = _rim_spec("3_1", 2)
-    ann = spec_from_json({"knot": "3_1", "d": 2, "kind": "annulus"})
-    with pytest.raises(ValueError):
-        annulus_rim_surgery_group(rim)
-    with pytest.raises(ValueError):
-        rim_surgery_group(ann)
+def test_rim_group_matches_the_artin_construction_on_decided_pool_specs():
+    # An independent construction from the braid's Artin action, sharing
+    # no code with the diagrams or the Wirtinger walk, gives the same
+    # meridian index on every rim spec the frozen pool decides.
+    verdicts = json.loads(POOL.read_text())["verdicts"].values()
+    docs = [v["spec"] for v in verdicts
+            if v["spec"]["kind"] == "rim" and v["status"] != "inconclusive"]
+    assert len(docs) == 395
+    differ = []
+    for doc in docs:
+        braid = resolve_knot(doc["knot"])
+        ngens, relators = artin_rim_group(
+            braid.strands, braid.letters, doc["d"], doc["m"], doc["n"]
+        )
+        oracle = GroupPresentation(ngens, tuple(Word(r) for r in relators))
+        expected = todd_coxeter(oracle, [Word.gen(0)], 100000)
+        got = certify_cyclic(surgered_group(spec_from_json(doc)), doc["d"], 100000)
+        index = got.witness.get("meridian_subgroup_index")
+        if not expected.complete or index != expected.index:
+            differ.append(doc)
+    assert not differ
 
 
 def test_d_equals_one_gives_trivial_group():
