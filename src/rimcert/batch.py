@@ -17,7 +17,7 @@ from concurrent.futures.process import BrokenProcessPool
 from .diagrams import is_integer
 from .enumeration import DEFAULT_MAX_COSETS
 from .report import DEFAULT_TIMEOUT, certify
-from .surgery import KINDS, spec_from_json
+from .surgery import KINDS, check_keys, spec_from_json
 
 BATCH_SCHEMA = "rimcert.batch/1"
 
@@ -39,6 +39,7 @@ def _as_range(value, what: str) -> list[int]:
 
 
 def expand_sweep(sweep: dict) -> list[dict]:
+    check_keys(sweep, ("knots", "knot", "kind", "coprime", "d", "m", "n"), "sweep")
     knots = sweep.get("knots", sweep.get("knot"))
     if knots is None:
         raise ValueError("sweep needs 'knots' (or a single 'knot')")
@@ -65,6 +66,8 @@ def expand_sweep(sweep: dict) -> list[dict]:
 
 
 def expand_config(config: dict) -> list[dict]:
+    check_keys(config, ("specs", "sweeps", "max_cosets", "timeout", "parallelism"),
+               "batch config")
     rows = [dict(doc) for doc in config.get("specs", [])]
     for sweep in config.get("sweeps", []):
         rows.extend(expand_sweep(sweep))

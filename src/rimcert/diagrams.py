@@ -192,6 +192,53 @@ class TangleDiagram:
         return t
 
 
+def _walk(
+    letters: list[int] | tuple[int, ...], start: int, ends: tuple[int, ...]
+) -> tuple[list[tuple[int, bool]], int]:
+    """Follow the strand that enters the top of position `start`.
+
+    The strand runs down through the letters and back up the closure arcs
+    until it leaves the bottom at a position in `ends`.  Returns its
+    passages (letter index, over?) in drawing order and that end position.
+    """
+    passages: list[tuple[int, bool]] = []
+    pos = start
+    while True:
+        for h, l in enumerate(letters):
+            i = abs(l) - 1
+            if pos == i or pos == i + 1:
+                passages.append((h, (l > 0) == (pos == i)))
+                pos = i + 1 if pos == i else i
+        if pos in ends:
+            return passages, pos
+
+
+def _number_arcs(
+    walks: list[list[tuple[int, bool]]], n: int
+) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
+    """Number arcs along the walks in order, a new arc after each underpass.
+
+    Returns the (over, under_in, under_out) arcs of each of the n crossings
+    and the arcs of each walk.
+    """
+    over, under_in, under_out = [-1] * n, [-1] * n, [-1] * n
+    strands = []
+    arc = 0
+    for walk in walks:
+        arcs = [arc]
+        for h, is_over in walk:
+            if is_over:
+                over[h] = arc
+            else:
+                under_in[h] = arc
+                arc += 1
+                under_out[h] = arc
+                arcs.append(arc)
+        strands.append(arcs)
+        arc += 1
+    return list(zip(over, under_in, under_out)), strands
+
+
 def braid_closure_diagram(braid: BraidWord) -> KnotDiagram:
     """Diagram of the braid closure; requires a one-component closure."""
     if not braid.is_knot():
@@ -200,46 +247,18 @@ def braid_closure_diagram(braid: BraidWord) -> KnotDiagram:
     if k == 0:
         return KnotDiagram(crossings=(), n_arcs=1, writhe=0, braid=braid)
 
-    # Walk the whole knot starting at the top of position 0.  Each crossing
-    # is met exactly twice, once over and once under.
-    passages: list[tuple[int, bool]] = []
-    pos, h = 0, 0
-    first = True
-    while first or (pos, h) != (0, 0):
-        first = False
-        l = braid.letters[h]
-        i = abs(l) - 1
-        if pos in (i, i + 1):
-            over = (l > 0) == (pos == i)
-            passages.append((h, over))
-            pos = i + 1 if pos == i else i
-        h += 1
-        if h == k:
-            h = 0  # closure arc returns to the top of the same position
-
-    over_arc = [-1] * k
-    under_in = [-1] * k
-    under_out = [-1] * k
-    current = 0
-    for h, over in passages:
-        if over:
-            # Over-passages after the final underpass sit on the closing
-            # arc, which is arc 0 again.
-            over_arc[h] = current % k
-        else:
-            under_in[h] = current
-            current += 1
-            under_out[h] = current % k
-    if current != k:
+    # Walk the whole knot from the top of position 0; each crossing is met
+    # twice, once over and once under.  The arc after the last underpass is
+    # the closing arc, which is arc 0 again.
+    walk, _ = _walk(braid.letters, 0, (0,))
+    arcs, (strand,) = _number_arcs([walk], k)
+    if len(strand) != k + 1:
         raise AssertionError("traversal must dive under every crossing once")
-
     crossings = tuple(
-        Crossing(over_arc[h], under_in[h], under_out[h], 1 if braid.letters[h] > 0 else -1)
-        for h in range(k)
+        Crossing(o % k, i, u % k, 1 if l > 0 else -1)
+        for (o, i, u), l in zip(arcs, braid.letters)
     )
-    d = KnotDiagram(
-        crossings=crossings, n_arcs=k, writhe=braid.writhe(), braid=braid
-    )
+    d = KnotDiagram(crossings, n_arcs=k, writhe=braid.writhe(), braid=braid)
     d.validate()
     return d
 
@@ -259,33 +278,6 @@ def _double_letters(braid: BraidWord, framing: int) -> tuple[list[int], int]:
     return doubled, abs(twists)
 
 
-def _tangle_walk(
-    letters: list[int], start: int, n_positions: int
-) -> tuple[list[tuple[int, bool]], int]:
-    """Walk one doubled strand from the top of `start` to a cut bottom.
-
-    Closure arcs exist at every position except 0 and 1, whose closure arcs
-    are cut to form the tangle ends.  Returns the drawing-order passages and
-    the final bottom position.
-    """
-    total = len(letters)
-    passages: list[tuple[int, bool]] = []
-    pos, h = start, 0
-    while True:
-        if h == total:
-            if pos <= 1:
-                return passages, pos
-            h = 0
-            continue
-        l = letters[h]
-        i = abs(l) - 1
-        if pos in (i, i + 1):
-            over = (l > 0) == (pos == i)
-            passages.append((h, over))
-            pos = i + 1 if pos == i else i
-        h += 1
-
-
 def band_double(diagram: KnotDiagram, framing: int) -> TangleDiagram:
     """Double the knot into the two boundary arcs of a band with `framing`.
 
@@ -298,10 +290,9 @@ def band_double(diagram: KnotDiagram, framing: int) -> TangleDiagram:
         raise ValueError("band doubling needs a diagram built from a braid word")
     braid = diagram.braid
     letters, clasp_pairs = _double_letters(braid, framing)
-    n2 = 2 * braid.strands
 
-    walk1, end1 = _tangle_walk(letters, 0, n2)
-    walk2, end2 = _tangle_walk(letters, 1, n2)
+    # The closure arcs of positions 0 and 1 are cut to form the tangle ends.
+    (walk1, end1), (walk2, end2) = (_walk(letters, p, (0, 1)) for p in (0, 1))
     if end1 != 0 or end2 != 1:
         raise AssertionError("doubled strands must come back to the cut pair")
     seen = sorted(h for w in (walk1, walk2) for h, _ in w)
@@ -310,42 +301,17 @@ def band_double(diagram: KnotDiagram, framing: int) -> TangleDiagram:
 
     # The second copy is oriented against the drawing, so its passages run
     # in reverse and every mixed crossing flips sign.
-    truewalk1 = walk1
-    truewalk2 = list(reversed(walk2))
     on_strand2 = [0] * len(letters)
     for h, _ in walk2:
         on_strand2[h] += 1
-    sign_of = [
-        (1 if letters[h] > 0 else -1) * (-1 if on_strand2[h] == 1 else 1)
-        for h in range(len(letters))
-    ]
-
-    over_arc = [-1] * len(letters)
-    under_in = [-1] * len(letters)
-    under_out = [-1] * len(letters)
-    strands: list[list[int]] = []
-    next_arc = 0
-    for walk in (truewalk1, truewalk2):
-        arcs = [next_arc]
-        next_arc += 1
-        for h, over in walk:
-            if over:
-                over_arc[h] = arcs[-1]
-            else:
-                under_in[h] = arcs[-1]
-                arcs.append(next_arc)
-                under_out[h] = next_arc
-                next_arc += 1
-        strands.append(arcs)
-
+    arcs, (s1, s2) = _number_arcs([walk1, walk2[::-1]], len(letters))
     crossings = tuple(
-        Crossing(over_arc[h], under_in[h], under_out[h], sign_of[h])
-        for h in range(len(letters))
+        Crossing(*a, (1 if l > 0 else -1) * (-1 if on2 == 1 else 1))
+        for a, l, on2 in zip(arcs, letters, on_strand2)
     )
-    s1, s2 = strands
     t = TangleDiagram(
         crossings=crossings,
-        n_arcs=next_arc,
+        n_arcs=s2[-1] + 1,
         strand1=tuple(s1),
         strand2=tuple(s2),
         source_writhe=braid.writhe(),

@@ -11,10 +11,8 @@ ordering.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import groupby
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 Syllable = tuple[int, int]
@@ -219,33 +217,10 @@ class GroupPresentation:
 def quotient(p: GroupPresentation, extra_relators: Iterable[Word]) -> GroupPresentation:
     """Add relators; peripheral data carries over unchanged.
 
-    p's relators are normalized already, so only the added ones are reduced
-    and keyed.  Each goes in after every relator with an equal key, which
-    is where the stable sort of a new presentation would put it; finding
-    that place keys only the relators of p that a bisection visits.
+    The constructor normalizes the relators; its stable sort puts each added
+    relator after the old ones with an equal key.
     """
-    added = []
-    for r in extra_relators:
-        if r.max_generator() >= p.ngens:
-            raise ValueError(f"extra relator {r} uses an undefined generator")
-        r = r.cyclically_reduced()
-        if not r.is_identity():
-            added.append((_relator_sort_key(r), r))
-    added.sort(key=itemgetter(0))
-    old = p.relators
-    rels: list[Word] = []
-    i = 0
-    for key, r in added:
-        j = bisect_right(old, key, i, key=_relator_sort_key)
-        rels.extend(old[i:j])
-        rels.append(r)
-        i = j
-    rels.extend(old[i:])
-    q = object.__new__(GroupPresentation)
-    for name in GroupPresentation.__slots__:
-        object.__setattr__(q, name, getattr(p, name))
-    object.__setattr__(q, "relators", tuple(rels))
-    return q
+    return replace(p, relators=p.relators + tuple(extra_relators))
 
 
 # --- relator normal forms, for duplicate detection and relator lookup -----

@@ -50,12 +50,6 @@ class LaurentPolynomial:
     def max_exp(self) -> int:
         return self.base + len(self.coeffs) - 1
 
-    def coefficient(self, exp: int) -> int:
-        i = exp - self.base
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         if self.is_zero():
             return other

@@ -51,9 +51,6 @@ class GluingMatrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", _as_rows(self.rows))
 
-    def to_json(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
-
 
 def gluing_matrix(m: int, n: int) -> GluingMatrix:
     """Regluing that twists m times and rolls n times."""
@@ -109,16 +106,6 @@ class PlotnickMatrix:
             - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
             + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
         )
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "twists": self.twists,
-            "inverse_residue": self.inverse_residue,
-            "complement": self.complement,
-            "rows": [list(r) for r in self.rows],
-            "bottom_row_parameters": list(self.bottom_row_parameters),
-        }
 
 
 def plotnick_matrix(d: int, m: int) -> PlotnickMatrix:
@@ -190,10 +177,21 @@ class SurgerySpec:
         }
 
 
+def check_keys(doc, allowed: tuple[str, ...], what: str) -> None:
+    """Reject a `doc` that is not a JSON object or has keys outside `allowed`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = [k for k in doc if k not in allowed]
+    if unknown:
+        raise ValueError(
+            f"unknown {what} keys {', '.join(map(repr, unknown))}; "
+            f"accepted: {', '.join(allowed)}"
+        )
+
+
 def spec_from_json(doc: dict) -> SurgerySpec:
     """Parse {"knot": name|braid|diagram, "d", "m", "n", "kind"}."""
-    if not isinstance(doc, dict):
-        raise ValueError("surgery spec must be a JSON object")
+    check_keys(doc, ("knot", "d", "m", "n", "kind"), "surgery spec")
     if "knot" not in doc or "d" not in doc:
         raise ValueError("surgery spec needs at least 'knot' and 'd'")
     counts = {}

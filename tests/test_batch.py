@@ -9,6 +9,7 @@ import pytest
 
 from rimcert import batch, batch_json, expand_config, run_batch
 from rimcert.batch import expand_sweep
+from rimcert.surgery import spec_from_json
 
 
 def test_sweep_expansion_order_and_coprime_filter():
@@ -51,6 +52,25 @@ def test_sweep_rejects_malformed_input():
         expand_sweep({"knot": "unknot", "kind": "bogus"})
     with pytest.raises(ValueError):
         run_batch({"sweeps": [{"knot": "unknot", "d": 2, "coprime": "false"}]})
+
+
+@pytest.mark.parametrize(
+    "run, unknown",
+    [
+        # These ran with the key ignored: as rim(3_1, d=5, m=0, n=4), with
+        # the default limits, with m = 0 only, and as an empty batch.
+        (lambda: spec_from_json({"knot": "3_1", "d": 5, "M": 1, "n": 4}), ["'M'"]),
+        (lambda: run_batch({"specs": [], "max_coset": 10, "timout": 1}),
+         ["'max_coset'", "'timout'"]),
+        (lambda: expand_sweep({"knot": "3_1", "d": 2, "ms": [0, 2]}), ["'ms'"]),
+        (lambda: expand_config({"spec": [{"knot": "3_1", "d": 2}]}), ["'spec'"]),
+    ],
+    ids=["spec", "batch-config", "sweep", "config-spec"],
+)
+def test_unknown_keys_are_rejected_by_name(run, unknown):
+    with pytest.raises(ValueError, match="unknown") as err:
+        run()
+    assert all(key in str(err.value) for key in unknown)
 
 
 def test_config_lists_specs_before_sweeps():

@@ -1,6 +1,10 @@
+import hashlib
+import json
+import random
+
 import pytest
 
-from rimcert.braids import parse_braid, resolve_knot
+from rimcert.braids import BraidWord, parse_braid, resolve_knot
 from rimcert.diagrams import (
     Crossing,
     KnotDiagram,
@@ -181,3 +185,37 @@ def test_diagram_json_takes_only_json_integers(kind, path, value):
     field = [key for key in path if isinstance(key, str)][-1]
     with pytest.raises(ValueError, match=f"diagram field '{field}' must be"):
         spec_from_json({"knot": doc, "d": 3, "m": 1, "kind": kind})
+
+
+def _random_knot_braids(seed: int, count: int):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        strands = rng.randint(2, 5)
+        letters = tuple(
+            rng.choice((1, -1)) * rng.randint(1, strands - 1)
+            for _ in range(rng.randint(1, 10))
+        )
+        braid = BraidWord(strands, letters)
+        if braid.is_knot():
+            out.append(braid)
+    return out
+
+
+# sha256 of the builders' JSON below, frozen from the commit before the
+# closure and the band doubling shared one strand walk.
+BUILDERS_DIGEST = "f8d1cc794c4f718c17ad1f823d68dc1ff92ee004d9e4da1ea7f5ed3a30d69008"
+
+
+def test_diagram_builders_are_pinned():
+    # The closure half also has the Artin oracle of test_surgery_properties;
+    # the band half has no independent oracle, so its bytes are pinned.
+    braids = [resolve_knot(name) for name in TABLE_KNOTS]
+    braids += _random_knot_braids(1717, 200)
+    docs = []
+    for braid in braids:
+        knot = braid_closure_diagram(braid)
+        bands = [band_double(knot, f).to_json() for f in (-2, 0, 3)]
+        docs.append([knot.to_json()] + bands)
+    blob = json.dumps(docs, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == BUILDERS_DIGEST
