@@ -98,6 +98,9 @@ def _run_isolated(job: tuple[dict, int, float | None]) -> dict:
 
 def run_batch(config: dict) -> dict:
     """Certify every spec in the config; summary counts every verdict."""
+    # Expanding first rejects a config that is not an object, or that has
+    # a misspelt key, before any limit is read from it.
+    docs = expand_config(config)
     max_cosets = config.get("max_cosets", DEFAULT_MAX_COSETS)
     parallelism = config.get("parallelism", 1)
     if not all(is_integer(v) and v >= 1 for v in (max_cosets, parallelism)):
@@ -110,7 +113,7 @@ def run_batch(config: dict) -> dict:
             raise ValueError("timeout must be a positive number or null")
         timeout = float(timeout)
 
-    jobs = [(doc, max_cosets, timeout) for doc in expand_config(config)]
+    jobs = [(doc, max_cosets, timeout) for doc in docs]
     if parallelism == 1 or len(jobs) <= 1:
         rows = [_run_row(job) for job in jobs]
     else:

@@ -71,7 +71,10 @@ def certify_cyclic(
 ) -> CyclicityVerdict:
     """Decide whether the presented group is cyclic of order d.
 
-    Stage 1 compares abelian invariants (cheap, exact, refutation only).
+    A wide presentation is first collapsed by Tietze generator
+    elimination, which keeps the group and the meridian subgroup; both
+    stages then work on that copy.  Stage 1 compares abelian invariants
+    (cheap, exact, refutation only), which a collapse does not change.
     Stage 2 enumerates cosets of the marked meridian subgroup, the only
     enumeration.  Index 1 together with the stage-1 abelianization pins
     the group down to Z/d.  A finished index k > 1 refutes cyclicity when
@@ -92,23 +95,11 @@ def certify_cyclic(
     deadline = time.monotonic() + timeout if timeout is not None else None
     limits = {"max_cosets": max_cosets, "timeout": timeout}
 
-    inv = abelian_invariants(p)
-    if not inv.is_cyclic_of_order(d):
-        return CyclicityVerdict(
-            status=NON_CYCLIC,
-            order=d,
-            justification=(
-                f"first homology is {inv}, not that of the cyclic group "
-                f"of order {d}"
-            ),
-            witness={"abelian_invariants": _invariants_json(inv)},
-            certificate={"stage": "abelianization", "limits": limits},
-        )
-
-    # Enumerate a generator-collapsed copy when the presentation is wide:
-    # same group, same meridian subgroup, far fewer table columns.  The
-    # meridian generator is protected so the stage-2 subgroup generator
-    # stays a single letter instead of a rewritten conjugation word.
+    # Abelianize and enumerate a generator-collapsed copy when the
+    # presentation is wide: same group, same meridian subgroup, a smaller
+    # relator matrix and far fewer table columns.  The meridian generator
+    # is protected so the stage-2 subgroup generator stays a single letter
+    # instead of a rewritten conjugation word.
     work = p
     collapsed = None
     if p.ngens > 3:
@@ -122,6 +113,20 @@ def certify_cyclic(
                 "relators": len(small.relators),
                 "total_relator_length": small.total_relator_length(),
             }
+
+    inv = abelian_invariants(work)
+    if not inv.is_cyclic_of_order(d):
+        return CyclicityVerdict(
+            status=NON_CYCLIC,
+            order=d,
+            justification=(
+                f"first homology is {inv}, not that of the cyclic group "
+                f"of order {d}"
+            ),
+            witness={"abelian_invariants": _invariants_json(inv)},
+            certificate={"stage": "abelianization", "limits": limits},
+        )
+
     def cert(stage: str, **extra) -> dict:
         doc = {"stage": stage, **extra, "limits": limits}
         if collapsed is not None:

@@ -199,3 +199,7 @@ def explain_text(spec) -> str:
             "conjugate, and the surgered group is trivial"
         )
     return "\n".join(lines)
+
+
+if __name__ == "__main__":
+    main()

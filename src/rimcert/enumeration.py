@@ -11,11 +11,15 @@ Overflow with the limit that was hit.
 The table is stored by column, one list per letter, so that a scan step is
 two subscripts: each relator's views, the column lists its letters read
 forward and the columns of their inverses read backward, are built once per
-enumeration, and a step from coset f at letter i is fw[i][f].  Lookahead
-reads a relator's first forward and last backward entry at a coset before
-it scans: a scan of two or more letters that can step neither way does
-nothing, and about a sixth of the lookahead scans of an overflowing
-enumeration are skipped that way.
+enumeration, and a step from coset f at letter i is fw[i][f].  HLT fills
+the gap its two walks leave in a relator with one chain of fresh cosets,
+appended to every column by one list extension, rather than one coset per
+step: on decided specs nearly all of these cosets die in coincidences, so
+the cost of a definition is paid almost only for cosets thrown away.
+Lookahead reads a relator's first forward and last backward entry at a
+coset before it scans: a scan of two or more letters that can step neither
+way does nothing, and about a sixth of the lookahead scans of an
+overflowing enumeration are skipped that way.
 """
 
 from __future__ import annotations
@@ -169,8 +173,17 @@ class CosetTable:
     def scan(self, alpha: int, view: tuple[tuple, tuple]) -> None:
         """Scan a word's views from alpha, defining cosets until it closes.
 
-        The definition is define, inlined: the scan goes on forward from
-        the new coset.
+        The word must be freely reduced.  A gap of j - i > 1 letters is
+        filled by one chain of j - i fresh cosets and the closing deduction,
+        which is what defining them one at a time gives: a fresh coset's
+        only entry is in the inverse column of the letter that defined it,
+        and the next letter of a reduced word never reads that column, so
+        the forward walk stops at each fresh coset.  The backward walk
+        stands on a coset b that the chain does not create, and a definition
+        changes what b reads only when f == b and bw[j] is fw[i]; then one
+        coset is defined alone and the walks go on.  At the limit the chain
+        stops where single definitions would, and the deadline is polled
+        before the same definitions as in define.
         """
         fw, bw = view
         p, cols = self.p, self.cols
@@ -201,19 +214,30 @@ class CosetTable:
                 fw[i][f] = b
                 bw[i][b] = f
                 return
-            beta = len(p)
-            if beta >= limit:
+            n = 1 if f == b and bw[j] is fw[i] else j - i
+            room = limit - len(p)
+            stop = i + min(n, room)
+            while i < stop:
+                # One piece per 1024 definitions, each polled as define does.
+                defined = self.defined
+                if defined & 1023 == 0:
+                    self._poll()
+                k = min(stop - i, 1024 - (defined & 1023))
+                beta = len(p)
+                # p and the columns share the new coset numbers' int objects.
+                chain = list(range(beta, beta + k))
+                pad = [None] * k
+                for col in cols:
+                    col += pad
+                p += chain
+                self.defined = defined + k
+                for beta in chain:
+                    fw[i][f] = beta
+                    bw[i][beta] = f
+                    f = beta
+                    i += 1
+            if n > room:
                 raise _TableFull
-            if self.defined & 1023 == 0:
-                self._poll()
-            for col in cols:
-                col.append(None)
-            p.append(beta)
-            self.defined += 1
-            fw[i][f] = beta
-            bw[i][beta] = f
-            f = beta
-            i += 1
 
     def lookahead(self, views: list[tuple[tuple, tuple]], start: int) -> None:
         """Scan each relator from each live coset from start on; define none.

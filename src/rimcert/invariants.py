@@ -13,6 +13,7 @@ over-arc letters along the traversal, compensated to exponent sum zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .diagrams import Crossing, KnotDiagram, TangleDiagram
 from .groups import GroupPresentation, Word
@@ -114,12 +115,17 @@ def alexander_matrix(diagram: KnotDiagram) -> list[list[LaurentPolynomial]]:
     ]
 
 
+@lru_cache(maxsize=64)
 def alexander_polynomial(diagram: KnotDiagram) -> LaurentPolynomial:
     """Normalized Alexander polynomial: lowest exponent 0, leading sign +.
 
     Two independent minors of the column-deleted Fox matrix are computed
     and must agree; evaluation at 1 must be a unit.  Both checks guard the
     crossing bookkeeping, not the theory.
+
+    A sweep certifies many specs on a few companions, so the polynomial is
+    cached per diagram (a frozen value) for the life of the process; the
+    polynomial is immutable, so callers share nothing they could change.
     """
     diagram.validate()
     c = len(diagram.crossings)

@@ -5,6 +5,7 @@ matrices via det(V^T - t V), the Arf invariant from the mod-2 Seifert
 quadratic form over a symplectic basis, determinants from fraction-free
 elimination, matrix products from a plain triple loop, coset-table
 lookahead from a plain scan of its own on a row-major table of its own,
+relator scans from a walk that defines one coset per step,
 coincidence from a union-find of its own, generator collapse from
 syllable arithmetic on plain tuples, and the rim-surgered group from the
 braid's Artin action on such tuples, with no diagram.  Frozen expected values in the tests
@@ -283,6 +284,39 @@ def reference_lookahead(ct, relators):
             if ct.p[alpha] != alpha:
                 break
             _scan_without_filling(ct, alpha, r)
+
+
+# Relator scan, as the enumerator ran it before it filled a gap with one
+# chain of cosets: both walks are retried after every single definition.
+# It works on a coset table's columns and defines through the table's own
+# ``define`` (which polls the deadline and stops at the limit) and merges
+# through its ``coincidence``; the word is a tuple of column letters.
+
+
+def reference_scan(ct, alpha, word):
+    cols = ct.cols
+    f, i = alpha, 0
+    b, j = alpha, len(word) - 1
+    while True:
+        while i <= j and cols[word[i]][f] is not None:
+            f = cols[word[i]][f]
+            i += 1
+        if i > j:
+            if f != b:
+                ct.coincidence(f, b)
+            return
+        while j >= i and cols[word[j] ^ 1][b] is not None:
+            b = cols[word[j] ^ 1][b]
+            j -= 1
+        if j < i:
+            ct.coincidence(f, b)
+            return
+        if j == i:
+            cols[word[i]][f] = b
+            cols[word[i] ^ 1][b] = f
+            return
+        f = ct.define(f, word[i])
+        i += 1
 
 
 # Coincidence, as the enumerator first ran it: a union-find with path

@@ -115,6 +115,14 @@ def test_empty_config_yields_empty_document():
     assert doc["summary"]["total"] == 0
 
 
+@pytest.mark.parametrize("config", [[1], "specs", None])
+def test_run_batch_rejects_a_config_that_is_not_an_object(config):
+    # Checked before any limit is read, so the error names the config,
+    # not a missing dict method.
+    with pytest.raises(ValueError, match="batch config must be a JSON object"):
+        run_batch(config)
+
+
 def test_run_batch_validates_limits():
     with pytest.raises(ValueError):
         run_batch({"max_cosets": 0})

@@ -12,6 +12,7 @@ from rimcert import (
     todd_coxeter,
 )
 from rimcert.certify import CYCLIC, INCONCLUSIVE, NON_CYCLIC
+from rimcert.groups import collapse_presentation
 
 AB = ("a", "b")
 
@@ -63,6 +64,29 @@ def test_refuted_by_abelianization():
     assert v.certificate["stage"] == "abelianization"
     assert v.witness["abelian_invariants"]["torsion"] == [2, 2]
     assert "enumeration" not in v.certificate
+
+
+def test_abelianization_refutation_of_a_collapsed_presentation():
+    # The Klein four-group again, on five generators: c = ab, d = c and
+    # e = d are eliminated before stage 1, which abelianizes the collapsed
+    # copy.  The collapse is not part of an abelianization certificate.
+    names = ("a", "b", "c", "d", "e")
+    wide = GroupPresentation(
+        ngens=5,
+        relators=tuple(
+            parse_word(r, names)
+            for r in ("a a", "b b", "a b A B", "c B A", "d C", "e D")
+        ),
+        meridian=Word.gen(0),
+    )
+    assert collapse_presentation(wide, protect=(0,)).ngens == 2
+    v = certify_cyclic(wide, 4, max_cosets=500, timeout=5.0)
+    assert v.status == NON_CYCLIC
+    assert v.witness == {"abelian_invariants": {"free_rank": 0, "torsion": [2, 2]}}
+    assert v.certificate == {
+        "stage": "abelianization",
+        "limits": {"max_cosets": 500, "timeout": 5.0},
+    }
 
 
 def test_non_cyclic_meridian_index_with_order():

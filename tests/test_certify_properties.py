@@ -1,5 +1,6 @@
-"""Property tests: the certifier's premise holds on surgery specs, and a
-derived group order equals the enumerated one."""
+"""Property tests: the certifier's premise holds on surgery specs, a
+derived group order equals the enumerated one, and stage 1 may abelianize
+the collapsed presentation."""
 
 import pytest
 
@@ -108,3 +109,14 @@ def test_surgered_groups_meet_the_premise_of_the_meridian_index(doc):
     small = collapse_presentation(g, protect=(g.meridian.max_generator(),))
     for p in (g, small):
         assert power in {cyclic_normal_form(r) for r in p.relators}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(braid_specs())
+def test_collapse_keeps_the_abelian_invariants_of_surgered_groups(doc):
+    # Stage 1 abelianizes the presentation the certifier enumerates, the
+    # collapsed one when the group is wide.  A collapse is a chain of
+    # Tietze moves, so H1 is that of the surgered group as built.
+    g = surgered_group(spec_from_json(doc))
+    small = collapse_presentation(g, protect=(g.meridian.max_generator(),))
+    assert abelian_invariants(small) == abelian_invariants(g)

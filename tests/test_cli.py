@@ -1,7 +1,12 @@
 """End-user surface: commands, exit codes, environment overrides."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import rimcert
@@ -109,6 +114,29 @@ def test_batch_bad_config_exit_one(tmp_path):
     config.write_text("{\"max_cosets\": 0}")
     r = _run("batch", "--config", str(config))
     assert r.exit_code == EXIT_ERROR
+
+
+def test_list_config_exits_one_naming_the_config(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text("[1]")
+    r = _run("batch", "--config", str(config))
+    assert r.exit_code == EXIT_ERROR
+    assert "batch config must be a JSON object" in r.output
+
+
+@pytest.mark.parametrize("module", ["rimcert", "rimcert.cli"])
+def test_python_dash_m_runs_the_commands(module, tmp_path):
+    # Both the package and the cli module run as scripts from a source
+    # tree, exactly as the installed rimcert command does.
+    src = str(Path(rimcert.__file__).parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    r = subprocess.run(
+        [sys.executable, "-m", module, "certify", "--knot", "3_1", "--d", "2", "--m", "1"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert r.returncode == EXIT_CERTIFIED, r.stderr
+    assert "verdict: cyclic" in r.stdout
 
 
 def test_explain_traces_the_construction():

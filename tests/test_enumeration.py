@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from rimcert import enumeration
 from rimcert.abelian import abelian_invariants
 from rimcert.enumeration import (
     CosetTable,
@@ -14,7 +15,12 @@ from rimcert.enumeration import (
 from rimcert.groups import GroupPresentation, Word, commutator
 
 from covers import EnumerationOverflow, reidemeister_schreier
-from oracles import RowTable, reference_coincidence, reference_lookahead
+from oracles import (
+    RowTable,
+    reference_coincidence,
+    reference_lookahead,
+    reference_scan,
+)
 
 
 def _p(ngens, *relators):
@@ -190,6 +196,119 @@ def test_completed_table_survives_a_passed_deadline():
     r.table.deadline = time.monotonic() - 1.0
     again = _finish(r.table, 10_000)
     assert again.complete and again.index == 3000
+
+
+# -- a gap filled by one chain defines what single definitions define ---------
+
+
+def _reference_scan(table, alpha, view):
+    """CosetTable.scan's signature over reference_scan: letters from views."""
+    letter = {id(col): x for x, col in enumerate(table.cols)}
+    reference_scan(table, alpha, tuple(letter[id(col)] for col in view[0]))
+
+
+def _enumerate(monkeypatch, p, subgroup, limit, scan=None):
+    """todd_coxeter, optionally with scan in place of CosetTable.scan.
+
+    Returns the result and the table it ran on, complete or not.
+    """
+    tables = []
+
+    class Table(CosetTable):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    if scan is not None:
+        Table.scan = scan
+    with monkeypatch.context() as m:
+        m.setattr(enumeration, "CosetTable", Table)
+        result = todd_coxeter(p, subgroup, limit)
+    return result, tables[0]
+
+
+def _chain_cases(seed, count):
+    """Random presentations on 2-3 generators with conjugate subgroup words.
+
+    A subgroup word u v u^-1 reads its first letter forward and its last
+    letter backward in one column, and a relator x y x^-1 w does so with x
+    and x^-1: there the two walks can meet at one coset with bw[j] is
+    fw[i], where a definition gives the backward walk a step.  About half the limits are small, so
+    chains stop at the limit.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        ngens = rng.randint(2, 3)
+
+        def word(n):
+            return Word(
+                tuple((rng.randrange(ngens), rng.choice((1, -1))) for _ in range(n))
+            )
+
+        x, y = Word.gen(rng.randrange(ngens)), word(rng.randint(1, 2))
+        rels = [Word.gen(g) ** rng.randint(2, 6) for g in range(ngens)]
+        rels += [word(rng.randint(2, 12)) for _ in range(rng.randint(0, 2))]
+        rels.append(x * y * x.inverse() * word(rng.randint(1, 4)))
+        u, v = word(rng.randint(1, 3)), word(rng.randint(1, 2))
+        subgroup = [u * v * u.inverse(), word(rng.randint(0, 3))]
+        limit = rng.randint(2, 12) if rng.random() < 0.5 else rng.randint(12, 3000)
+        yield _p(ngens, *(r for r in rels if not r.is_identity())), subgroup, limit
+
+
+def test_chain_scan_matches_one_definition_at_a_time(monkeypatch):
+    # The whole enumeration, lookahead rounds included, runs once with the
+    # chain scan and once with the reference scan: the same table, dead
+    # cosets included, the same parents and the same definition count.
+    complete = filled = 0
+    for p, subgroup, limit in _chain_cases(83, 300):
+        chain, table = _enumerate(monkeypatch, p, subgroup, limit)
+        ref, ref_table = _enumerate(monkeypatch, p, subgroup, limit, _reference_scan)
+        assert chain.stats() == ref.stats()
+        assert table.rows() == ref_table.rows()
+        assert table.p == ref_table.p
+        assert table.defined == ref_table.defined
+        complete += chain.complete
+        # A lookahead round that goes on raises the limit by the dead rows.
+        filled += not chain.complete or table.limit > limit
+    assert complete > 50 and filled > 50
+
+
+def test_a_definition_that_the_backward_walk_reads_is_made_alone():
+    # Scanning x y x^-1 from coset 0 of an empty table: both walks stand on
+    # coset 0 with a gap of three letters, and bw[2] is the column of x.
+    # Defining 0.x = 1 lets the backward walk step from 0 to 1 as well, so
+    # the gap closes as 1.y = 1: one coset is defined, not a chain of two.
+    word = (A * B * A.inverse()).cols
+    table, ref = CosetTable(2, 100), CosetTable(2, 100)
+    table.scan(0, table.views(word))
+    reference_scan(ref, 0, word)
+    assert table.defined == ref.defined == 2
+    assert table.rows() == ref.rows() == [[1, None, None, None], [None, 0, 1, 1]]
+
+
+def _full(scan, *args):
+    """Whether the scan stopped at the limit."""
+    try:
+        scan(*args)
+    except _TableFull:
+        return True
+    return False
+
+
+def test_a_chain_stops_at_the_limit():
+    # <a | a^50> from coset 0 has a gap of 49 letters.  With room for fewer
+    # cosets the chain defines exactly as many as single definitions
+    # would, and then the table is full.
+    word = (A**50).cols
+    for limit in (1, 10, 49, 50):
+        table, ref = CosetTable(1, limit), CosetTable(1, limit)
+        full = _full(table.scan, 0, table.views(word))
+        assert full == _full(reference_scan, ref, 0, word) == (limit < 50)
+        assert table.defined == ref.defined == limit
+        assert table.rows() == ref.rows()
+        assert table.p == ref.p
 
 
 # -- lookahead and compress do the same work as the plain loops ---------------

@@ -93,6 +93,21 @@ def test_alexander_properties_on_random_braids():
         assert knot_determinant(delta) % 2 == 1
 
 
+def test_cached_alexander_polynomial_equals_a_fresh_computation():
+    # The polynomial is cached per diagram for the life of the process; a
+    # hit must give what computing it again gives, on the table knots and
+    # on random closures, the second lookup of each a hit.
+    fresh = alexander_polynomial.__wrapped__
+    diagrams = [_diagram(name) for name in KNOT_TABLE]
+    diagrams += [braid_closure_diagram(b) for b in _random_knot_braids(200, seed=62)]
+    assert len(KNOT_TABLE) == 5
+    for d in diagrams:
+        assert alexander_polynomial(d) == fresh(d)
+        assert alexander_polynomial(d) == fresh(d)
+    # An equal diagram built again is a hit on the same entry.
+    assert alexander_polynomial(_diagram("4_1")) is alexander_polynomial(_diagram("4_1"))
+
+
 def test_fox_derivative_product_rule():
     rng = random.Random(67)
 

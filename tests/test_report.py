@@ -74,6 +74,20 @@ def test_certified_cyclic_report():
     assert doc["timing"]["elapsed_seconds"] >= 0
 
 
+def test_reports_share_no_invariant_block():
+    # The Alexander polynomial is cached per companion, but every report
+    # builds its own invariants dict, so changing one report's block
+    # leaves the next report's alone.
+    spec = spec_from_json({"knot": "3_1", "d": 2, "m": 1, "n": 0})
+    first, second = certify(spec), certify(spec)
+    assert first.invariants == second.invariants
+    assert first.invariants is not second.invariants
+    coeffs = first.invariants["alexander_coefficients"]
+    assert coeffs is not second.invariants["alexander_coefficients"]
+    coeffs["coeffs"].append(7)
+    assert certify(spec).invariants == second.invariants
+
+
 def test_unknot_is_not_smoothly_knotted():
     report = certify(spec_from_json({"knot": "unknot", "d": 3}))
     assert report.verdict.status == "cyclic"
