@@ -2,7 +2,7 @@
 
 from .abelian import AbelianInvariants, abelian_invariants, smith_normal_form
 from .batch import batch_json, expand_config, run_batch
-from .braids import BraidWord, KNOT_TABLE, builtin_knot, parse_braid, resolve_knot
+from .braids import BraidWord, KNOT_TABLE, parse_braid, resolve_knot
 from .certify import CyclicityVerdict, certify_cyclic
 from .diagrams import (
     Crossing,
@@ -45,14 +45,11 @@ from .report import (
     render_text,
 )
 from .surgery import (
-    GluingMatrix,
     PlotnickMatrix,
     SurgerySpec,
-    gluing_matrix,
     plotnick_matrix,
     spec_from_json,
     surgered_group,
-    validate_gluing,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +61,6 @@ __all__ = [
     "CyclicityVerdict",
     "DEFAULT_MAX_COSETS",
     "EnumerationResult",
-    "GluingMatrix",
     "GroupPresentation",
     "KNOT_TABLE",
     "KnotDiagram",
@@ -81,7 +77,6 @@ __all__ = [
     "band_double",
     "batch_json",
     "braid_closure_diagram",
-    "builtin_knot",
     "certify",
     "certify_cyclic",
     "collapse_presentation",
@@ -91,7 +86,6 @@ __all__ = [
     "expand_config",
     "format_word",
     "fox_derivative",
-    "gluing_matrix",
     "invariant_block",
     "knot_determinant",
     "normal_invariant_report",
@@ -108,7 +102,6 @@ __all__ = [
     "surgered_group",
     "tangle_wirtinger",
     "todd_coxeter",
-    "validate_gluing",
     "wirtinger",
     "__version__",
 ]

@@ -68,7 +68,11 @@ def expand_sweep(sweep: dict) -> list[dict]:
 def expand_config(config: dict) -> list[dict]:
     check_keys(config, ("specs", "sweeps", "max_cosets", "timeout", "parallelism"),
                "batch config")
-    rows = [dict(doc) for doc in config.get("specs", [])]
+    for key in ("specs", "sweeps"):
+        if not isinstance(config.get(key, []), list):
+            raise ValueError(f"batch config {key!r} must be a JSON array")
+    # Specs reach spec_from_json as they are: a non-object is a row error.
+    rows = list(config.get("specs", []))
     for sweep in config.get("sweeps", []):
         rows.extend(expand_sweep(sweep))
     return rows

@@ -127,14 +127,6 @@ KNOT_TABLE: dict[str, KnotTableEntry] = {
 }
 
 
-def builtin_knot(name: str) -> KnotTableEntry:
-    try:
-        return KNOT_TABLE[name]
-    except KeyError:
-        known = ", ".join(sorted(KNOT_TABLE))
-        raise ValueError(f"unknown knot {name!r}; built-ins: {known}") from None
-
-
 def resolve_knot(text: str) -> BraidWord:
     """Accept either a built-in name or a literal braid word."""
     if text in KNOT_TABLE:

@@ -22,7 +22,6 @@ from .report import DEFAULT_TIMEOUT, certify as certify_spec, invariant_block, r
 from .surgery import (
     ANNULUS,
     RIM,
-    gluing_matrix,
     plotnick_matrix,
     spec_from_json,
     surgery_recipe,
@@ -74,8 +73,8 @@ def main() -> None:
 def certify_cmd(knot, d, m, n, kind, max_cosets, timeout, as_json) -> None:
     """Certify one surgery spec and print its report."""
     try:
-        if not timeout >= 0:  # written so that nan fails too
-            raise ValueError("timeout must be nonnegative; 0 disables it")
+        if not 0 <= timeout < math.inf:  # nan fails too; inf is not JSON
+            raise ValueError("timeout must be finite and nonnegative; 0 disables it")
         spec = _build_spec(knot, d, m, n, kind)
         report = certify_spec(
             spec, max_cosets=max_cosets, timeout=timeout or None
@@ -156,7 +155,7 @@ def explain_text(spec) -> str:
     lines = [spec.label()]
 
     lines.append("regluing matrix (circle, meridian, torus-meridian basis):")
-    lines.extend(_matrix_lines(gluing_matrix(spec.m, spec.n).rows))
+    lines.extend(_matrix_lines(((1, 0, 0), (spec.m, 1, 0), (spec.n, 0, 1))))
     if math.gcd(spec.d, spec.m) == 1:
         pm = plotnick_matrix(spec.d, spec.m)
         lines.append(

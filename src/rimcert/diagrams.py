@@ -32,11 +32,11 @@ def _json_int(doc: dict, key: str) -> int:
     return doc[key]
 
 
-def _json_ints(doc: dict, key: str) -> tuple[int, ...]:
+def _json_ints(doc: dict, key: str) -> list[int]:
     value = doc[key]
     if not isinstance(value, (list, tuple)) or not all(is_integer(v) for v in value):
         raise ValueError(f"diagram field {key!r} must be a list of integers")
-    return tuple(value)
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,10 +66,16 @@ class Crossing:
 
 @dataclass(frozen=True, slots=True)
 class KnotDiagram:
+    """A one-component closed diagram, checked by `validate` when made."""
+
     crossings: tuple[Crossing, ...]
     n_arcs: int
     writhe: int
     braid: BraidWord | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "crossings", tuple(self.crossings))
+        self.validate()
 
     def validate(self) -> None:
         c = len(self.crossings)
@@ -106,14 +112,12 @@ class KnotDiagram:
         from .braids import parse_braid
 
         braid = parse_braid(doc["braid"]) if doc.get("braid") else None
-        d = KnotDiagram(
+        return KnotDiagram(
             crossings=tuple(Crossing.from_json(c) for c in doc["crossings"]),
             n_arcs=_json_int(doc, "arcs"),
             writhe=_json_int(doc, "writhe"),
             braid=braid,
         )
-        d.validate()
-        return d
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,7 +128,8 @@ class TangleDiagram:
     orientation; the strands are anti-parallel copies of the source knot,
     so strand 1 starts where strand 2 ends.  The boundary loops are signed
     arc sequences at that shared end, derived from the strands: a1 and a2
-    each encircle one arc, a3 = a1 * a2^-1 encircles both.
+    each encircle one arc, a3 = a1 * a2^-1 encircles both.  The tangle is
+    checked when it is made, with its arc lists stored as tuples.
     """
 
     crossings: tuple[Crossing, ...]
@@ -132,6 +137,11 @@ class TangleDiagram:
     strand1: tuple[int, ...]
     strand2: tuple[int, ...]
     source_writhe: int
+
+    def __post_init__(self) -> None:
+        for key in ("crossings", "strand1", "strand2"):
+            object.__setattr__(self, key, tuple(getattr(self, key)))
+        self.validate()
 
     @property
     def a1(self) -> tuple[tuple[int, int], ...]:
@@ -182,7 +192,6 @@ class TangleDiagram:
             strand2=_json_ints(doc, "strand2"),
             source_writhe=_json_int(doc, "source_writhe"),
         )
-        t.validate()
         for key in ("a1", "a2", "a3"):
             loop = [list(p) for p in getattr(t, key)]
             if doc.get(key, loop) != loop:
@@ -258,9 +267,7 @@ def braid_closure_diagram(braid: BraidWord) -> KnotDiagram:
         Crossing(o % k, i, u % k, 1 if l > 0 else -1)
         for (o, i, u), l in zip(arcs, braid.letters)
     )
-    d = KnotDiagram(crossings, n_arcs=k, writhe=braid.writhe(), braid=braid)
-    d.validate()
-    return d
+    return KnotDiagram(crossings, n_arcs=k, writhe=braid.writhe(), braid=braid)
 
 
 def _double_letters(braid: BraidWord, framing: int) -> tuple[list[int], int]:
@@ -312,11 +319,10 @@ def band_double(diagram: KnotDiagram, framing: int) -> TangleDiagram:
     t = TangleDiagram(
         crossings=crossings,
         n_arcs=s2[-1] + 1,
-        strand1=tuple(s1),
-        strand2=tuple(s2),
+        strand1=s1,
+        strand2=s2,
         source_writhe=braid.writhe(),
     )
-    t.validate()
     if len(crossings) != 4 * len(braid.letters) + 2 * clasp_pairs:
         raise AssertionError("doubling must yield 4c + 2|framing - writhe| crossings")
     return t

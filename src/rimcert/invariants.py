@@ -61,7 +61,6 @@ def wirtinger(diagram: KnotDiagram) -> GroupPresentation:
     Arcs are numbered in traversal order, so the longitude walks them in
     order and closes up on arc 0.
     """
-    diagram.validate()
     arcs = (*range(len(diagram.crossings)), 0)
     return _marked_group(diagram.crossings, diagram.n_arcs, Word.gen(0), arcs)
 
@@ -73,7 +72,6 @@ def tangle_wirtinger(tangle: TangleDiagram) -> GroupPresentation:
     cancelled, so at framing zero it also links the first strand zero
     times.
     """
-    tangle.validate()
     return _marked_group(tangle.crossings, tangle.n_arcs, Word(tangle.a1), tangle.strand2)
 
 
@@ -127,7 +125,6 @@ def alexander_polynomial(diagram: KnotDiagram) -> LaurentPolynomial:
     cached per diagram (a frozen value) for the life of the process; the
     polynomial is immutable, so callers share nothing they could change.
     """
-    diagram.validate()
     c = len(diagram.crossings)
     if c == 0:
         return LaurentPolynomial.one()

@@ -40,10 +40,6 @@ class LaurentPolynomial:
     def one() -> "LaurentPolynomial":
         return LaurentPolynomial((1,), 0)
 
-    @staticmethod
-    def term(coeff: int, exp: int = 0) -> "LaurentPolynomial":
-        return LaurentPolynomial((coeff,), exp)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -29,57 +29,6 @@ ANNULUS = "annulus"
 KINDS = (RIM, ANNULUS)
 
 
-# -- gluing matrices --------------------------------------------------------
-
-
-Rows3 = tuple[tuple[int, int, int], ...]
-
-
-def _as_rows(rows) -> Rows3:
-    out = tuple(tuple(int(v) for v in row) for row in rows)
-    if len(out) != 3 or any(len(r) != 3 for r in out):
-        raise ValueError("gluing matrices are 3x3")
-    return out
-
-
-@dataclass(frozen=True, slots=True)
-class GluingMatrix:
-    """Boundary regluing in the (circle, meridian, torus-meridian) basis."""
-
-    rows: Rows3
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", _as_rows(self.rows))
-
-
-def gluing_matrix(m: int, n: int) -> GluingMatrix:
-    """Regluing that twists m times and rolls n times."""
-    mat = GluingMatrix(((1, 0, 0), (m, 1, 0), (n, 0, 1)))
-    bad = validate_gluing(mat.rows)
-    if bad:
-        raise AssertionError(f"twist/roll matrix failed validation: {bad}")
-    return mat
-
-
-def validate_gluing(rows) -> list[str]:
-    """Violation messages for a candidate regluing matrix; [] means ok."""
-    try:
-        mat = _as_rows(rows)
-    except (TypeError, ValueError):
-        return ["matrix must be 3x3 with integer entries"]
-    violations = []
-    col3 = (mat[0][2], mat[1][2], mat[2][2])
-    if col3 != (0, 0, 1):
-        violations.append(
-            "third column must be (0, 0, 1): the torus meridian has to map "
-            "to the longitude"
-        )
-    block = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    if block != 1:
-        violations.append(f"upper-left 2x2 block has determinant {block}, not 1")
-    return violations
-
-
 @dataclass(frozen=True, slots=True)
 class PlotnickMatrix:
     """Regluing that exhibits the twisted cover complement inside S^4.
@@ -87,17 +36,16 @@ class PlotnickMatrix:
     ``inverse_residue`` is the least nonnegative inverse of ``twists``
     modulo ``order`` and ``complement`` completes the Bezout identity
     order*complement + twists*inverse_residue = 1.  The general
-    homology-sphere gluing form carries two bottom-row parameters; this
-    matrix forces both to vanish, which is what makes the ambient
-    manifold standard.  They are recorded for the report.
+    homology-sphere gluing form carries two bottom-row parameters; these
+    ``rows`` set both to zero, which is what makes the ambient manifold
+    standard.
     """
 
     order: int
     twists: int
     inverse_residue: int
     complement: int
-    rows: Rows3
-    bottom_row_parameters: tuple[int, int] = (0, 0)
+    rows: tuple[tuple[int, int, int], ...]
 
     def determinant(self) -> int:
         r = self.rows
@@ -160,7 +108,6 @@ class SurgerySpec:
             raise ValueError("rim surgery needs a closed knot diagram")
         if self.kind == ANNULUS and not isinstance(self.knot, TangleDiagram):
             raise ValueError("annulus surgery needs a doubled-band tangle")
-        self.knot.validate()
 
     def label(self) -> str:
         src = self.source or f"{len(self.knot.crossings)} crossings"

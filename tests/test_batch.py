@@ -115,6 +115,24 @@ def test_empty_config_yields_empty_document():
     assert doc["summary"]["total"] == 0
 
 
+def test_a_spec_that_is_not_an_object_is_a_row_error():
+    # dict() once turned a list of pairs into the 3_1 spec, and aborted
+    # the whole batch on a bare string.
+    docs = [[["knot", "3_1"], ["d", 2]], "3_1", {"knot": "unknot", "d": 2}]
+    doc = run_batch({"specs": docs})
+    assert doc["summary"]["error"] == 2 and doc["summary"]["cyclic"] == 1
+    for row, spec in zip(doc["rows"][:2], docs):
+        assert row["spec"] == spec
+        assert row["error"] == "surgery spec must be a JSON object"
+
+
+@pytest.mark.parametrize("key", ["specs", "sweeps"])
+@pytest.mark.parametrize("value", ["3_1", {"knot": "3_1", "d": 2}, None])
+def test_specs_and_sweeps_must_be_arrays(key, value):
+    with pytest.raises(ValueError, match=f"batch config '{key}' must be a JSON array"):
+        expand_config({key: value})
+
+
 @pytest.mark.parametrize("config", [[1], "specs", None])
 def test_run_batch_rejects_a_config_that_is_not_an_object(config):
     # Checked before any limit is read, so the error names the config,

@@ -1,5 +1,6 @@
 """End-user surface: commands, exit codes, environment overrides."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 from click.testing import CliRunner
 
 import rimcert
-from rimcert.cli import EXIT_CERTIFIED, EXIT_ERROR, EXIT_INCONCLUSIVE, main
+from rimcert.cli import EXIT_CERTIFIED, EXIT_ERROR, EXIT_INCONCLUSIVE, explain_text, main
+from rimcert.surgery import spec_from_json
 
 
 def _run(*args, env=None):
@@ -75,8 +77,11 @@ def test_zero_timeout_disables_the_deadline():
 
 
 def test_negative_timeout_is_an_error():
+    # An infinite timeout would be written as Infinity, which is not JSON.
     for args, env in [(["--timeout", "-1"], None),
-                      ([], {"RIMCERT_TIMEOUT": "-1"})]:
+                      ([], {"RIMCERT_TIMEOUT": "-1"}),
+                      (["--timeout", "inf", "--json"], None),
+                      (["--timeout", "nan", "--json"], None)]:
         r = _run("certify", "--knot", "5_2", "--d", "3", "--m", "1",
                  "--n", "3", *args, env=env)
         assert r.exit_code == EXIT_ERROR
@@ -153,6 +158,25 @@ def test_explain_flags_non_coprime_parameters():
     assert "no standard-ambient gluing" in r.output
 
 
+# sha256 of the explain panel below, frozen from the commit before the
+# regluing matrix was printed without a matrix class.
+EXPLAIN_DIGEST = "1bb6cc9d11ff2829c4152aca8db9e06a2992854b3d062898e54b9adb836811ea"
+
+
+def test_explain_text_is_pinned():
+    texts = []
+    for knot in ("unknot", "3_1", "4_1", "5_1", "5_2"):
+        for kind in ("rim", "annulus"):
+            for d in (1, 2, 3, 6):
+                for m, n in ((0, 0), (1, 1), (2, 3), (4, 0)):
+                    spec = spec_from_json(
+                        {"knot": knot, "d": d, "m": m, "n": n, "kind": kind}
+                    )
+                    texts.append(explain_text(spec))
+    blob = json.dumps(texts).encode()
+    assert hashlib.sha256(blob).hexdigest() == EXPLAIN_DIGEST
+
+
 def test_explain_trivial_order_note():
     r = _run("explain", "--knot", "unknot", "--d", "1")
     assert "d=1 kills the meridian" in r.output
@@ -191,6 +215,10 @@ def test_public_api_names_are_bound_and_unique():
     dropped = {"EnumerationOverflow", "SubgroupPresentation",
                "reidemeister_schreier", "meridian_kernel_words",
                "unbranched_cover_group", "TangleGroup", "rim_surgery_group",
-               "annulus_rim_surgery_group", "twist_roll_conjugator"}
+               "annulus_rim_surgery_group", "twist_roll_conjugator",
+               # The regluing wrappers only explain read, and the table
+               # lookup that only tests called.
+               "GluingMatrix", "gluing_matrix", "validate_gluing",
+               "builtin_knot"}
     assert not dropped & set(rimcert.__all__)
     assert not [name for name in dropped if hasattr(rimcert, name)]

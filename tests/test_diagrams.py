@@ -12,7 +12,8 @@ from rimcert.diagrams import (
     band_double,
     braid_closure_diagram,
 )
-from rimcert.surgery import spec_from_json
+from rimcert.report import certify
+from rimcert.surgery import SurgerySpec, spec_from_json
 
 TABLE_KNOTS = ("unknot", "3_1", "4_1", "5_1", "5_2")
 
@@ -56,6 +57,24 @@ def test_diagram_json_round_trip():
         assert KnotDiagram.from_json(d.to_json()) == d
 
 
+def test_diagrams_given_lists_store_tuples_and_certify():
+    # A knot built with a list of crossings used to pass validate() and
+    # then fail certify with "unhashable type: 'list'" in the cached
+    # Alexander polynomial.
+    knot = braid_closure_diagram(resolve_knot("3_1"))
+    listed = KnotDiagram(list(knot.crossings), knot.n_arcs, knot.writhe, knot.braid)
+    assert listed == knot and hash(listed) == hash(knot)
+    assert certify(SurgerySpec(knot=listed, d=2, m=1)).verdict.status == "cyclic"
+    band = band_double(knot, 0)
+    listed_band = TangleDiagram(
+        list(band.crossings), band.n_arcs, list(band.strand1),
+        list(band.strand2), band.source_writhe,
+    )
+    assert listed_band == band and hash(listed_band) == hash(band)
+    spec = SurgerySpec(knot=listed_band, d=3, m=1, n=1, kind="annulus")
+    assert certify(spec).verdict.status == "cyclic"
+
+
 def test_knot_diagram_arcs_must_follow_the_traversal():
     # Swapping arcs 1 and 2 of the trefoil still has every arc end and
     # start one underpass, but the longitude would read the underpasses
@@ -69,14 +88,13 @@ def test_knot_diagram_arcs_must_follow_the_traversal():
     with pytest.raises(ValueError, match="traversal order"):
         spec_from_json({"knot": doc, "d": 5, "m": 1, "n": 4})
     # A Hopf link: each one-arc component dives under the other and comes
-    # back to itself.
-    hopf = KnotDiagram(
-        crossings=(Crossing(1, 0, 0, 1), Crossing(0, 1, 1, 1)),
-        n_arcs=2,
-        writhe=2,
-    )
+    # back to itself.  A diagram is checked when it is made.
     with pytest.raises(ValueError, match="traversal order"):
-        hopf.validate()
+        KnotDiagram(
+            crossings=(Crossing(1, 0, 0, 1), Crossing(0, 1, 1, 1)),
+            n_arcs=2,
+            writhe=2,
+        )
 
 
 def test_band_double_counts():

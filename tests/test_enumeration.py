@@ -311,6 +311,17 @@ def test_a_chain_stops_at_the_limit():
         assert table.p == ref.p
 
 
+def test_a_chain_shares_each_coset_number_between_p_and_the_columns():
+    # An overflowing table holds one int object per coset number; a chain
+    # that built its numbers twice (once for p, once for the columns)
+    # would hold two.  Numbers above 256 are not CPython's cached small
+    # ints, so only a shared object passes for the whole chain.
+    table = CosetTable(1, 1000)
+    table.scan(0, table.views((0,) * 600))
+    assert len(table.p) == 600
+    assert all(table.cols[0][c - 1] is table.p[c] for c in range(1, 600))
+
+
 # -- lookahead and compress do the same work as the plain loops ---------------
 
 

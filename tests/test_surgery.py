@@ -14,12 +14,10 @@ from rimcert.groups import GroupPresentation, Word
 from rimcert.invariants import tangle_wirtinger, wirtinger
 from rimcert.surgery import (
     SurgerySpec,
-    gluing_matrix,
     plotnick_matrix,
     spec_from_json,
     surgered_group,
     surgery_recipe,
-    validate_gluing,
 )
 
 from covers import meridian_kernel_words, unbranched_cover_group
@@ -32,21 +30,7 @@ def _rim_spec(knot, d, m=0, n=0):
     return spec_from_json({"knot": knot, "d": d, "m": m, "n": n})
 
 
-# -- gluing matrices -----------------------------------------------------------
-
-
-def test_gluing_matrix_shape():
-    assert gluing_matrix(2, 3).rows == ((1, 0, 0), (2, 1, 0), (3, 0, 1))
-    assert gluing_matrix(0, 0).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def test_validate_gluing_messages():
-    assert validate_gluing(((1, 0, 0), (5, 1, 0), (9, 0, 1))) == []
-    bad_col = validate_gluing(((1, 0, 1), (0, 1, 0), (0, 0, 1)))
-    assert any("third column" in msg for msg in bad_col)
-    bad_det = validate_gluing(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
-    assert any("determinant" in msg for msg in bad_det)
-    assert validate_gluing("nonsense")
+# -- the standard-ambient regluing ---------------------------------------------
 
 
 def test_plotnick_matrices_on_random_coprime_pairs():
@@ -62,7 +46,6 @@ def test_plotnick_matrices_on_random_coprime_pairs():
         assert pm.determinant() == 1
         assert d * pm.complement + m * pm.inverse_residue == 1
         assert 0 <= pm.inverse_residue < max(d, 1)
-        assert pm.bottom_row_parameters == (0, 0)
 
 
 def test_plotnick_rejects_non_coprime():
