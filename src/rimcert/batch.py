@@ -14,6 +14,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
+from .certify import check_limits
 from .diagrams import is_integer
 from .enumeration import DEFAULT_MAX_COSETS
 from .report import DEFAULT_TIMEOUT, certify
@@ -106,16 +107,12 @@ def run_batch(config: dict) -> dict:
     # a misspelt key, before any limit is read from it.
     docs = expand_config(config)
     max_cosets = config.get("max_cosets", DEFAULT_MAX_COSETS)
-    parallelism = config.get("parallelism", 1)
-    if not all(is_integer(v) and v >= 1 for v in (max_cosets, parallelism)):
-        raise ValueError("max_cosets and parallelism must be integers >= 1")
     timeout = config.get("timeout", DEFAULT_TIMEOUT)
-    if timeout is not None:
-        # nan and inf would be written back as NaN or Infinity, not JSON.
-        finite = type(timeout) in (int, float) and math.isfinite(timeout)
-        if not (finite and timeout > 0):
-            raise ValueError("timeout must be a positive number or null")
-        timeout = float(timeout)
+    check_limits(max_cosets, timeout)
+    timeout = None if timeout is None else float(timeout)
+    parallelism = config.get("parallelism", 1)
+    if not (is_integer(parallelism) and parallelism >= 1):
+        raise ValueError("parallelism must be an integer >= 1")
 
     jobs = [(doc, max_cosets, timeout) for doc in docs]
     if parallelism == 1 or len(jobs) <= 1:

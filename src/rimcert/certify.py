@@ -11,10 +11,12 @@ meridian's index needs to prove anything.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 from .abelian import AbelianInvariants, abelian_invariants
+from .diagrams import is_integer
 from .enumeration import DEFAULT_MAX_COSETS, todd_coxeter
 from .groups import (
     GroupPresentation,
@@ -63,6 +65,20 @@ def _invariants_json(inv: AbelianInvariants) -> dict:
     return {"free_rank": inv.free_rank, "torsion": list(inv.torsion)}
 
 
+def check_limits(max_cosets, timeout) -> None:
+    """Reject limits that cannot hold or be written back as JSON.
+
+    max_cosets must be a JSON integer >= 1, and timeout null or a finite
+    number > 0; nan and inf would be written as NaN or Infinity.  Valid
+    limits are left as they are, so a report echoes what it was given.
+    """
+    if not (is_integer(max_cosets) and max_cosets >= 1):
+        raise ValueError("max_cosets must be an integer >= 1")
+    finite = type(timeout) in (int, float) and math.isfinite(timeout)
+    if timeout is not None and not (finite and timeout > 0):
+        raise ValueError("timeout must be a positive number or null")
+
+
 def certify_cyclic(
     p: GroupPresentation,
     d: int,
@@ -88,6 +104,7 @@ def certify_cyclic(
     meets the premise, since its meridian normally generates it.  A
     meridian enumeration that overflows ends the run inconclusive.
     """
+    check_limits(max_cosets, timeout)
     if d < 1:
         raise ValueError("expected order must be positive")
     if p.meridian is None:

@@ -111,13 +111,20 @@ class KnotDiagram:
     def from_json(doc: dict) -> "KnotDiagram":
         from .braids import parse_braid
 
-        braid = parse_braid(doc["braid"]) if doc.get("braid") else None
-        return KnotDiagram(
+        text = doc.get("braid")
+        if text is not None and not isinstance(text, str):
+            raise ValueError("diagram field 'braid' must be a string or null")
+        diagram = KnotDiagram(
             crossings=tuple(Crossing.from_json(c) for c in doc["crossings"]),
             n_arcs=_json_int(doc, "arcs"),
             writhe=_json_int(doc, "writhe"),
-            braid=braid,
+            braid=parse_braid(text) if text else None,
         )
+        # Reports echo the braid as the knot, and band_double sweeps it, so
+        # it must be a braid whose closure is this very diagram.
+        if text and braid_closure_diagram(diagram.braid) != diagram:
+            raise ValueError("diagram field 'braid' does not close to this diagram")
+        return diagram
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,15 +11,17 @@ Overflow with the limit that was hit.
 The table is stored by column, one list per letter, so that a scan step is
 two subscripts: each relator's views, the column lists its letters read
 forward and the columns of their inverses read backward, are built once per
-enumeration, and a step from coset f at letter i is fw[i][f].  HLT fills
-the gap its two walks leave in a relator with one chain of fresh cosets,
-appended to every column by one list extension, rather than one coset per
-step: on decided specs nearly all of these cosets die in coincidences, so
-the cost of a definition is paid almost only for cosets thrown away.
-Lookahead reads a relator's first forward and last backward entry at a
-coset before it scans: a scan of two or more letters that can step neither
-way does nothing, and about a sixth of the lookahead scans of an
-overflowing enumeration are skipped that way.
+enumeration, and a step from coset f at letter i is fw[i][f].
+CosetTable.define is the one place cosets are defined: a chain of them
+along a view, appended to every column by one list extension.  HLT fills
+the gap its two walks leave in a relator with one chain, and a row's empty
+entries with chains of one; on decided specs nearly all of these cosets
+die in coincidences.  A complete table is renumbered once, breadth-first
+from coset 0, which skips its dead rows.  Lookahead reads a relator's
+first forward and last backward entry at a coset before it scans: a scan
+of two or more letters that can step neither way does nothing, and about a
+sixth of the lookahead scans of an overflowing enumeration are skipped
+that way.
 """
 
 from __future__ import annotations
@@ -93,20 +95,39 @@ class CosetTable:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Deadline
 
-    def define(self, alpha: int, x: int) -> int:
-        p = self.p
-        beta = len(p)
-        if beta >= self.limit:
+    def define(self, f: int, view: tuple[tuple, tuple], i: int, n: int) -> int:
+        """Define n cosets along view from coset f at letter i; return the last.
+
+        The first new coset is fw[i][f], the next is fw[i + 1] of that one,
+        and so on, each inverse entry set to match.  At the limit the chain
+        stops where single definitions would and _TableFull is raised.  The
+        deadline is polled once per 1024 definitions, splitting the chain.
+        """
+        fw, bw = view
+        p, cols = self.p, self.cols
+        room = self.limit - len(p)
+        stop = i + min(n, room)
+        while i < stop:
+            defined = self.defined
+            if defined & 1023 == 0:
+                self._poll()
+            k = min(stop - i, 1024 - (defined & 1023))
+            beta = len(p)
+            # p and the columns share the new coset numbers' int objects.
+            chain = list(range(beta, beta + k))
+            pad = [None] * k
+            for col in cols:
+                col += pad
+            p += chain
+            self.defined = defined + k
+            for beta in chain:
+                fw[i][f] = beta
+                bw[i][beta] = f
+                f = beta
+                i += 1
+        if n > room:
             raise _TableFull
-        if self.defined & 1023 == 0:
-            self._poll()
-        for col in self.cols:
-            col.append(None)
-        p.append(beta)
-        self.defined += 1
-        self.cols[x][alpha] = beta
-        self.cols[x ^ 1][beta] = alpha
-        return beta
+        return f
 
     def coincidence(self, alpha: int, beta: int) -> None:
         """Merge two cosets and everything their merge forces.
@@ -114,8 +135,8 @@ class CosetTable:
         Each merge keeps the smaller representative and queues the larger
         one, whose entries are then folded into its representative's.
         Finding a representative walks the parent list without compressing
-        it: only the parents of dead cosets would differ, and compress needs
-        nothing from those except that each is smaller than its child.
+        it: only the parents of dead cosets would differ, and only compress
+        reads those, needing no more than that each is below its child.
         """
         p = self.p
         while p[alpha] != alpha:
@@ -181,13 +202,9 @@ class CosetTable:
         the forward walk stops at each fresh coset.  The backward walk
         stands on a coset b that the chain does not create, and a definition
         changes what b reads only when f == b and bw[j] is fw[i]; then one
-        coset is defined alone and the walks go on.  At the limit the chain
-        stops where single definitions would, and the deadline is polled
-        before the same definitions as in define.
+        coset is defined alone and the walks go on.
         """
         fw, bw = view
-        p, cols = self.p, self.cols
-        limit = self.limit
         f, i = alpha, 0
         b, j = alpha, len(fw) - 1
         while True:
@@ -215,29 +232,8 @@ class CosetTable:
                 bw[i][b] = f
                 return
             n = 1 if f == b and bw[j] is fw[i] else j - i
-            room = limit - len(p)
-            stop = i + min(n, room)
-            while i < stop:
-                # One piece per 1024 definitions, each polled as define does.
-                defined = self.defined
-                if defined & 1023 == 0:
-                    self._poll()
-                k = min(stop - i, 1024 - (defined & 1023))
-                beta = len(p)
-                # p and the columns share the new coset numbers' int objects.
-                chain = list(range(beta, beta + k))
-                pad = [None] * k
-                for col in cols:
-                    col += pad
-                p += chain
-                self.defined = defined + k
-                for beta in chain:
-                    fw[i][f] = beta
-                    bw[i][beta] = f
-                    f = beta
-                    i += 1
-            if n > room:
-                raise _TableFull
+            f = self.define(f, view, i, n)
+            i += n
 
     def lookahead(self, views: list[tuple[tuple, tuple]], start: int) -> None:
         """Scan each relator from each live coset from start on; define none.
@@ -298,7 +294,8 @@ class CosetTable:
         A dead coset's parent is always a smaller coset (merges keep the
         smaller number), so one ascending pass maps every coset, dead or
         alive, to the new number of its representative.  The enumeration
-        compresses once, when its table is complete, and does not poll.
+        does not call it, as standardize drops dead rows itself; it serves
+        a round loop that restarts HLT from coset 0, as a test oracle does.
         """
         p = self.p
         new = [0] * len(p)
@@ -314,30 +311,31 @@ class CosetTable:
         p[:] = range(len(live))
         return len(new) - len(live)
 
-    def standardize(self) -> None:
-        """Renumber the cosets in breadth-first order from coset 0."""
-        n = len(self.p)
+    def standardize(self) -> int:
+        """Renumber breadth-first from coset 0; return how many cosets remain.
+
+        The table must be complete.  Then every live coset is reached from
+        coset 0, and no live row names a dead coset, since coincidence
+        reroutes every entry into a coset it kills.  So the walk reaches
+        exactly the live cosets, and the dead rows are dropped unread.  It
+        does not poll.
+        """
         cols = self.cols
-        order: list[int | None] = [None] * n
+        order: list[int | None] = [None] * len(self.p)
         order[0] = 0
         queue = [0]
-        qi = 0
-        while qi < len(queue):
-            c = queue[qi]
-            qi += 1
+        for c in queue:
             for col in cols:
                 v = col[c]
                 if v is not None and order[v] is None:
                     order[v] = len(queue)
                     queue.append(v)
-        for c in range(n):
-            if order[c] is None:
-                order[c] = len(queue)
-                queue.append(c)
         for col in cols:
             col[:] = [
                 None if v is None else order[v] for v in map(col.__getitem__, queue)
             ]
+        self.p[:] = range(len(queue))
+        return len(queue)
 
 
 @dataclass(frozen=True, slots=True)
@@ -370,36 +368,45 @@ def _overflow(table: CosetTable, max_cosets: int, reason: str) -> EnumerationRes
 
 
 def _finish(table: CosetTable, max_cosets: int) -> EnumerationResult:
-    table.compress()
-    table.standardize()
     return EnumerationResult(
         complete=True,
-        index=len(table.p),
+        index=table.standardize(),
         cosets_defined=table.defined,
         max_cosets=max_cosets,
         table=table,
     )
 
 
-def _hlt(
-    relators: list[tuple[int, ...]],
-    subgroup_cols: list[tuple[int, ...]],
-    ngens: int,
-    max_cosets: int,
-    deadline: float | None,
+def todd_coxeter(
+    p: GroupPresentation,
+    subgroup: list[Word] | tuple[Word, ...] = (),
+    max_cosets: int = DEFAULT_MAX_COSETS,
+    deadline: float | None = None,
 ) -> EnumerationResult:
-    """HLT, with a lookahead round each time the table fills.
+    """Enumerate cosets of <subgroup> in the presented group.
 
-    The rows below alpha are complete, so HLT resumes and lookahead starts
-    there; merges keep the smaller coset, so no round needs a renumbering.
-    The enumeration gives up after a round that frees under 5% of
-    max_cosets, leaves the table full, or frees so few rows, against the
-    round before it, that the next round is predicted to free under 5%.
+    Returns Complete(index) with a standardized table, or an Overflow
+    result naming the exhausted limit.  A later retry with a larger limit
+    can only turn Overflow into Complete, never change an index.  HLT scans
+    relators whole, then defines a row's empty entries one coset each.
+    Each time the table fills, a lookahead round recovers space.  The rows
+    below the HLT cursor alpha are complete, so HLT resumes and lookahead
+    starts there; merges keep the smaller coset, so no round renumbers.
+    The limit is exhausted when a round frees under 5% of max_cosets,
+    leaves the table full, or has a yield freed * (freed / last), with last
+    the previous round's yield (max_cosets at first), predicting a next
+    round under 5%.
     """
-    table = CosetTable(ngens, max_cosets, deadline)
-    p, cols = table.p, table.cols
-    views = [table.views(r) for r in relators]
-    subgroup_views = [table.views(w) for w in subgroup_cols]
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be positive")
+    for w in subgroup:
+        if w.max_generator() >= p.ngens:
+            raise ValueError("subgroup word uses an undefined generator")
+    table = CosetTable(p.ngens, max_cosets, deadline)
+    parent, cols = table.p, table.cols
+    views = [table.views(r.cols) for r in p.relators]
+    subgroup_views = [table.views(w.cols) for w in subgroup]
+    letter_views = [table.views((x,)) for x in range(table.ncols)]
     alpha = 0
     floor = max(1, max_cosets // 20)
     last = max_cosets
@@ -408,16 +415,16 @@ def _hlt(
             try:
                 for v in subgroup_views:
                     table.scan(0, v)
-                while alpha < len(p):
-                    if p[alpha] == alpha:
+                while alpha < len(parent):
+                    if parent[alpha] == alpha:
                         for v in views:
-                            if p[alpha] != alpha:
+                            if parent[alpha] != alpha:
                                 break
                             table.scan(alpha, v)
-                        if p[alpha] == alpha:
-                            for x, col in enumerate(cols):
+                        if parent[alpha] == alpha:
+                            for col, view in zip(cols, letter_views):
                                 if col[alpha] is None:
-                                    table.define(alpha, x)
+                                    table.define(alpha, view, 0, 1)
                     alpha += 1
                 break
             except _TableFull:
@@ -432,8 +439,8 @@ def _hlt(
             # and the one test also catches a round that freed under 5%.
             # Dead rows stay put and the limit grows by them, so define and
             # freed count what they would count in a compressed table.
-            live = sum(map(eq, p, range(len(p))))
-            dead = len(p) - live
+            live = sum(map(eq, parent, range(len(parent))))
+            dead = len(parent) - live
             freed = dead - (table.limit - max_cosets)
             if freed * freed < last * floor or live >= max_cosets:
                 return _overflow(table, max_cosets, "max_cosets")
@@ -446,30 +453,3 @@ def _hlt(
     # No poll past this point: the table is complete, and a late deadline
     # must not throw it away.
     return _finish(table, max_cosets)
-
-
-def todd_coxeter(
-    p: GroupPresentation,
-    subgroup: list[Word] | tuple[Word, ...] = (),
-    max_cosets: int = DEFAULT_MAX_COSETS,
-    deadline: float | None = None,
-) -> EnumerationResult:
-    """Enumerate cosets of <subgroup> in the presented group.
-
-    Returns Complete(index) with a compressed, standardized table, or an
-    Overflow result naming the exhausted limit.  A later retry with a larger
-    limit can only turn Overflow into Complete, never change an index.
-    Relators are scanned whole (HLT) and lookahead recovers space when the
-    table fills.  The limit is exhausted when a lookahead round frees under
-    5% of max_cosets, or when its yield freed * (freed / last), with last
-    the previous round's yield (max_cosets before the first round), predicts
-    a next round under 5%.
-    """
-    if max_cosets < 1:
-        raise ValueError("max_cosets must be positive")
-    relators = [r.cols for r in p.relators]
-    subgroup_cols = [w.cols for w in subgroup]
-    for w in subgroup:
-        if w.max_generator() >= p.ngens:
-            raise ValueError("subgroup word uses an undefined generator")
-    return _hlt(relators, subgroup_cols, p.ngens, max_cosets, deadline)

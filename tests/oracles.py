@@ -315,7 +315,7 @@ def reference_scan(ct, alpha, word):
             cols[word[i]][f] = b
             cols[word[i] ^ 1][b] = f
             return
-        f = ct.define(f, word[i])
+        f = ct.define(f, ct.views(word), i, 1)
         i += 1
 
 

@@ -126,6 +126,23 @@ def test_a_spec_that_is_not_an_object_is_a_row_error():
         assert row["error"] == "surgery spec must be a JSON object"
 
 
+def test_a_raw_diagram_braid_must_be_the_braid_it_closes():
+    # The figure eight's braid beside the trefoil's crossings once certified
+    # cyclic, echoing the figure eight as the spec's knot; a non-string
+    # braid failed with "expected string or bytes-like object".
+    from rimcert.braids import resolve_knot
+    from rimcert.diagrams import braid_closure_diagram
+
+    trefoil = braid_closure_diagram(resolve_knot("3_1")).to_json()
+    braids = ["B3: 1 -2 1 -2", 5, ["B2: 1 1 1"], trefoil["braid"], None]
+    specs = [{"knot": {**trefoil, "braid": b}, "d": 2, "m": 1} for b in braids]
+    doc = run_batch({"specs": specs})
+    assert doc["summary"]["error"] == 3 and doc["summary"]["cyclic"] == 2
+    mismatch, number, listed = (row["error"] for row in doc["rows"][:3])
+    assert mismatch == "diagram field 'braid' does not close to this diagram"
+    assert number == listed == "diagram field 'braid' must be a string or null"
+
+
 @pytest.mark.parametrize("key", ["specs", "sweeps"])
 @pytest.mark.parametrize("value", ["3_1", {"knot": "3_1", "d": 2}, None])
 def test_specs_and_sweeps_must_be_arrays(key, value):

@@ -189,7 +189,7 @@ def test_a_scan_polls_the_deadline_while_it_defines():
 
 
 def test_completed_table_survives_a_passed_deadline():
-    # The compress in _finish never polls, so a table that completed just
+    # The standardize in _finish never polls, so a table that completed just
     # before its deadline still returns its index.
     r = todd_coxeter(_p(1, A**3000), [], max_cosets=10_000)
     assert r.complete
@@ -346,7 +346,7 @@ def _hlt_pass(table, relators, subgroup_cols):
                 if p[alpha] == alpha:
                     for x, col in enumerate(table.cols):
                         if col[alpha] is None:
-                            table.define(alpha, x)
+                            table.define(alpha, table.views((x,)), 0, 1)
             alpha += 1
     except _TableFull:
         return alpha
@@ -532,13 +532,51 @@ def test_compress_maps_dead_cosets_to_their_representatives():
     # coset takes the new number of that coset's representative.
     table = CosetTable(1, 100)
     for c in range(6):
-        table.define(c, 0)
+        table.define(c, table.views((0,)), 0, 1)
     table.p[5] = 3
     table.p[3] = 1
     freed, rows = _dict_renumbering(table)
     assert table.compress() == freed == 2
     assert table.rows() == rows
     assert rows[3:] == [[1, 1], [None, 1]]
+
+
+def test_one_breadth_first_pass_finishes_a_table_with_dead_rows(monkeypatch):
+    # A complete table goes to _finish uncompressed.  Its live rows name no
+    # dead coset, and one breadth-first pass from coset 0 gives the rows and
+    # index that compressing first and then standardizing gives.
+    captured = []
+    finish = enumeration._finish
+
+    def capture(table, max_cosets):
+        copy = CosetTable(table.ncols // 2, max_cosets)
+        copy.cols = [list(col) for col in table.cols]
+        copy.p = list(table.p)
+        captured.append(copy)
+        return finish(table, max_cosets)
+
+    monkeypatch.setattr(enumeration, "_finish", capture)
+    rng = random.Random(97)
+    cases = [(*_random_presentation(rng), 2000) for _ in range(60)]
+    checked = lookahead = 0
+    for p, sub, limit in cases + _full_tables(98, 100):
+        captured.clear()
+        got = todd_coxeter(p, sub, limit)
+        if not got.complete:
+            continue
+        before = captured[0]
+        live = [c for c, parent in enumerate(before.p) if parent == c]
+        if len(live) == len(before.p):
+            continue
+        dead = set(range(len(before.p))) - set(live)
+        assert not any(col[c] in dead for col in before.cols for c in live)
+        assert got.index == len(live) == len(before.p) - before.compress()
+        before.standardize()
+        assert got.table.rows() == before.rows()
+        checked += 1
+        # A table that filled up, and completed after a lookahead round.
+        lookahead += got.cosets_defined >= limit
+    assert checked > 40 and lookahead > 5
 
 
 def _restarting_hlt(p, subgroup, max_cosets):

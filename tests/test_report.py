@@ -1,6 +1,8 @@
 """Report assembly: invariant blocks, conclusions, JSON, text rendering."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -151,3 +153,57 @@ def test_report_is_a_frozen_record():
     assert isinstance(report, CertificationReport)
     with pytest.raises(AttributeError):
         report.elapsed = 0.0
+
+
+def _pinned_panel():
+    for knot in ("unknot", "3_1", "4_1", "5_1", "5_2"):
+        for d, m, n in itertools.product((2, 3), (0, 1, 2), (0, 1)):
+            yield {"knot": knot, "d": d, "m": m, "n": n}
+    for knot in ("3_1", "4_1"):
+        for d, m, n in itertools.product((2, 3), (0, 1), (0, 1)):
+            yield {"knot": knot, "d": d, "m": m, "n": n, "kind": "annulus"}
+    yield {"knot": "4_1", "d": 5, "m": 1, "n": 4}
+
+
+# sha256 of the panel's reports at the default limits, frozen from the
+# commit before cosets were defined through one routine.  The panel has
+# cyclic specs, non-cyclic ones with a group order, and one overflow at
+# 100000 cosets, so a change that moves any byte of a report shows here.
+REPORTS_DIGEST = "b1227ed95200985245101278adea2dca859f9aa7f512db913eb82c99b4f39acb"
+
+
+def test_report_bytes_are_pinned():
+    docs = [
+        certify(spec_from_json(doc), 100_000, 60).to_json(timing=False)
+        for doc in _pinned_panel()
+    ]
+    assert len(docs) == 77
+    blob = json.dumps(docs, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == REPORTS_DIGEST
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("max_cosets", True),
+        ("max_cosets", 0),
+        ("max_cosets", 1e5),
+        ("timeout", True),
+        ("timeout", 0),
+        ("timeout", -1.0),
+        ("timeout", float("nan")),
+        ("timeout", float("inf")),
+    ],
+)
+def test_library_certify_checks_its_limits(key, value):
+    # nan would never time out, inf and nan are not JSON, a bool is no
+    # count, and a float budget would be echoed as 100000.0.
+    spec = spec_from_json({"knot": "3_1", "d": 2, "m": 1})
+    with pytest.raises(ValueError, match=key):
+        certify(spec, **{key: value})
+
+
+def test_library_certify_echoes_valid_limits_unconverted():
+    spec = spec_from_json({"knot": "3_1", "d": 2, "m": 1})
+    assert certify(spec, 500, 5).limits == {"max_cosets": 500, "timeout": 5}
+    assert certify(spec, timeout=None).limits["timeout"] is None
