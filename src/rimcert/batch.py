@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 from .certify import check_limits
-from .diagrams import is_integer
+from .diagrams import check_keys, is_integer
 from .enumeration import DEFAULT_MAX_COSETS
 from .report import DEFAULT_TIMEOUT, certify
-from .surgery import KINDS, check_keys, spec_from_json
+from .surgery import KINDS, spec_from_json
 
 BATCH_SCHEMA = "rimcert.batch/1"
 
@@ -93,6 +91,9 @@ def _run_row(args: tuple[dict, int, float | None]) -> dict:
 
 def _run_isolated(job: tuple[dict, int, float | None]) -> dict:
     """Run one row in a pool of its own; a dead worker becomes a row error."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     with ProcessPoolExecutor(max_workers=1) as pool:
         try:
             return pool.submit(_run_row, job).result()
@@ -118,6 +119,11 @@ def run_batch(config: dict) -> dict:
     if parallelism == 1 or len(jobs) <= 1:
         rows = [_run_row(job) for job in jobs]
     else:
+        # The pool modules load only here and in _run_isolated, so library
+        # imports and serial batches do not pay for them.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         # map() preserves submission order, which is the config order.  A
         # worker that dies (out of memory, a signal) breaks the whole pool:
         # the rows with no result yet then run one by one, each in its own

@@ -14,14 +14,13 @@ import sys
 import click
 
 from .batch import batch_json, run_batch
-from .braids import resolve_knot
-from .diagrams import braid_closure_diagram
 from .enumeration import DEFAULT_MAX_COSETS
 from .groups import format_word
 from .report import DEFAULT_TIMEOUT, certify as certify_spec, invariant_block, render_text
 from .surgery import (
     ANNULUS,
     RIM,
+    named_diagram,
     plotnick_matrix,
     spec_from_json,
     surgery_recipe,
@@ -129,8 +128,7 @@ def explain_cmd(knot, d, m, n, kind) -> None:
 def invariants_cmd(knot, as_json) -> None:
     """Print the companion-knot invariants the reports quote."""
     try:
-        diagram = braid_closure_diagram(resolve_knot(knot))
-        block = invariant_block(diagram)
+        block = invariant_block(named_diagram(knot, RIM))
     except Exception as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_ERROR)

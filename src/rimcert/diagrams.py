@@ -26,17 +26,43 @@ def is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _json_int(doc: dict, key: str) -> int:
-    if not is_integer(doc[key]):
-        raise ValueError(f"diagram field {key!r} must be an integer")
+def check_keys(doc, allowed: tuple[str, ...], what: str) -> None:
+    """Reject a `doc` that is not a JSON object or has keys outside `allowed`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = [k for k in doc if k not in allowed]
+    if unknown:
+        raise ValueError(
+            f"unknown {what} keys {', '.join(map(repr, unknown))}; "
+            f"accepted: {', '.join(allowed)}"
+        )
+
+
+def _json_field(doc: dict, key: str):
+    if key not in doc:
+        raise ValueError(f"diagram field {key!r} is missing")
     return doc[key]
 
 
+def _json_int(doc: dict, key: str) -> int:
+    value = _json_field(doc, key)
+    if not is_integer(value):
+        raise ValueError(f"diagram field {key!r} must be an integer")
+    return value
+
+
 def _json_ints(doc: dict, key: str) -> list[int]:
-    value = doc[key]
+    value = _json_field(doc, key)
     if not isinstance(value, (list, tuple)) or not all(is_integer(v) for v in value):
         raise ValueError(f"diagram field {key!r} must be a list of integers")
     return value
+
+
+def _json_crossings(doc: dict) -> tuple[Crossing, ...]:
+    value = _json_field(doc, "crossings")
+    if not isinstance(value, (list, tuple)):
+        raise ValueError("diagram field 'crossings' must be a list of crossing objects")
+    return tuple(map(Crossing.from_json, value))
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,6 +87,7 @@ class Crossing:
     @staticmethod
     def from_json(doc: dict) -> "Crossing":
         keys = ("over", "under_in", "under_out", "sign")
+        check_keys(doc, keys, "crossing")
         return Crossing(*(_json_int(doc, k) for k in keys))
 
 
@@ -111,11 +138,12 @@ class KnotDiagram:
     def from_json(doc: dict) -> "KnotDiagram":
         from .braids import parse_braid
 
+        check_keys(doc, ("crossings", "arcs", "writhe", "braid"), "knot diagram")
         text = doc.get("braid")
         if text is not None and not isinstance(text, str):
             raise ValueError("diagram field 'braid' must be a string or null")
         diagram = KnotDiagram(
-            crossings=tuple(Crossing.from_json(c) for c in doc["crossings"]),
+            crossings=_json_crossings(doc),
             n_arcs=_json_int(doc, "arcs"),
             writhe=_json_int(doc, "writhe"),
             braid=parse_braid(text) if text else None,
@@ -192,8 +220,11 @@ class TangleDiagram:
     @staticmethod
     def from_json(doc: dict) -> "TangleDiagram":
         """Parse a tangle; boundary loops in `doc` must be the derived ones."""
+        keys = ("crossings", "arcs", "strand1", "strand2", "a1", "a2", "a3",
+                "source_writhe")
+        check_keys(doc, keys, "tangle diagram")
         t = TangleDiagram(
-            crossings=tuple(Crossing.from_json(c) for c in doc["crossings"]),
+            crossings=_json_crossings(doc),
             n_arcs=_json_int(doc, "arcs"),
             strand1=_json_ints(doc, "strand1"),
             strand2=_json_ints(doc, "strand2"),

@@ -83,8 +83,8 @@ class CosetTable:
         step forward from f is fw[i][f] and a step backward from b, which
         reads the word from its end, is bw[j][b].
         """
-        cols = self.cols
-        return tuple(cols[x] for x in word), tuple(cols[x ^ 1] for x in word)
+        col = self.cols.__getitem__
+        return tuple(map(col, word)), tuple(map(col, map((1).__xor__, word)))
 
     def _poll(self) -> None:
         """Raise _Deadline once the deadline has passed.

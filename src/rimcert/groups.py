@@ -11,8 +11,11 @@ ordering.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cmp_to_key
 from itertools import groupby
+from operator import indexOf, ne
 from typing import Iterable, Iterator, Sequence
 
 Syllable = tuple[int, int]
@@ -34,7 +37,7 @@ def _append(out: list[int], piece: Sequence[int]) -> None:
 
 
 def _inverse(w: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x ^ 1 for x in reversed(w))
+    return tuple(map((1).__xor__, reversed(w)))
 
 
 def _cyclically_reduce(w: tuple[int, ...]) -> tuple[int, ...]:
@@ -156,8 +159,38 @@ def commutator(a: Word, b: Word) -> Word:
     return a.inverse() * b.inverse() * a * b
 
 
+def _compare_equal_length(a: Word, b: Word) -> int:
+    """Order two relators of one length as their syllables order them.
+
+    The words agree before their first differing letter, and so do their
+    syllables, up to the run of the letter just before it.  If one word
+    repeats that letter, its run is the longer one, so its exponent is the
+    larger for a generator and the smaller for an inverse.  Otherwise both
+    start a syllable there, and the lower generator comes first, or for
+    one generator the negative exponent: the order of the letters with
+    their last bit flipped.  Equal lengths rule out a proper prefix.
+    """
+    x, y = a.cols, b.cols
+    if x == y:
+        return 0
+    i = indexOf(map(ne, x, y), True)
+    prev = x[i - 1] if i else -1
+    if x[i] == prev or y[i] == prev:
+        a_longer = 1 if x[i] == prev else -1
+        return -a_longer if prev & 1 else a_longer
+    return -1 if x[i] ^ 1 < y[i] ^ 1 else 1
+
+
+_by_letters = cmp_to_key(_compare_equal_length)
+
+
 def _relator_sort_key(w: Word) -> tuple:
-    return (w.length(), w.syllables)
+    """The (length, syllables) order, with no syllables built.
+
+    A tuple comparison reaches the second items only when the lengths are
+    equal, so only relators of one length reach _compare_equal_length.
+    """
+    return (w.length(), _by_letters(w))
 
 
 def default_generator_names(ngens: int) -> tuple[str, ...]:
@@ -258,8 +291,8 @@ def cyclic_normal_form(w: Word) -> tuple[int, ...]:
 def _letter_counts(w: Word) -> tuple[tuple[int, int], ...]:
     """Letters per generator, which rotation and inversion both keep."""
     counts: dict[int, int] = {}
-    for c in w.cols:
-        counts[c >> 1] = counts.get(c >> 1, 0) + 1
+    for c, k in Counter(w.cols).items():
+        counts[c >> 1] = counts.get(c >> 1, 0) + k
     return tuple(sorted(counts.items()))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .braids import resolve_knot
 from .diagrams import (
@@ -19,6 +20,7 @@ from .diagrams import (
     TangleDiagram,
     band_double,
     braid_closure_diagram,
+    check_keys,
     is_integer,
 )
 from .groups import GroupPresentation, Word, commutator, quotient
@@ -124,16 +126,19 @@ class SurgerySpec:
         }
 
 
-def check_keys(doc, allowed: tuple[str, ...], what: str) -> None:
-    """Reject a `doc` that is not a JSON object or has keys outside `allowed`."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    unknown = [k for k in doc if k not in allowed]
-    if unknown:
-        raise ValueError(
-            f"unknown {what} keys {', '.join(map(repr, unknown))}; "
-            f"accepted: {', '.join(allowed)}"
-        )
+@lru_cache(maxsize=64)
+def named_diagram(text: str, kind: str) -> KnotDiagram | TangleDiagram:
+    """The diagram that a knot name or braid literal gives a `kind` spec.
+
+    The braid closure for rim, and its band double for annulus.  A sweep
+    names a few companions over many specs, so each (text, kind) is
+    resolved, closed and checked once per process; diagrams are frozen, so
+    the specs share them.  A name that does not resolve raises every time:
+    lru_cache keeps no exceptions.
+    """
+    if kind == ANNULUS:
+        return band_double(named_diagram(text, RIM), 0)
+    return braid_closure_diagram(resolve_knot(text))
 
 
 def spec_from_json(doc: dict) -> SurgerySpec:
@@ -152,9 +157,9 @@ def spec_from_json(doc: dict) -> SurgerySpec:
     source = None
     if isinstance(knot, str):
         source = knot
-        braid = resolve_knot(knot)
-        diagram = braid_closure_diagram(braid)
-        knot = band_double(diagram, 0) if kind == ANNULUS else diagram
+        # Any kind but annulus builds the rim diagram, and SurgerySpec then
+        # rejects a kind it does not know.
+        knot = named_diagram(knot, ANNULUS if kind == ANNULUS else RIM)
     elif isinstance(knot, dict):
         loader = TangleDiagram if kind == ANNULUS else KnotDiagram
         knot = loader.from_json(knot)

@@ -4,10 +4,16 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rimcert
 from rimcert import batch, batch_json, expand_config, run_batch
+from rimcert.braids import resolve_knot
+from rimcert.diagrams import band_double, braid_closure_diagram
 from rimcert.batch import expand_sweep
 from rimcert.surgery import spec_from_json
 
@@ -141,6 +147,74 @@ def test_a_raw_diagram_braid_must_be_the_braid_it_closes():
     mismatch, number, listed = (row["error"] for row in doc["rows"][:3])
     assert mismatch == "diagram field 'braid' does not close to this diagram"
     assert number == listed == "diagram field 'braid' must be a string or null"
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+_TREFOIL = braid_closure_diagram(resolve_knot("3_1"))
+_KNOT = _TREFOIL.to_json()
+_TANGLE = band_double(_TREFOIL, 0).to_json()
+
+
+@pytest.mark.parametrize(
+    "kind, knot, error",
+    [
+        pytest.param("rim", {**_KNOT, "crossings": 5},
+                     "diagram field 'crossings' must be a list of crossing objects",
+                     id="crossings-number"),
+        pytest.param("rim", {**_KNOT, "crossings": [list(c.values()) for c in _KNOT["crossings"]]},
+                     "crossing must be a JSON object", id="crossing-list"),
+        pytest.param("rim", _without(_KNOT, "arcs"), "diagram field 'arcs' is missing",
+                     id="missing-arcs"),
+        pytest.param("rim", {**_KNOT, "extra": 1},
+                     "unknown knot diagram keys 'extra'; "
+                     "accepted: crossings, arcs, writhe, braid", id="knot-extra"),
+        pytest.param("rim", {**_KNOT, "crossings": [{**_KNOT["crossings"][0], "x": 1}]},
+                     "unknown crossing keys 'x'; accepted: over, under_in, under_out, sign",
+                     id="crossing-extra"),
+        pytest.param("rim", {**_KNOT, "crossings": [_without(_KNOT["crossings"][0], "sign")]},
+                     "diagram field 'sign' is missing", id="crossing-missing-sign"),
+        pytest.param("annulus", {**_TANGLE, "crossings": {}},
+                     "diagram field 'crossings' must be a list of crossing objects",
+                     id="tangle-crossings-object"),
+        pytest.param("annulus", _without(_TANGLE, "strand2"),
+                     "diagram field 'strand2' is missing", id="tangle-missing-strand"),
+        pytest.param("annulus", {**_TANGLE, "writhe": 0},
+                     "unknown tangle diagram keys 'writhe'; accepted: crossings, arcs, "
+                     "strand1, strand2, a1, a2, a3, source_writhe", id="tangle-extra"),
+    ],
+)
+def test_a_malformed_raw_diagram_is_a_row_error_naming_the_field(kind, knot, error):
+    spec = {"knot": knot, "d": 2, "m": 1, "kind": kind}
+    doc = run_batch({"specs": [spec, {"knot": "3_1", "d": 2, "m": 1, "kind": kind}]})
+    bad, good = doc["rows"]
+    assert bad == {"schema": "rimcert.batch/1", "spec": spec, "error": error}
+    assert good["verdict"]["status"] == "cyclic"
+
+
+def test_the_process_pool_loads_only_for_a_parallel_batch(tmp_path):
+    # Importing the package and its CLI, and a serial batch, leave the
+    # multiprocessing modules unloaded; a fresh interpreter shows it.
+    src = str(Path(rimcert.__file__).parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    code = (
+        "import sys, rimcert, rimcert.cli\n"
+        "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+        "print([m for m in pool if m in sys.modules])\n"
+        "rimcert.run_batch({'specs': [{'knot': '3_1', 'd': 2}] * 2})\n"
+        "print([m for m in pool if m in sys.modules])\n"
+        "rimcert.run_batch({'specs': [{'knot': '3_1', 'd': 2}] * 2, 'parallelism': 2})\n"
+        "print([m for m in pool if m in sys.modules])\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=env, cwd=tmp_path, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == [
+        "[]", "[]", "['multiprocessing', 'concurrent.futures.process']",
+    ]
 
 
 @pytest.mark.parametrize("key", ["specs", "sweeps"])

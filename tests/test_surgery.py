@@ -12,8 +12,10 @@ from rimcert.diagrams import band_double, braid_closure_diagram
 from rimcert.enumeration import todd_coxeter
 from rimcert.groups import GroupPresentation, Word
 from rimcert.invariants import tangle_wirtinger, wirtinger
+from rimcert.report import companion_diagram
 from rimcert.surgery import (
     SurgerySpec,
+    named_diagram,
     plotnick_matrix,
     spec_from_json,
     surgered_group,
@@ -95,6 +97,30 @@ def test_spec_round_trips_raw_diagrams():
 
 
 # -- surgered groups -----------------------------------------------------------
+
+
+def test_named_companions_are_built_once_per_process():
+    rim = [_rim_spec("5_2", d, m=1, n=n) for d, n in ((3, 1), (5, 2))]
+    annulus = [spec_from_json({"knot": "5_2", "d": d, "kind": "annulus"}) for d in (3, 4)]
+    assert rim[0].knot is rim[1].knot
+    assert annulus[0].knot is annulus[1].knot
+    assert annulus[0].knot == band_double(rim[0].knot, 0)
+    # The report's closed companion of an annulus spec is the rim diagram.
+    assert companion_diagram(annulus[0]) is rim[0].knot
+    # A braid literal is keyed by its text, and builds the same diagram.
+    literal = _rim_spec("B3: 1 1 1 2 -1 2", 3)
+    assert literal.knot == rim[0].knot
+    assert literal.knot is named_diagram("B3: 1 1 1 2 -1 2", "rim")
+    # Raw diagrams are parsed afresh.
+    raw = spec_from_json({"knot": rim[0].knot.to_json(), "d": 3})
+    assert raw.knot == rim[0].knot and raw.knot is not rim[0].knot
+    # A name that does not resolve is never cached: it raises every time.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no_such_knot"):
+            spec_from_json({"knot": "no_such_knot", "d": 2})
+    # An unknown kind is rejected by the spec, not keyed.
+    with pytest.raises(ValueError, match="kind must be one of"):
+        spec_from_json({"knot": "5_2", "d": 2, "kind": ["annulus"]})
 
 
 def test_conjugator_word():

@@ -1,5 +1,6 @@
 """Property tests: Word against letter-by-letter and syllable free reduction,
-and relator_matrix against exponent_sum."""
+relator_matrix against exponent_sum, and the relator order against
+syllable keys."""
 
 import pytest
 
@@ -8,7 +9,7 @@ from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from rimcert.abelian import relator_matrix  # noqa: E402
-from rimcert.groups import GroupPresentation, Word  # noqa: E402
+from rimcert.groups import GroupPresentation, Word, _relator_sort_key  # noqa: E402
 
 from oracles import _cyclic_reduce, _free_reduce, _word_inverse  # noqa: E402
 
@@ -73,3 +74,32 @@ def test_relator_matrix_matches_the_exponent_sums(relators, extra):
     assert relator_matrix(p) == [
         [r.exponent_sum(g) for g in range(p.ngens)] for r in p.relators
     ]
+
+
+# Two generators and a few high powers, so that many words share a length,
+# and a list of words with their reverses and inverses, which share it too.
+ORDER_WORDS = st.lists(
+    st.lists(
+        st.tuples(st.integers(0, 1), st.sampled_from([-9, -8, -3, -2, -1, 1, 2, 3, 8, 9])),
+        min_size=1, max_size=4,
+    ),
+    max_size=10,
+)
+
+
+def _syllable_order(words):
+    return sorted(words, key=lambda w: (w.length(), w.syllables))
+
+
+@given(ORDER_WORDS)
+@example([[(0, 3), (1, 1)], [(0, 2), (1, 2)], [(0, -3), (1, 1)], [(0, -2), (1, 2)],
+          [(0, 1), (1, 3)], [(1, 3), (0, 1)], [(0, 4)], [(0, -4)], [(1, -4)]])
+@example([[(0, 9), (1, -8)], [(0, 9), (1, 8)], [(0, 8), (1, -9)], [(0, -9), (1, 8)]])
+def test_relators_sort_as_their_syllables_order_them(syllables):
+    words = [Word(s) for s in syllables]
+    words += [Word(s[::-1]) for s in syllables] + [w.inverse() for w in words]
+    assert sorted(words, key=_relator_sort_key) == _syllable_order(words)
+    # The constructor sorts the cyclically reduced relators the same way.
+    reduced = [w.cyclically_reduced() for w in words]
+    p = GroupPresentation(2, tuple(words))
+    assert list(p.relators) == _syllable_order([w for w in reduced if w.cols])
