@@ -8,6 +8,7 @@ plausible.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .groups import GroupPresentation
@@ -144,14 +145,14 @@ class AbelianInvariants:
 def relator_matrix(p: GroupPresentation) -> Matrix:
     """Exponent-sum matrix: rows index relators, columns index generators.
 
-    One pass over each relator's letters: letter c is generator c >> 1,
-    with exponent -1 when c is odd.
+    Each relator's letters are counted at C level: letter c is generator
+    c >> 1, with exponent -1 when c is odd.
     """
     mat = []
     for r in p.relators:
         row = [0] * p.ngens
-        for c in r.cols:
-            row[c >> 1] += 1 - 2 * (c & 1)
+        for c, k in Counter(r.cols).items():
+            row[c >> 1] += -k if c & 1 else k
         mat.append(row)
     return mat
 

@@ -35,21 +35,17 @@ class BraidWord:
     def writhe(self) -> int:
         return sum(1 if l > 0 else -1 for l in self.letters)
 
-    def closure_permutation(self) -> list[int]:
-        """0-based map: top position -> bottom position."""
+    def closure_components(self) -> int:
+        """The cycles of the braid's strand permutation.
+
+        perm[b] is the top position of the strand that ends at bottom
+        position b.  That is the inverse of the map from tops to bottoms,
+        and a permutation has the same cycles as its inverse.
+        """
         perm = list(range(self.strands))
         for l in self.letters:
             i = abs(l) - 1
             perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        # perm as computed tracks which top strand occupies each bottom slot;
-        # invert to map tops to bottoms.
-        out = [0] * self.strands
-        for bottom, top in enumerate(perm):
-            out[top] = bottom
-        return out
-
-    def closure_components(self) -> int:
-        perm = self.closure_permutation()
         seen = [False] * self.strands
         cycles = 0
         for s in range(self.strands):

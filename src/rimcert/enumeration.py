@@ -16,12 +16,13 @@ CosetTable.define is the one place cosets are defined: a chain of them
 along a view, appended to every column by one list extension.  HLT fills
 the gap its two walks leave in a relator with one chain, and a row's empty
 entries with chains of one; on decided specs nearly all of these cosets
-die in coincidences.  A complete table is renumbered once, breadth-first
-from coset 0, which skips its dead rows.  Lookahead reads a relator's
-first forward and last backward entry at a coset before it scans: a scan
-of two or more letters that can step neither way does nothing, and about a
-sixth of the lookahead scans of an overflowing enumeration are skipped
-that way.
+die in coincidences.  No row is removed before the table is complete, so
+the cosets defined are the table's length.  A complete table is
+renumbered once, breadth-first from coset 0, which skips its dead rows.
+Lookahead reads a relator's first forward and last backward entry at a
+coset before it scans: a scan of two or more letters that can step
+neither way does nothing, and about a sixth of the lookahead scans of an
+overflowing enumeration are skipped that way.
 """
 
 from __future__ import annotations
@@ -49,14 +50,14 @@ class CosetTable:
     Columns alternate generator and inverse, so letter x ^ 1 is the inverse
     of letter x.  A definition appends one entry to every column.  Columns
     are never replaced, only rebuilt in place, so the views of a relator
-    (see views) stay valid for the whole enumeration.
+    (see views) stay valid for the whole enumeration.  Dead cosets keep
+    their rows until standardize, so len(p) is the number of cosets defined.
     """
 
     __slots__ = (
         "ncols",
         "cols",
         "p",
-        "defined",
         "limit",
         "deadline",
     )
@@ -65,7 +66,6 @@ class CosetTable:
         self.ncols = 2 * ngens
         self.cols: list[list[int | None]] = [[None] for _ in range(self.ncols)]
         self.p: list[int] = [0]
-        self.defined = 1
         self.limit = limit
         self.deadline = deadline
 
@@ -108,18 +108,16 @@ class CosetTable:
         room = self.limit - len(p)
         stop = i + min(n, room)
         while i < stop:
-            defined = self.defined
-            if defined & 1023 == 0:
-                self._poll()
-            k = min(stop - i, 1024 - (defined & 1023))
             beta = len(p)
+            if beta & 1023 == 0:
+                self._poll()
+            k = min(stop - i, 1024 - (beta & 1023))
             # p and the columns share the new coset numbers' int objects.
             chain = list(range(beta, beta + k))
             pad = [None] * k
             for col in cols:
                 col += pad
             p += chain
-            self.defined = defined + k
             for beta in chain:
                 fw[i][f] = beta
                 bw[i][beta] = f
@@ -135,8 +133,8 @@ class CosetTable:
         Each merge keeps the smaller representative and queues the larger
         one, whose entries are then folded into its representative's.
         Finding a representative walks the parent list without compressing
-        it: only the parents of dead cosets would differ, and only compress
-        reads those, needing no more than that each is below its child.
+        it: compressing would change only the parents of dead cosets, and
+        every walk reaches the same representative either way.
         """
         p = self.p
         while p[alpha] != alpha:
@@ -288,29 +286,6 @@ class CosetTable:
                     fw[i][f] = b
                     bw[i][b] = f
 
-    def compress(self) -> int:
-        """Renumber the live cosets 0..n-1 and return how many were freed.
-
-        A dead coset's parent is always a smaller coset (merges keep the
-        smaller number), so one ascending pass maps every coset, dead or
-        alive, to the new number of its representative.  The enumeration
-        does not call it, as standardize drops dead rows itself; it serves
-        a round loop that restarts HLT from coset 0, as a test oracle does.
-        """
-        p = self.p
-        new = [0] * len(p)
-        live: list[int] = []
-        for c, parent in enumerate(p):
-            if parent == c:
-                new[c] = len(live)
-                live.append(c)
-            else:
-                new[c] = new[parent]
-        for col in self.cols:
-            col[:] = [None if v is None else new[v] for v in map(col.__getitem__, live)]
-        p[:] = range(len(live))
-        return len(new) - len(live)
-
     def standardize(self) -> int:
         """Renumber breadth-first from coset 0; return how many cosets remain.
 
@@ -340,12 +315,15 @@ class CosetTable:
 
 @dataclass(frozen=True, slots=True)
 class EnumerationResult:
-    complete: bool
-    index: int | None
+    index: int | None  # None when incomplete
     cosets_defined: int
     max_cosets: int
     reason: str | None = None  # "max_cosets" | "timeout" when incomplete
     table: CosetTable | None = None
+
+    @property
+    def complete(self) -> bool:
+        return self.index is not None
 
     def stats(self) -> dict:
         return {
@@ -359,19 +337,18 @@ class EnumerationResult:
 
 def _overflow(table: CosetTable, max_cosets: int, reason: str) -> EnumerationResult:
     return EnumerationResult(
-        complete=False,
         index=None,
-        cosets_defined=table.defined,
+        cosets_defined=len(table.p),
         max_cosets=max_cosets,
         reason=reason,
     )
 
 
 def _finish(table: CosetTable, max_cosets: int) -> EnumerationResult:
+    defined = len(table.p)  # standardize drops the dead rows
     return EnumerationResult(
-        complete=True,
         index=table.standardize(),
-        cosets_defined=table.defined,
+        cosets_defined=defined,
         max_cosets=max_cosets,
         table=table,
     )
@@ -437,8 +414,8 @@ def todd_coxeter(
             # is under 5% too, rather than pay for a round that would fail.
             # A round that passed freed at least floor rows, so last >= floor
             # and the one test also catches a round that freed under 5%.
-            # Dead rows stay put and the limit grows by them, so define and
-            # freed count what they would count in a compressed table.
+            # Dead rows stay put and the limit grows by them, so the room
+            # define sees and freed are what a table without them would give.
             live = sum(map(eq, parent, range(len(parent))))
             dead = len(parent) - live
             freed = dead - (table.limit - max_cosets)

@@ -213,15 +213,12 @@ class GroupPresentation:
     relators: tuple[Word, ...] = ()
     meridian: Word | None = None
     longitude: Word | None = None
-    gen_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.ngens < 0:
             raise ValueError("generator count must be nonnegative")
         rels = []
         for r in self.relators:
-            if not isinstance(r, Word):
-                r = Word(tuple(r))
             if r.max_generator() >= self.ngens:
                 raise ValueError(
                     f"relator {r} uses a generator outside x0..x{self.ngens - 1}"
@@ -234,14 +231,9 @@ class GroupPresentation:
         for name, w in (("meridian", self.meridian), ("longitude", self.longitude)):
             if w is not None and w.max_generator() >= self.ngens:
                 raise ValueError(f"{name} word uses an undefined generator")
-        if self.gen_names is not None:
-            names = tuple(self.gen_names)
-            if len(names) != self.ngens:
-                raise ValueError("gen_names length must equal ngens")
-            object.__setattr__(self, "gen_names", names)
 
     def names(self) -> tuple[str, ...]:
-        return self.gen_names or default_generator_names(self.ngens)
+        return default_generator_names(self.ngens)
 
     def total_relator_length(self) -> int:
         return sum(r.length() for r in self.relators)
@@ -399,7 +391,7 @@ def collapse_presentation(
 
     Generators keep their input numbers while others are eliminated.  The
     survivors are renumbered once at the end, in their input order, in
-    relators, peripheral words and names alike; Words are built only
+    relators and peripheral words alike; Words are built only
     then, and duplicate relators (up to rotation and inversion) are
     dropped at the same point.
 
@@ -455,13 +447,11 @@ def collapse_presentation(
     def word(w: tuple[int, ...]) -> Word:
         return Word._of(tuple(map(colmap.__getitem__, w)))
 
-    names = p.names()
     return GroupPresentation(
         ngens=len(live),
         relators=tuple(dedupe_relators(word(r) for r in relators)),
         meridian=None if meridian is None else word(meridian),
         longitude=None if longitude is None else word(longitude),
-        gen_names=tuple(names[g] for g in live),
     )
 
 

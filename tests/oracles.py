@@ -6,7 +6,8 @@ quadratic form over a symplectic basis, determinants from fraction-free
 elimination, matrix products from a plain triple loop, coset-table
 lookahead from a plain scan of its own on a row-major table of its own,
 relator scans from a walk that defines one coset per step,
-coincidence from a union-find of its own, generator collapse from
+coincidence from a union-find of its own, the restarting round loop's
+renumbering from one ascending pass over the parents, generator collapse from
 syllable arithmetic on plain tuples, and the rim-surgered group from the
 braid's Artin action on such tuples, with no diagram.  Frozen expected values in the tests
 were produced by these routines, not by the code under test.
@@ -367,11 +368,37 @@ def reference_coincidence(ct, alpha, beta):
                 table[nu][x ^ 1] = mu
 
 
+# Renumbering, as the enumerator's round loop first ran it before restarting
+# HLT at coset 0.  It works on a coset table's columns (``cols`` and ``p``).
+
+
+def compress(ct):
+    """Renumber the live cosets 0..n-1 and return how many were freed.
+
+    A dead coset's parent is always a smaller coset (merges keep the
+    smaller number), so one ascending pass maps every coset, dead or
+    alive, to the new number of its representative.
+    """
+    p = ct.p
+    new = [0] * len(p)
+    live = []
+    for c, parent in enumerate(p):
+        if parent == c:
+            new[c] = len(live)
+            live.append(c)
+        else:
+            new[c] = new[parent]
+    for col in ct.cols:
+        col[:] = [None if v is None else new[v] for v in map(col.__getitem__, live)]
+    p[:] = range(len(live))
+    return len(new) - len(live)
+
+
 # Generator collapse, as it first ran on syllables.  Words are tuples of
 # (generator, nonzero exponent) syllables; relators come in as a
 # presentation holds them (cyclically reduced, shortest first).  The result
-# is (ngens, relators, meridian, longitude, names), with the relators sorted
-# the way a presentation sorts them.
+# is (ngens, relators, meridian, longitude), with the relators sorted the
+# way a presentation sorts them.
 
 
 def _free_reduce(syllables):
@@ -454,9 +481,7 @@ def _solve_for(r, gen):
     return _word_inverse(rest) if letters[pos][1] > 0 else rest
 
 
-def reference_collapse(
-    ngens, relators, meridian, longitude, names, protect=(), cap=4096
-):
+def reference_collapse(ngens, relators, meridian, longitude, protect=(), cap=4096):
     relators = list(relators)
     live = list(range(ngens))
     while len(live) > 1:
@@ -504,7 +529,6 @@ def reference_collapse(
         tuple(kept),
         renumber(meridian),
         renumber(longitude),
-        tuple(names[g] for g in live),
     )
 
 

@@ -44,14 +44,11 @@ def conjugation_presentations(draw):
     rels += draw(st.lists(_words(ngens, 1, 8), max_size=2))
     meridian = draw(st.one_of(st.just(Word.gen(0)), _words(ngens), st.none()))
     longitude = draw(st.one_of(_words(ngens, 0, 8), st.none()))
-    named = draw(st.booleans())
-    names = tuple(f"n{i}" for i in range(ngens)) if named else None
     return GroupPresentation(
         ngens=ngens,
         relators=tuple(rels),
         meridian=meridian,
         longitude=longitude,
-        gen_names=names,
     )
 
 
@@ -69,7 +66,6 @@ def test_collapse_matches_the_syllable_oracle(p, protect):
             tuple(r.syllables for r in p.relators),
             _syllables(p.meridian),
             _syllables(p.longitude),
-            p.names(),
             protect=prot,
         )
         got = (
@@ -77,7 +73,6 @@ def test_collapse_matches_the_syllable_oracle(p, protect):
             tuple(r.syllables for r in q.relators),
             _syllables(q.meridian),
             _syllables(q.longitude),
-            q.names(),
         )
         assert got == expected
 

@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from rimcert.groups import GroupPresentation, Word, commutator
 from covers import EnumerationOverflow, reidemeister_schreier
 from oracles import (
     RowTable,
+    compress,
     reference_coincidence,
     reference_lookahead,
     reference_scan,
@@ -268,7 +270,6 @@ def test_chain_scan_matches_one_definition_at_a_time(monkeypatch):
         assert chain.stats() == ref.stats()
         assert table.rows() == ref_table.rows()
         assert table.p == ref_table.p
-        assert table.defined == ref_table.defined
         complete += chain.complete
         # A lookahead round that goes on raises the limit by the dead rows.
         filled += not chain.complete or table.limit > limit
@@ -284,7 +285,7 @@ def test_a_definition_that_the_backward_walk_reads_is_made_alone():
     table, ref = CosetTable(2, 100), CosetTable(2, 100)
     table.scan(0, table.views(word))
     reference_scan(ref, 0, word)
-    assert table.defined == ref.defined == 2
+    assert len(table.p) == len(ref.p) == 2
     assert table.rows() == ref.rows() == [[1, None, None, None], [None, 0, 1, 1]]
 
 
@@ -306,7 +307,7 @@ def test_a_chain_stops_at_the_limit():
         table, ref = CosetTable(1, limit), CosetTable(1, limit)
         full = _full(table.scan, 0, table.views(word))
         assert full == _full(reference_scan, ref, 0, word) == (limit < 50)
-        assert table.defined == ref.defined == limit
+        assert len(table.p) == len(ref.p) == limit
         assert table.rows() == ref.rows()
         assert table.p == ref.p
 
@@ -322,7 +323,7 @@ def test_a_chain_shares_each_coset_number_between_p_and_the_columns():
     assert all(table.cols[0][c - 1] is table.p[c] for c in range(1, 600))
 
 
-# -- lookahead and compress do the same work as the plain loops ---------------
+# -- lookahead and the round loop do the same work as the plain loops ---------
 
 
 def _hlt_pass(table, relators, subgroup_cols):
@@ -496,51 +497,6 @@ def test_lookahead_matches_the_reference_loop_on_a_sweep_spec():
     assert table.p == reference.p
 
 
-def _dict_renumbering(table):
-    """Freed count and rows of compress, renumbered through a dict."""
-    p = list(table.p)
-
-    def rep(c):
-        while p[c] != c:
-            c = p[c]
-        return c
-
-    live = [c for c in range(len(p)) if rep(c) == c]
-    idx = {c: i for i, c in enumerate(live)}
-    before = table.rows()
-    rows = [[None if v is None else idx[rep(v)] for v in before[c]] for c in live]
-    return len(p) - len(live), rows
-
-
-def test_compress_matches_a_dict_renumbering():
-    checked = 0
-    for p, sub, limit in _full_tables(73, 60):
-        table, relators, cursor = _full_table(p, sub, limit)
-        _lookahead(table, relators, cursor)
-        freed, rows = _dict_renumbering(table)
-        if not freed:
-            continue
-        assert table.compress() == freed
-        assert table.rows() == rows
-        assert table.p == list(range(len(rows)))
-        checked += 1
-    assert checked > 10
-
-
-def test_compress_maps_dead_cosets_to_their_representatives():
-    # Merges whose rows are not yet rerouted: an entry that points at a dead
-    # coset takes the new number of that coset's representative.
-    table = CosetTable(1, 100)
-    for c in range(6):
-        table.define(c, table.views((0,)), 0, 1)
-    table.p[5] = 3
-    table.p[3] = 1
-    freed, rows = _dict_renumbering(table)
-    assert table.compress() == freed == 2
-    assert table.rows() == rows
-    assert rows[3:] == [[1, 1], [None, 1]]
-
-
 def test_one_breadth_first_pass_finishes_a_table_with_dead_rows(monkeypatch):
     # A complete table goes to _finish uncompressed.  Its live rows name no
     # dead coset, and one breadth-first pass from coset 0 gives the rows and
@@ -570,7 +526,7 @@ def test_one_breadth_first_pass_finishes_a_table_with_dead_rows(monkeypatch):
             continue
         dead = set(range(len(before.p))) - set(live)
         assert not any(col[c] in dead for col in before.cols for c in live)
-        assert got.index == len(live) == len(before.p) - before.compress()
+        assert got.index == len(live) == len(before.p) - compress(before)
         before.standardize()
         assert got.table.rows() == before.rows()
         checked += 1
@@ -587,14 +543,15 @@ def _restarting_hlt(p, subgroup, max_cosets):
     Lookahead is the reference pass over every coset, run on a row-major
     copy whose rows and parents are then copied back.  The give-up rule is
     todd_coxeter's: a round that frees under 5% of the budget, or whose
-    yield predicts a next round under 5%, ends the enumeration.
+    yield predicts a next round under 5%, ends the enumeration.  The cosets
+    defined are the table's length plus the rows the renumberings freed.
     """
     relators = [r.cols for r in p.relators]
     subgroup_cols = [w.cols for w in subgroup]
     table = CosetTable(p.ngens, max_cosets)
     floor = max(1, max_cosets // 20)
     last = max_cosets
-    rounds = 0
+    rounds = freed_rows = 0
     while _hlt_pass(table, relators, subgroup_cols) is not None:
         rounds += 1
         reference = _mirror(table)
@@ -606,12 +563,13 @@ def _restarting_hlt(p, subgroup, max_cosets):
         freed = len(table.p) - live
         if freed < floor or freed * freed < last * floor or live >= max_cosets:
             overflow = EnumerationResult(
-                False, None, table.defined, max_cosets, "max_cosets"
+                None, len(table.p) + freed_rows, max_cosets, "max_cosets"
             )
             return overflow, rounds
         last = freed
-        table.compress()
-    return _finish(table, max_cosets), rounds
+        freed_rows += compress(table)
+    result = _finish(table, max_cosets)
+    return replace(result, cosets_defined=result.cosets_defined + freed_rows), rounds
 
 
 def test_round_loop_matches_the_restarting_loop():
@@ -652,7 +610,7 @@ def test_overflowing_meridian_enumerations_define_the_same_cosets(
     knot, d, n, cosets_defined
 ):
     # The counters of two sweep specs that overflow at the default limit,
-    # pinned so that faster lookahead or compress cannot change the work.
+    # pinned so that faster lookahead or coincidence cannot change the work.
     # 5_2 gives up after its second lookahead round, whose yield predicts a
     # third under 5% of the table; 4_1 gives up after its first.
     q = _collapsed_sweep_spec(knot, d, n)

@@ -204,7 +204,7 @@ def test_collapse_stops_at_the_relator_length_cap(k, ngens):
     p = GroupPresentation(ngens=4, relators=rels, meridian=a)
     q = collapse_presentation(p)
     assert 4 * 1024 == MAX_RELATOR_LENGTH
-    assert q.gen_names == ("a", "b", "c")[:ngens]
+    assert q.ngens == ngens
     assert max(r.length() for r in q.relators) <= MAX_RELATOR_LENGTH
     before, after = abelian_invariants(p), abelian_invariants(q)
     assert (before.free_rank, before.torsion) == (after.free_rank, after.torsion)
@@ -274,7 +274,7 @@ def test_collapse_moves_a_merged_end_syllable_to_the_front():
         ngens=3, relators=(x.inverse() * a**2, x * b * a**-3), meridian=x
     )
     q = collapse_presentation(p, protect=(0, 1))
-    assert q.gen_names == ("a", "b")
+    assert q.ngens == 2
     assert q.relators == (a.inverse() * b,)
     assert q.meridian == a**2
 
@@ -291,12 +291,11 @@ def test_collapse_keeps_the_presentation_when_the_cap_is_hit_mid_elimination():
     )
     q = collapse_presentation(p)
     b, x, y = (Word.gen(i) for i in range(3))
-    assert q.gen_names == ("b", "c", "d")
     assert q.relators == (x**2, x**3, x.inverse() * (y * b.inverse()) ** 700)
     assert q.meridian == y
     expected = reference_collapse(
         p.ngens, tuple(r.syllables for r in p.relators), p.meridian.syllables,
-        None, p.names(),
+        None,
     )
     assert expected == (3, tuple(r.syllables for r in q.relators),
-                        q.meridian.syllables, None, q.gen_names)
+                        q.meridian.syllables, None)

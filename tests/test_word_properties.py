@@ -68,8 +68,8 @@ def test_word_operations_match_the_syllable_oracles(s, t, k):
 @given(st.lists(SYLLABLES, max_size=5), st.integers(0, 2))
 @example([[(0, 2), (2, -3), (0, 1)], [(1, -1)]], 1)
 def test_relator_matrix_matches_the_exponent_sums(relators, extra):
-    # One pass per relator gives the row that exponent_sum gives generator
-    # by generator; generators no relator uses get zero columns.
+    # A letter count per relator gives the row that exponent_sum gives
+    # generator by generator; generators no relator uses get zero columns.
     p = GroupPresentation(3 + extra, tuple(Word(s) for s in relators))
     assert relator_matrix(p) == [
         [r.exponent_sum(g) for g in range(p.ngens)] for r in p.relators
