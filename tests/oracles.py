@@ -5,12 +5,13 @@ matrices via det(V^T - t V), the Arf invariant from the mod-2 Seifert
 quadratic form over a symplectic basis, determinants from fraction-free
 elimination, matrix products from a plain triple loop, coset-table
 lookahead from a plain scan of its own on a row-major table of its own,
-relator scans from a walk that defines one coset per step,
-coincidence from a union-find of its own, the restarting round loop's
-renumbering from one ascending pass over the parents, generator collapse from
+relator scans from a walk that defines one coset per step, coincidence
+from a union-find of its own, the restarting round loop's renumbering
+from one ascending pass over the parents, generator collapse from
 syllable arithmetic on plain tuples, and the rim-surgered group from the
-braid's Artin action on such tuples, with no diagram.  Frozen expected values in the tests
-were produced by these routines, not by the code under test.
+braid's Artin action on such tuples, with no diagram.  Frozen expected
+values in the tests were produced by these routines, not by the code
+under test.
 """
 
 # Polynomials are plain coefficient lists, index = exponent.
