@@ -1,5 +1,7 @@
 """``python -m rimcert``: the same commands as the ``rimcert`` script."""
 
+import sys
+
 from .cli import main
 
-main()
+sys.exit(main())

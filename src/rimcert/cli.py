@@ -1,17 +1,17 @@
-"""Command-line interface: certify, batch, explain, invariants.
+"""Command-line interface on argparse: certify, batch, explain, invariants.
 
-Exit codes for `certify`: 0 when the verdict is certified (cyclic or
-non-cyclic), 2 when inconclusive, 1 on error.  Limits come from flags or
-the RIMCERT_MAX_COSETS / RIMCERT_TIMEOUT environment variables.
+Exit codes: 0 on success (a cyclic or non-cyclic verdict is certified), 2 for an
+inconclusive verdict, 1 on any error, usage errors included.  Flags are never abbreviated.
+Limits come from flags or, read when `main` runs, RIMCERT_MAX_COSETS / RIMCERT_TIMEOUT.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import os
 import sys
-
-import click
 
 from .batch import batch_json, run_batch
 from .enumeration import DEFAULT_MAX_COSETS
@@ -31,115 +31,115 @@ EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
 
-def _spec_options(f):
-    f = click.option("--kind", type=click.Choice([RIM, ANNULUS]), default=RIM,
-                     show_default=True, help="Surgery flavor.")(f)
-    f = click.option("--n", type=int, default=0, show_default=True,
-                     help="Roll count along the companion longitude.")(f)
-    f = click.option("--m", type=int, default=0, show_default=True,
-                     help="Twist count along the surface meridian.")(f)
-    f = click.option("--d", "d", type=int, required=True,
-                     help="Order of the meridian power killed by the surgery.")(f)
-    f = click.option("--knot", required=True,
-                     help="Table name (unknot, 3_1, 4_1, 5_1, 5_2) or a braid "
-                          "literal like 'B3: 1 -2 1 -2'.")(f)
-    return f
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Print usage and the message to stderr; exit 1, never 2."""
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _limit_options(f):
-    f = click.option("--timeout", type=float, default=DEFAULT_TIMEOUT,
-                     envvar="RIMCERT_TIMEOUT", show_default=True,
-                     help="Wall-clock budget per spec in seconds; 0 disables.")(f)
-    f = click.option("--max-cosets", type=int, default=DEFAULT_MAX_COSETS,
-                     envvar="RIMCERT_MAX_COSETS", show_default=True,
-                     help="Coset table budget per enumeration.")(f)
-    return f
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code."""
+    try:
+        args = _parser().parse_args(argv)
+        return args.run(args)
+    except SystemExit as exc:  # --help, or a usage error already printed
+        return exc.code
+    except Exception as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
-def _build_spec(knot: str, d: int, m: int, n: int, kind: str):
-    return spec_from_json({"knot": knot, "d": d, "m": m, "n": n, "kind": kind})
-
-
-@click.group()
-def main() -> None:
-    """Certify whether surgered surface complements keep a cyclic group."""
-
-
-@main.command("certify")
-@_spec_options
-@_limit_options
-@click.option("--json", "as_json", is_flag=True, help="Emit the JSON report.")
-def certify_cmd(knot, d, m, n, kind, max_cosets, timeout, as_json) -> None:
+def _certify(args) -> int:
     """Certify one surgery spec and print its report."""
-    try:
-        spec = _build_spec(knot, d, m, n, kind)
-        report = certify_spec(
-            spec, max_cosets=max_cosets, timeout=timeout or None
-        )
-    except Exception as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
-    if as_json:
-        click.echo(json.dumps(report.to_json(), indent=2, sort_keys=True))
+    max_cosets = _limit(args, args.max_cosets, "RIMCERT_MAX_COSETS", int, DEFAULT_MAX_COSETS)
+    timeout = _limit(args, args.timeout, "RIMCERT_TIMEOUT", float, DEFAULT_TIMEOUT)
+    report = certify_spec(_spec(args), max_cosets=max_cosets, timeout=timeout or None)
+    if args.as_json:
+        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
-        click.echo(render_text(report))
-    sys.exit(EXIT_CERTIFIED if report.verdict.certified else EXIT_INCONCLUSIVE)
+        print(render_text(report))
+    return EXIT_CERTIFIED if report.verdict.certified else EXIT_INCONCLUSIVE
 
 
-@main.command("batch")
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="JSON config: {specs, sweeps, max_cosets, timeout, parallelism}.")
-@click.option("--out", "out_path", default="-", show_default=True,
-              help="Output file; '-' writes to stdout.")
-def batch_cmd(config_path, out_path) -> None:
+def _batch(args) -> int:
     """Run every spec in a config file; output is byte-deterministic."""
-    try:
-        with open(config_path, encoding="utf-8") as f:
-            config = json.load(f)
-        text = batch_json(run_batch(config))
-        if out_path == "-":
-            click.echo(text, nl=False)
-        else:
-            with open(out_path, "w", encoding="utf-8") as f:
-                f.write(text)
-    except Exception as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
-    sys.exit(EXIT_CERTIFIED)
+    with open(args.config, encoding="utf-8") as f:
+        config = json.load(f)
+    text = batch_json(run_batch(config))
+    if args.out == "-":
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.write(text)
+    return EXIT_CERTIFIED
 
 
-@main.command("explain")
-@_spec_options
-def explain_cmd(knot, d, m, n, kind) -> None:
+def _explain(args) -> int:
     """Print the construction trace for a spec without enumerating."""
-    try:
-        spec = _build_spec(knot, d, m, n, kind)
-        click.echo(explain_text(spec))
-    except Exception as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+    print(explain_text(_spec(args)))
+    return EXIT_CERTIFIED
 
 
-@main.command("invariants")
-@click.option("--knot", required=True,
-              help="Table name or braid literal for a closed knot.")
-@click.option("--json", "as_json", is_flag=True)
-def invariants_cmd(knot, as_json) -> None:
+def _invariants(args) -> int:
     """Print the companion-knot invariants the reports quote."""
+    block = invariant_block(named_diagram(args.knot, RIM))
+    if args.as_json:
+        print(json.dumps(block, indent=2, sort_keys=True))
+    else:
+        print(f"knot: {args.knot}\nalexander polynomial: {block['alexander_polynomial']}\n"
+              f"determinant: {block['determinant']}\narf invariant: {block['arf']}\n"
+              f"normal invariant: {block['normal_invariant']}")
+    return EXIT_CERTIFIED
+
+
+def _parser() -> _Parser:
+    parser = _Parser(prog="rimcert", allow_abbrev=False, description=(
+        "Certify whether surgered surface complements keep a cyclic group."))
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    sub = {}
+    for run in (_certify, _batch, _explain, _invariants):
+        name = run.__name__[1:]
+        sub[name] = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
+                                        allow_abbrev=False)
+        sub[name].set_defaults(run=run, parser=sub[name])
+    for name in ("certify", "explain", "invariants"):
+        sub[name].add_argument("--knot", required=True, help=(
+            "Table name (unknot, 3_1, 4_1, 5_1, 5_2) or a braid literal like 'B3: 1 -2 1 -2'."))
+    for name in ("certify", "explain"):
+        add = sub[name].add_argument
+        add("--d", type=int, required=True, help="Order of the meridian power killed.")
+        add("--m", type=int, default=0, help="Twists along the surface meridian (default: 0).")
+        add("--n", type=int, default=0, help="Rolls along the knot's longitude (default: 0).")
+        add("--kind", choices=(RIM, ANNULUS), default=RIM, help="Surgery kind (default: rim).")
+    add = sub["certify"].add_argument
+    add("--max-cosets", type=int, help="Coset table budget per enumeration "
+        f"(default: $RIMCERT_MAX_COSETS, else {DEFAULT_MAX_COSETS}).")
+    add("--timeout", type=float, help="Wall-clock budget per spec in seconds; 0 "
+        f"disables (default: $RIMCERT_TIMEOUT, else {DEFAULT_TIMEOUT}).")
+    for name in ("certify", "invariants"):
+        sub[name].add_argument("--json", dest="as_json", action="store_true", help="Emit JSON.")
+    add = sub["batch"].add_argument
+    add("--config", required=True, help="JSON: specs, sweeps, max_cosets, timeout, parallelism")
+    add("--out", default="-", help="Output file; '-' writes to stdout (default: -).")
+    return parser
+
+
+def _limit(args, flag, name: str, convert, default):
+    """A flag's value, else its environment variable's, else the default."""
+    if flag is not None:
+        return flag
+    text = os.environ.get(name)
+    if not text:
+        return default
     try:
-        block = invariant_block(named_diagram(knot, RIM))
-    except Exception as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
-    if as_json:
-        click.echo(json.dumps(block, indent=2, sort_keys=True))
-        return
-    click.echo(f"knot: {knot}")
-    click.echo(f"alexander polynomial: {block['alexander_polynomial']}")
-    click.echo(f"determinant: {block['determinant']}")
-    click.echo(f"arf invariant: {block['arf']}")
-    click.echo(f"normal invariant: {block['normal_invariant']}")
+        return convert(text)
+    except ValueError:
+        args.parser.error(f"{name}: invalid {convert.__name__} value: {text!r}")
+
+
+def _spec(args):
+    return spec_from_json({k: getattr(args, k) for k in ("knot", "d", "m", "n", "kind")})
 
 
 def _matrix_lines(rows) -> list[str]:
@@ -197,4 +197,4 @@ def explain_text(spec) -> str:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

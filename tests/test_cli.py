@@ -1,22 +1,31 @@
 """End-user surface: commands, exit codes, environment overrides."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 
 import rimcert
 from rimcert.cli import EXIT_CERTIFIED, EXIT_ERROR, EXIT_INCONCLUSIVE, explain_text, main
+from rimcert.enumeration import DEFAULT_MAX_COSETS
+from rimcert.report import DEFAULT_TIMEOUT
 from rimcert.surgery import spec_from_json
 
 
 def _run(*args, env=None):
-    return CliRunner().invoke(main, list(args), env=env)
+    """Run main in this process; stdout and stderr land in one buffer."""
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, env or {}), redirect_stdout(out), redirect_stderr(out):
+        code = main(list(args))
+    return SimpleNamespace(exit_code=code, output=out.getvalue())
 
 
 def test_certify_text_exit_zero():
@@ -89,6 +98,49 @@ def test_negative_timeout_is_an_error():
         assert "limits:" not in r.output
 
 
+@pytest.mark.parametrize("args, env", [
+    (["certify", "--knot", "3_1"], None),
+    (["certify", "--knot", "3_1", "--d", "x"], None),
+    (["certify", "--knot", "3_1", "--d", "2", "--kind", "torus"], None),
+    (["batch", "--config", "missing/config.json"], None),
+    (["certify", "--knot", "3_1", "--d", "2"], {"RIMCERT_MAX_COSETS": "abc"}),
+    (["frobnicate"], None),
+    ([], None),
+], ids=["missing-d", "bad-d", "unknown-kind", "missing-config", "bad-env",
+        "unknown-command", "bare"])
+def test_usage_errors_exit_one_not_the_inconclusive_two(args, env, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    r = _run(*args, env=env)
+    assert r.exit_code == EXIT_ERROR
+    assert "error:" in r.output
+    assert "verdict:" not in r.output
+
+
+def test_a_malformed_limit_variable_is_named():
+    for name, value in [("RIMCERT_MAX_COSETS", "abc"), ("RIMCERT_MAX_COSETS", "2.5"),
+                        ("RIMCERT_TIMEOUT", "soon")]:
+        r = _run("certify", "--knot", "3_1", "--d", "2", env={name: value})
+        assert r.exit_code == EXIT_ERROR
+        assert f"error: {name}: " in r.output
+    # Values that parse as floats reach the library's own limit check.
+    for value in ("nan", "inf"):
+        r = _run("certify", "--knot", "3_1", "--d", "2", env={"RIMCERT_TIMEOUT": value})
+        assert r.exit_code == EXIT_ERROR
+        assert "error: timeout" in r.output
+
+
+def test_flags_are_not_abbreviated_and_limits_default(monkeypatch):
+    monkeypatch.delenv("RIMCERT_MAX_COSETS", raising=False)
+    monkeypatch.delenv("RIMCERT_TIMEOUT", raising=False)
+    r = _run("certify", "--knot", "4_1", "--d", "3", "--m", "1", "--n", "20",
+             "--max", "500")
+    assert r.exit_code == EXIT_ERROR
+    assert "verdict:" not in r.output
+    r = _run("certify", "--knot", "unknot", "--d", "2", "--json")
+    assert json.loads(r.output)["limits"] == {"max_cosets": DEFAULT_MAX_COSETS,
+                                              "timeout": DEFAULT_TIMEOUT}
+
+
 def test_batch_roundtrip_to_file(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -142,6 +194,15 @@ def test_python_dash_m_runs_the_commands(module, tmp_path):
     )
     assert r.returncode == EXIT_CERTIFIED, r.stderr
     assert "verdict: cyclic" in r.stdout
+    # The exit code survives the module entry points: inconclusive and usage error.
+    for args, code in [(["--d", "3", "--m", "1", "--n", "20", "--max-cosets", "500"],
+                        EXIT_INCONCLUSIVE),
+                       ([], EXIT_ERROR)]:
+        r = subprocess.run(
+            [sys.executable, "-m", module, "certify", "--knot", "4_1", *args],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert r.returncode == code, r.stderr
 
 
 def test_explain_traces_the_construction():
