@@ -33,9 +33,8 @@ EXIT_INCONCLUSIVE = 2
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        """Print usage and the message to stderr; exit 1, never 2."""
         self.print_usage(sys.stderr)
-        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")  # 1, never the inconclusive 2
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -55,10 +54,8 @@ def _certify(args) -> int:
     max_cosets = _limit(args, args.max_cosets, "RIMCERT_MAX_COSETS", int, DEFAULT_MAX_COSETS)
     timeout = _limit(args, args.timeout, "RIMCERT_TIMEOUT", float, DEFAULT_TIMEOUT)
     report = certify_spec(_spec(args), max_cosets=max_cosets, timeout=timeout or None)
-    if args.as_json:
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    else:
-        print(render_text(report))
+    _echo(json.dumps(report.to_json(), indent=2, sort_keys=True) if args.as_json
+          else render_text(report))
     return EXIT_CERTIFIED if report.verdict.certified else EXIT_INCONCLUSIVE
 
 
@@ -77,19 +74,17 @@ def _batch(args) -> int:
 
 def _explain(args) -> int:
     """Print the construction trace for a spec without enumerating."""
-    print(explain_text(_spec(args)))
+    _echo(explain_text(_spec(args)))
     return EXIT_CERTIFIED
 
 
 def _invariants(args) -> int:
     """Print the companion-knot invariants the reports quote."""
     block = invariant_block(named_diagram(args.knot, RIM))
-    if args.as_json:
-        print(json.dumps(block, indent=2, sort_keys=True))
-    else:
-        print(f"knot: {args.knot}\nalexander polynomial: {block['alexander_polynomial']}\n"
-              f"determinant: {block['determinant']}\narf invariant: {block['arf']}\n"
-              f"normal invariant: {block['normal_invariant']}")
+    _echo(json.dumps(block, indent=2, sort_keys=True) if args.as_json else
+          f"knot: {args.knot}\nalexander polynomial: {block['alexander_polynomial']}\n"
+          f"determinant: {block['determinant']}\narf invariant: {block['arf']}\n"
+          f"normal invariant: {block['normal_invariant']}")
     return EXIT_CERTIFIED
 
 
@@ -130,12 +125,15 @@ def _limit(args, flag, name: str, convert, default):
     if flag is not None:
         return flag
     text = os.environ.get(name)
-    if not text:
-        return default
     try:
-        return convert(text)
+        return convert(text) if text else default
     except ValueError:
         args.parser.error(f"{name}: invalid {convert.__name__} value: {text!r}")
+
+
+def _echo(text: str) -> None:
+    """Write text and its newline in one call, so a pipe closed early gets whole lines."""
+    sys.stdout.write(text + "\n")
 
 
 def _spec(args):
