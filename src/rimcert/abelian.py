@@ -1,7 +1,9 @@
 """Exact integer Smith normal form and abelianization of presentations.
 
-Everything runs over Python ints, so there is no overflow to manage.  The
-SNF routine returns the full decomposition U*A*V = D with unimodular U, V,
+Everything runs over Python ints, so nothing overflows, but entries can
+still grow; the Smith form therefore pivots every round on the least
+nonzero entry left, and a remainder is always the next pivot.  The SNF
+routine returns the full decomposition U*A*V = D with unimodular U, V,
 which is what makes the abelianization step certifiable rather than merely
 plausible.
 """
@@ -37,8 +39,10 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Return (U, D, V) with U*A*V = D, |det U| = |det V| = 1.
 
     D is diagonal with nonnegative entries satisfying d1 | d2 | ... .
-    Pivots are chosen by least absolute value, which keeps intermediate
-    entries small without any randomness.
+    Each round moves the least nonzero entry of the trailing submatrix to
+    the pivot and reduces its row and column by floor division; any
+    remainder is smaller than the pivot and becomes the next round's pivot.
+    U and V are one unimodular pair among many; only D is unique.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -47,71 +51,38 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         raise ValueError("ragged matrix")
     u = identity_matrix(rows)
     v = identity_matrix(cols)
-
-    def row_op(i: int, j: int, q: int) -> None:  # row_i -= q * row_j
-        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i: int, j: int, q: int) -> None:  # col_i -= q * col_j
-        for row in m:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def swap_rows(i: int, j: int) -> None:
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
     t = 0
     while t < min(rows, cols):
         pos = _min_abs_pivot(m, t)
         if pos is None:
             break
         pi, pj = pos
-        if pi != t:
-            swap_rows(pi, t)
+        m[t], m[pi] = m[pi], m[t]
+        u[t], u[pi] = u[pi], u[t]
         if pj != t:
-            swap_cols(pj, t)
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, rows):
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    row_op(i, t, q)
-                    if m[i][t]:  # remainder became the smaller pivot
-                        swap_rows(i, t)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    col_op(j, t, q)
-                    if m[t][j]:
-                        swap_cols(j, t)
-                        dirty = True
-            if not dirty and all(m[i][t] == 0 for i in range(t + 1, rows)) and all(
-                m[t][j] == 0 for j in range(t + 1, cols)
-            ):
-                break
-        # divisibility: pivot must divide the rest of the submatrix
-        fixed = False
+            for row in m + v:
+                row[t], row[pj] = row[pj], row[t]
+        p = m[t][t]
         for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if m[i][j] % m[t][t] != 0:
-                    row_op(t, i, -1)  # add row i to row t, then redo
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
+            q = m[i][t] // p
+            if q:
+                m[i] = [x - q * y for x, y in zip(m[i], m[t])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+        for j in range(t + 1, cols):
+            q = m[t][j] // p
+            if q:
+                for row in m + v:
+                    row[j] -= q * row[t]
+        if any(m[i][t] for i in range(t + 1, rows)) or any(m[t][t + 1 :]):
+            continue  # a remainder is left: it is the next round's pivot
+        # The pivot must divide the rest; if it does not, the sum of row t
+        # and an offending row leaves a remainder in row t next round.
+        bad = [i for i in range(t + 1, rows) if any(x % p for x in m[i][t + 1 :])]
+        if bad:
+            m[t] = [x + y for x, y in zip(m[t], m[bad[0]])]
+            u[t] = [x + y for x, y in zip(u[t], u[bad[0]])]
             continue
-        if m[t][t] < 0:
+        if p < 0:
             m[t] = [-x for x in m[t]]
             u[t] = [-x for x in u[t]]
         t += 1

@@ -12,8 +12,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .laurent import LaurentPolynomial
-
 _HEADER_RE = re.compile(r"^\s*B\s*(\d+)\s*:\s*(.*?)\s*$")
 
 
@@ -92,33 +90,14 @@ def format_braid(b: BraidWord) -> str:
     return f"B{b.strands}: {body}".rstrip()
 
 
-@dataclass(frozen=True, slots=True)
-class KnotTableEntry:
-    name: str
-    braid: BraidWord
-    alexander: LaurentPolynomial  # normalized reference value
-    arf: int
-
-
-def _entry(name: str, braid_text: str, coeffs: tuple[int, ...], arf: int) -> KnotTableEntry:
-    return KnotTableEntry(
-        name=name,
-        braid=parse_braid(braid_text),
-        alexander=LaurentPolynomial(coeffs, 0),
-        arf=arf,
-    )
-
-
-# Reference polynomials are listed low degree first and pinned by the
-# Seifert-matrix oracles in the test suite.
-KNOT_TABLE: dict[str, KnotTableEntry] = {
-    e.name: e
-    for e in (
-        _entry("unknot", "B1:", (1,), 0),
-        _entry("3_1", "B2: 1 1 1", (1, -1, 1), 1),
-        _entry("4_1", "B3: 1 -2 1 -2", (1, -3, 1), 1),
-        _entry("5_1", "B2: 1 1 1 1 1", (1, -1, 1, -1, 1), 1),
-        _entry("5_2", "B3: 1 1 1 2 -1 2", (2, -3, 2), 0),
+KNOT_TABLE: dict[str, BraidWord] = {
+    name: parse_braid(text)
+    for name, text in (
+        ("unknot", "B1:"),
+        ("3_1", "B2: 1 1 1"),
+        ("4_1", "B3: 1 -2 1 -2"),
+        ("5_1", "B2: 1 1 1 1 1"),
+        ("5_2", "B3: 1 1 1 2 -1 2"),
     )
 }
 
@@ -126,7 +105,7 @@ KNOT_TABLE: dict[str, KnotTableEntry] = {
 def resolve_knot(text: str) -> BraidWord:
     """Accept either a built-in name or a literal braid word."""
     if text in KNOT_TABLE:
-        return KNOT_TABLE[text].braid
+        return KNOT_TABLE[text]
     if _HEADER_RE.match(text):
         return parse_braid(text)
     raise ValueError(

@@ -5,12 +5,38 @@ hook prints them after the run so the pass/fail ledger is visible even
 when pytest captures stdout.
 """
 
+import signal
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 ACCEPTANCE_LINES: list[str] = []
+
+
+@pytest.fixture
+def time_limit():
+    """A context manager that raises TimeoutError in a block that runs past
+    its seconds, so a computation that does not end fails the test rather
+    than hanging the run."""
+
+    def expire(signum, frame):
+        raise TimeoutError("time limit exceeded")
+
+    @contextmanager
+    def limit(seconds):
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit
 
 
 def record_acceptance(line: str) -> None:

@@ -30,13 +30,34 @@ def _assert_snf(a):
     return diag
 
 
-def test_snf_on_hundred_random_matrices():
+def test_snf_on_hundred_random_matrices(time_limit):
     rng = random.Random(23)
     for _ in range(100):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         a = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         _assert_snf(a)
+    # Dense draws, where a reduction that does not pivot on the least entry
+    # each round lets the entries grow to hundreds of digits.
+    rng = random.Random(1)
+    with time_limit(10):
+        for rows, cols in ((6, 7), (8, 8)):
+            for _ in range(60):
+                a = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+                _assert_snf(a)
+
+
+def test_snf_of_a_dense_matrix_stays_small(time_limit):
+    a = [
+        [-9, 4, 6, 0, 4, 1, 5],
+        [5, -6, -3, -5, -4, -7, 2],
+        [3, 6, -5, 8, -1, -6, -1],
+        [-4, 0, -2, -8, 6, -8, 2],
+        [2, 1, -8, -9, 5, 6, -5],
+        [-6, 1, 0, 5, -2, -4, -8],
+    ]
+    with time_limit(5):
+        assert _assert_snf(a) == [1, 1, 1, 1, 1, 2]
 
 
 def test_snf_preserves_determinant_up_to_sign():

@@ -80,11 +80,11 @@ def test_closure_components_counts_the_strand_cycles():
 def test_table_entries_close_to_knots():
     assert set(KNOT_TABLE) == {"unknot", "3_1", "4_1", "5_1", "5_2"}
     for name in KNOT_TABLE:
-        assert KNOT_TABLE[name].braid.is_knot()
+        assert KNOT_TABLE[name].is_knot()
 
 
 def test_resolve_accepts_names_and_literals():
-    assert resolve_knot("4_1") == KNOT_TABLE["4_1"].braid
-    assert resolve_knot("B3: 1 -2 1 -2") == KNOT_TABLE["4_1"].braid
+    assert resolve_knot("4_1") == KNOT_TABLE["4_1"]
+    assert resolve_knot("B3: 1 -2 1 -2") == KNOT_TABLE["4_1"]
     with pytest.raises(ValueError):
         resolve_knot("6_1")

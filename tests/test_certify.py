@@ -89,6 +89,32 @@ def test_abelianization_refutation_of_a_collapsed_presentation():
     }
 
 
+def test_abelianization_of_a_dense_presentation_ends_in_time(time_limit):
+    # Eight generators and eight relators, every exponent in +-[2, 9], so
+    # collapse eliminates nothing and the dense 8x8 relator matrix goes to
+    # the Smith form as it is.  The timeout bounds only the enumeration; a
+    # Smith form whose entries grow without bound would never return.
+    relators = (
+        ((1, -9), (4, -5), (1, 9), (7, 8)),
+        ((0, 2), (7, 2), (4, -5), (3, -2), (1, 9), (5, -5)),
+        ((3, 4), (7, -3), (4, -8), (0, 6), (6, -9)),
+        ((0, -3), (7, -3), (3, 8), (6, -9), (2, 9), (5, 6)),
+        ((2, -9), (3, -2), (0, -4), (3, 8), (6, 9), (5, -5)),
+        ((7, -2), (5, 4), (6, 3), (5, -2), (0, 3), (5, 9)),
+        ((4, 7), (3, -3), (1, 4)),
+        ((2, -3), (4, 6), (7, -7), (5, -5), (7, -3)),
+    )
+    p = GroupPresentation(
+        ngens=8, relators=tuple(Word(r) for r in relators), meridian=Word.gen(0)
+    )
+    assert collapse_presentation(p, protect=(0,)).ngens == 8
+    with time_limit(10):
+        v = certify_cyclic(p, 2, max_cosets=1000, timeout=1.0)
+    assert v.status == NON_CYCLIC
+    assert v.certificate["stage"] == "abelianization"
+    assert v.witness["abelian_invariants"] == {"free_rank": 0, "torsion": [3, 728406]}
+
+
 def test_non_cyclic_meridian_index_with_order():
     # Abelianization Z/2 survives stage 1, but the meridian subgroup
     # closes at index 3.  The meridian generates H1 and "a a" is a
