@@ -2,10 +2,10 @@
 
 Everything runs over Python ints, so nothing overflows, but entries can
 still grow; the Smith form therefore pivots every round on the least
-nonzero entry left, and a remainder is always the next pivot.  The SNF
-routine returns the full decomposition U*A*V = D with unimodular U, V,
-which is what makes the abelianization step certifiable rather than merely
-plausible.
+nonzero entry left, and a remainder is always the next pivot.  Only the
+diagonal form D is computed: it is unique and it is all that H_1 reads.
+The operations that reach it are not recorded: no certificate carries
+them, and on dense matrices their products grow far past D's entries.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ from dataclasses import dataclass
 from .groups import GroupPresentation
 
 Matrix = list[list[int]]
-
-
-def identity_matrix(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _min_abs_pivot(m: Matrix, t: int) -> tuple[int, int] | None:
@@ -35,22 +31,20 @@ def _min_abs_pivot(m: Matrix, t: int) -> tuple[int, int] | None:
     return None if best is None else (best[1], best[2])
 
 
-def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return (U, D, V) with U*A*V = D, |det U| = |det V| = 1.
+def smith_normal_form(a: Matrix) -> Matrix:
+    """Return D, the Smith normal form of A, as a matrix of A's shape.
 
-    D is diagonal with nonnegative entries satisfying d1 | d2 | ... .
-    Each round moves the least nonzero entry of the trailing submatrix to
-    the pivot and reduces its row and column by floor division; any
-    remainder is smaller than the pivot and becomes the next round's pivot.
-    U and V are one unimodular pair among many; only D is unique.
+    D is diagonal with nonnegative entries satisfying d1 | d2 | ... , and
+    unimodular row and column operations carry A to it.  Each round moves
+    the least nonzero entry of the trailing submatrix to the pivot and
+    reduces its row and column by floor division; any remainder is smaller
+    than the pivot and becomes the next round's pivot.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     m = [row[:] for row in a]
     if any(len(row) != cols for row in m):
         raise ValueError("ragged matrix")
-    u = identity_matrix(rows)
-    v = identity_matrix(cols)
     t = 0
     while t < min(rows, cols):
         pos = _min_abs_pivot(m, t)
@@ -58,20 +52,18 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             break
         pi, pj = pos
         m[t], m[pi] = m[pi], m[t]
-        u[t], u[pi] = u[pi], u[t]
         if pj != t:
-            for row in m + v:
+            for row in m:
                 row[t], row[pj] = row[pj], row[t]
         p = m[t][t]
         for i in range(t + 1, rows):
             q = m[i][t] // p
             if q:
                 m[i] = [x - q * y for x, y in zip(m[i], m[t])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
         for j in range(t + 1, cols):
             q = m[t][j] // p
             if q:
-                for row in m + v:
+                for row in m:
                     row[j] -= q * row[t]
         if any(m[i][t] for i in range(t + 1, rows)) or any(m[t][t + 1 :]):
             continue  # a remainder is left: it is the next round's pivot
@@ -80,13 +72,11 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         bad = [i for i in range(t + 1, rows) if any(x % p for x in m[i][t + 1 :])]
         if bad:
             m[t] = [x + y for x, y in zip(m[t], m[bad[0]])]
-            u[t] = [x + y for x, y in zip(u[t], u[bad[0]])]
             continue
         if p < 0:
             m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
-    return u, m, v
+    return m
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,7 +122,7 @@ def abelian_invariants(p: GroupPresentation) -> AbelianInvariants:
     mat = relator_matrix(p)
     if not mat:
         return AbelianInvariants(free_rank=p.ngens, torsion=())
-    _, d, _ = smith_normal_form(mat)
+    d = smith_normal_form(mat)
     diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
     nonzero = [x for x in diag if x != 0]
     torsion = tuple(x for x in nonzero if x > 1)

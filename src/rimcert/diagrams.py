@@ -65,6 +65,11 @@ def _json_crossings(doc: dict) -> tuple[Crossing, ...]:
     return tuple(map(Crossing.from_json, value))
 
 
+def _check_over_arcs(crossings: tuple[Crossing, ...], n_arcs: int) -> None:
+    if any(not (0 <= x.over < n_arcs) for x in crossings):
+        raise ValueError("crossing references an unknown over arc")
+
+
 @dataclass(frozen=True, slots=True)
 class Crossing:
     over: int
@@ -120,11 +125,9 @@ class KnotDiagram:
         # component.
         if sorted(x.under_in for x in self.crossings) != list(range(c)):
             raise ValueError("each arc must end exactly one underpass")
-        for x in self.crossings:
-            if x.under_out != (x.under_in + 1) % c:
-                raise ValueError("arcs must be numbered in traversal order")
-            if not (0 <= x.over < self.n_arcs):
-                raise ValueError("crossing references an unknown over arc")
+        if any(x.under_out != (x.under_in + 1) % c for x in self.crossings):
+            raise ValueError("arcs must be numbered in traversal order")
+        _check_over_arcs(self.crossings, self.n_arcs)
 
     def to_json(self) -> dict:
         return {
@@ -204,6 +207,7 @@ class TangleDiagram:
                 x = by_in.get(a)
                 if x is None or x.under_out != b:
                     raise ValueError("strand arcs are not chained by underpasses")
+        _check_over_arcs(self.crossings, self.n_arcs)
 
     def to_json(self) -> dict:
         return {

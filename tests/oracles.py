@@ -3,7 +3,7 @@
 Nothing here imports rimcert.  Alexander polynomials come from Seifert
 matrices via det(V^T - t V), the Arf invariant from the mod-2 Seifert
 quadratic form over a symplectic basis, determinants from fraction-free
-elimination, matrix products from a plain triple loop, coset-table
+elimination, Smith diagonals from the gcds of minors, coset-table
 lookahead from a plain scan of its own on a row-major table of its own,
 relator scans from a walk that defines one coset per step, coincidence
 from a union-find of its own, the restarting round loop's renumbering
@@ -13,6 +13,9 @@ braid's Artin action on such tuples, with no diagram.  Frozen expected
 values in the tests were produced by these routines, not by the code
 under test.
 """
+
+from itertools import combinations, product
+from math import gcd
 
 # Polynomials are plain coefficient lists, index = exponent.
 
@@ -175,22 +178,28 @@ def int_det(rows):
     return sign * m[n - 1][n - 1]
 
 
-def matmul(a, b):
-    """Integer matrix product on lists of rows."""
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in a]
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            v = ai[k]
-            if v:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += v * bk[j]
-    return out
+def smith_diagonal_by_minors(a):
+    """The Smith diagonal of an integer matrix by Smith's theorem (1861).
+
+    d_k, the product of the first k diagonal entries, is the gcd of the
+    k x k minors; entry k is d_k / d_(k-1), and zeros follow once d_k = 0.
+    The gcd may stop at d_(k-1), which divides every k x k minor.
+    """
+    rows, cols = len(a), len(a[0]) if a else 0
+    size = min(rows, cols)
+    diag = []
+    prev = 1
+    for k in range(1, size + 1):
+        g = 0
+        for r, c in product(combinations(range(rows), k), combinations(range(cols), k)):
+            g = gcd(g, int_det([[a[i][j] for j in c] for i in r]))
+            if g == prev:
+                break
+        if g == 0:
+            break
+        diag.append(g // prev)
+        prev = g
+    return diag + [0] * (size - len(diag))
 
 
 # Coset tables one list per coset, as the enumerator first stored them.  The

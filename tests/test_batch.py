@@ -58,6 +58,12 @@ def test_sweep_rejects_malformed_input():
         expand_sweep({"knot": "unknot", "kind": "bogus"})
     with pytest.raises(ValueError):
         run_batch({"sweeps": [{"knot": "unknot", "d": 2, "coprime": "false"}]})
+    # Both keys ran the 'knots' list alone, and an object swept its keys.
+    with pytest.raises(ValueError, match="'knots' and 'knot'"):
+        expand_sweep({"knots": ["3_1"], "knot": "4_1", "d": 2})
+    for knots in ({"a": 1}, 5, None):
+        with pytest.raises(ValueError, match="'knots' must be"):
+            expand_sweep({"knots": knots, "d": 2})
 
 
 @pytest.mark.parametrize(

@@ -175,6 +175,19 @@ def test_tangle_crossings_all_sit_on_the_strands():
         spec_from_json({"knot": doc, "d": 3, "m": 1, "kind": "annulus"})
 
 
+@pytest.mark.parametrize("kind", ["rim", "annulus"])
+@pytest.mark.parametrize("past_end", [False, True], ids=["negative", "n_arcs"])
+def test_over_arcs_must_be_known_arcs(kind, past_end):
+    # A tangle took any over arc: one past its last arc failed certify with
+    # a relator on a generator outside the group, and -1 with a negative
+    # generator index.
+    knot = braid_closure_diagram(resolve_knot("3_1"))
+    doc = (band_double(knot, 0) if kind == "annulus" else knot).to_json()
+    doc["crossings"][0]["over"] = doc["arcs"] if past_end else -1
+    with pytest.raises(ValueError, match="crossing references an unknown over arc"):
+        spec_from_json({"knot": doc, "d": 3, "m": 1, "kind": kind})
+
+
 @pytest.mark.parametrize(
     "kind, path, value",
     [
