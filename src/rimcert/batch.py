@@ -38,14 +38,10 @@ def _as_range(value, what: str) -> list[int]:
 
 
 def expand_sweep(sweep: dict) -> list[dict]:
-    check_keys(sweep, ("knots", "knot", "kind", "coprime", "d", "m", "n"), "sweep")
-    if ("knots" in sweep) == ("knot" in sweep):
-        raise ValueError("sweep needs exactly one of 'knots' and 'knot'")
-    knots = sweep["knots"] if "knots" in sweep else [sweep["knot"]]
-    if isinstance(knots, str):
-        knots = [knots]
+    check_keys(sweep, ("knots", "kind", "coprime", "d", "m", "n"), "sweep")
+    knots = sweep.get("knots")
     if not isinstance(knots, list):
-        raise ValueError("sweep 'knots' must be a string or a list")
+        raise ValueError("sweep 'knots' must be a JSON list")
     kind = sweep.get("kind", "rim")
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")

@@ -2,7 +2,6 @@
 
 Exit codes: 0 on success (a cyclic or non-cyclic verdict is certified), 2 for an
 inconclusive verdict, 1 on any error, usage errors included.  Flags are never abbreviated.
-Limits come from flags or, read when `main` runs, RIMCERT_MAX_COSETS / RIMCERT_TIMEOUT.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .batch import batch_json, run_batch
@@ -51,9 +49,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _certify(args) -> int:
     """Certify one surgery spec and print its report."""
-    max_cosets = _limit(args, args.max_cosets, "RIMCERT_MAX_COSETS", int, DEFAULT_MAX_COSETS)
-    timeout = _limit(args, args.timeout, "RIMCERT_TIMEOUT", float, DEFAULT_TIMEOUT)
-    report = certify_spec(_spec(args), max_cosets=max_cosets, timeout=timeout or None)
+    report = certify_spec(_spec(args), max_cosets=args.max_cosets,
+                          timeout=args.timeout or None)
     _echo(json.dumps(report.to_json(), indent=2, sort_keys=True) if args.as_json
           else render_text(report))
     return EXIT_CERTIFIED if report.verdict.certified else EXIT_INCONCLUSIVE
@@ -97,7 +94,7 @@ def _parser() -> _Parser:
         name = run.__name__[1:]
         sub[name] = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
                                         allow_abbrev=False)
-        sub[name].set_defaults(run=run, parser=sub[name])
+        sub[name].set_defaults(run=run)
     for name in ("certify", "explain", "invariants"):
         sub[name].add_argument("--knot", required=True, help=(
             "Table name (unknot, 3_1, 4_1, 5_1, 5_2) or a braid literal like 'B3: 1 -2 1 -2'."))
@@ -108,27 +105,18 @@ def _parser() -> _Parser:
         add("--n", type=int, default=0, help="Rolls along the knot's longitude (default: 0).")
         add("--kind", choices=(RIM, ANNULUS), default=RIM, help="Surgery kind (default: rim).")
     add = sub["certify"].add_argument
-    add("--max-cosets", type=int, help="Coset table budget per enumeration "
-        f"(default: $RIMCERT_MAX_COSETS, else {DEFAULT_MAX_COSETS}).")
-    add("--timeout", type=float, help="Wall-clock budget per spec in seconds; 0 "
-        f"disables (default: $RIMCERT_TIMEOUT, else {DEFAULT_TIMEOUT}).")
+    add("--max-cosets", type=int, default=DEFAULT_MAX_COSETS, help=(
+        f"Coset table budget per enumeration (default: {DEFAULT_MAX_COSETS})."))
+    add("--timeout", type=float, default=DEFAULT_TIMEOUT, help=(
+        "Wall-clock deadline in seconds for the coset enumerations alone; building "
+        "and collapsing the group, the Smith form and the invariants run outside it. "
+        f"0 disables (default: {DEFAULT_TIMEOUT})."))
     for name in ("certify", "invariants"):
         sub[name].add_argument("--json", dest="as_json", action="store_true", help="Emit JSON.")
     add = sub["batch"].add_argument
     add("--config", required=True, help="JSON: specs, sweeps, max_cosets, timeout, parallelism")
     add("--out", default="-", help="Output file; '-' writes to stdout (default: -).")
     return parser
-
-
-def _limit(args, flag, name: str, convert, default):
-    """A flag's value, else its environment variable's, else the default."""
-    if flag is not None:
-        return flag
-    text = os.environ.get(name)
-    try:
-        return convert(text) if text else default
-    except ValueError:
-        args.parser.error(f"{name}: invalid {convert.__name__} value: {text!r}")
 
 
 def _echo(text: str) -> None:

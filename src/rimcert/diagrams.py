@@ -111,14 +111,14 @@ class KnotDiagram:
 
     def validate(self) -> None:
         c = len(self.crossings)
+        if self.writhe != sum(x.sign for x in self.crossings):
+            raise ValueError("stored writhe disagrees with crossing signs")
         if c == 0:
             if self.n_arcs != 1:
                 raise ValueError("a crossingless knot diagram has exactly one arc")
             return
         if self.n_arcs != c:
             raise ValueError("a knot diagram has as many arcs as crossings")
-        if self.writhe != sum(x.sign for x in self.crossings):
-            raise ValueError("stored writhe disagrees with crossing signs")
         # Arcs are numbered in traversal order: arc k dives under into arc
         # k+1, and the last arc closes up into arc 0.  The longitude reads
         # the underpasses in this order, and it also makes the diagram one

@@ -13,8 +13,10 @@ import time
 from dataclasses import dataclass
 
 from .certify import CYCLIC, INCONCLUSIVE, NON_CYCLIC, CyclicityVerdict, certify_cyclic
-# braid_closure_diagram is not called here; it stays bound in this module
-# as the point where the benchmark's span probes time diagram building.
+# braid_closure_diagram is not called here: diagrams are built by
+# surgery.named_diagram.  It stays bound because perfbench/spans.py's PROBES
+# rebinds this name in this module and fails if it is missing; ROADMAP item 7
+# (in-package spans) ends that.
 from .diagrams import KnotDiagram, braid_closure_diagram
 from .enumeration import DEFAULT_MAX_COSETS
 from .invariants import alexander_polynomial, knot_determinant, normal_invariant_report

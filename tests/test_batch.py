@@ -32,11 +32,11 @@ def test_sweep_expansion_order_and_coprime_filter():
 
 
 def test_scalar_and_range_parameters():
-    rows = expand_sweep({"knot": "unknot", "d": 2, "m": [0, 2], "n": 5})
+    rows = expand_sweep({"knots": ["unknot"], "d": 2, "m": [0, 2], "n": 5})
     assert [(r["d"], r["m"], r["n"]) for r in rows] == [
         (2, 0, 5), (2, 1, 5), (2, 2, 5)
     ]
-    assert expand_sweep({"knot": "unknot"}) == [
+    assert expand_sweep({"knots": ["unknot"]}) == [
         {"knot": "unknot", "d": 1, "m": 0, "n": 0, "kind": "rim"}
     ]
 
@@ -45,24 +45,27 @@ def test_sweep_rejects_malformed_input():
     with pytest.raises(ValueError):
         expand_sweep({"d": 2})
     with pytest.raises(ValueError):
-        expand_sweep({"knot": "unknot", "d": [3, 1]})
+        expand_sweep({"knots": ["unknot"], "d": [3, 1]})
     with pytest.raises(ValueError):
-        expand_sweep({"knot": "unknot", "d": True})
+        expand_sweep({"knots": ["unknot"], "d": True})
     with pytest.raises(ValueError):
-        expand_sweep({"knot": "unknot", "d": [1, 2, 3]})
+        expand_sweep({"knots": ["unknot"], "d": [1, 2, 3]})
     # "false" is a non-empty string, which bool() would read as true.
     for coprime in ("false", 0, 1, None):
         with pytest.raises(ValueError):
-            expand_sweep({"knot": "unknot", "d": [2, 4], "coprime": coprime})
+            expand_sweep({"knots": ["unknot"], "d": [2, 4], "coprime": coprime})
     with pytest.raises(ValueError):
-        expand_sweep({"knot": "unknot", "kind": "bogus"})
+        expand_sweep({"knots": ["unknot"], "kind": "bogus"})
     with pytest.raises(ValueError):
-        run_batch({"sweeps": [{"knot": "unknot", "d": 2, "coprime": "false"}]})
-    # Both keys ran the 'knots' list alone, and an object swept its keys.
-    with pytest.raises(ValueError, match="'knots' and 'knot'"):
+        run_batch({"sweeps": [{"knots": ["unknot"], "d": 2, "coprime": "false"}]})
+    # Companions are named one way, as a 'knots' list: a single 'knot'
+    # is an unknown key, and a string, an object or a number is not a list.
+    with pytest.raises(ValueError, match="unknown sweep keys 'knot'"):
+        expand_sweep({"knot": "3_1", "d": 2})
+    with pytest.raises(ValueError, match="unknown sweep keys 'knot'"):
         expand_sweep({"knots": ["3_1"], "knot": "4_1", "d": 2})
-    for knots in ({"a": 1}, 5, None):
-        with pytest.raises(ValueError, match="'knots' must be"):
+    for knots in ("3_1", {"a": 1}, 5, None):
+        with pytest.raises(ValueError, match="sweep 'knots' must be a JSON list"):
             expand_sweep({"knots": knots, "d": 2})
 
 
@@ -74,7 +77,7 @@ def test_sweep_rejects_malformed_input():
         (lambda: spec_from_json({"knot": "3_1", "d": 5, "M": 1, "n": 4}), ["'M'"]),
         (lambda: run_batch({"specs": [], "max_coset": 10, "timout": 1}),
          ["'max_coset'", "'timout'"]),
-        (lambda: expand_sweep({"knot": "3_1", "d": 2, "ms": [0, 2]}), ["'ms'"]),
+        (lambda: expand_sweep({"knots": ["3_1"], "d": 2, "ms": [0, 2]}), ["'ms'"]),
         (lambda: expand_config({"spec": [{"knot": "3_1", "d": 2}]}), ["'spec'"]),
     ],
     ids=["spec", "batch-config", "sweep", "config-spec"],
@@ -89,8 +92,8 @@ def test_config_lists_specs_before_sweeps():
     config = {
         "specs": [{"knot": "5_1", "d": 4}],
         "sweeps": [
-            {"knot": "unknot", "d": 2},
-            {"knot": "3_1", "d": 3, "kind": "annulus"},
+            {"knots": ["unknot"], "d": 2},
+            {"knots": ["3_1"], "d": 3, "kind": "annulus"},
         ],
     }
     rows = expand_config(config)
@@ -182,6 +185,8 @@ _TANGLE = band_double(_TREFOIL, 0).to_json()
                      id="crossing-extra"),
         pytest.param("rim", {**_KNOT, "crossings": [_without(_KNOT["crossings"][0], "sign")]},
                      "diagram field 'sign' is missing", id="crossing-missing-sign"),
+        pytest.param("rim", {"crossings": [], "arcs": 1, "writhe": 1},
+                     "stored writhe disagrees with crossing signs", id="crossingless-writhe"),
         pytest.param("annulus", {**_TANGLE, "crossings": {}},
                      "diagram field 'crossings' must be a list of crossing objects",
                      id="tangle-crossings-object"),

@@ -1,4 +1,4 @@
-"""End-user surface: commands, exit codes, environment overrides."""
+"""End-user surface: commands, exit codes, limits."""
 
 import hashlib
 import io
@@ -9,7 +9,6 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
-from unittest import mock
 
 import pytest
 
@@ -20,10 +19,10 @@ from rimcert.report import DEFAULT_TIMEOUT
 from rimcert.surgery import spec_from_json
 
 
-def _run(*args, env=None):
+def _run(*args):
     """Run main in this process; stdout and stderr land in one buffer."""
     out = io.StringIO()
-    with mock.patch.dict(os.environ, env or {}), redirect_stdout(out), redirect_stderr(out):
+    with redirect_stdout(out), redirect_stderr(out):
         code = main(list(args))
     return SimpleNamespace(exit_code=code, output=out.getvalue())
 
@@ -70,15 +69,6 @@ def test_certify_rejects_bad_order():
     assert r.exit_code == EXIT_ERROR
 
 
-def test_limit_environment_variables():
-    r = _run("certify", "--knot", "4_1", "--d", "3", "--m", "1", "--n", "20",
-             env={"RIMCERT_MAX_COSETS": "500"})
-    assert r.exit_code == EXIT_INCONCLUSIVE
-    r = _run("certify", "--knot", "unknot", "--d", "2", "--json",
-             env={"RIMCERT_TIMEOUT": "30"})
-    assert json.loads(r.output)["limits"]["timeout"] == 30.0
-
-
 def test_zero_timeout_disables_the_deadline():
     r = _run("certify", "--knot", "unknot", "--d", "2", "--json",
              "--timeout", "0")
@@ -87,51 +77,34 @@ def test_zero_timeout_disables_the_deadline():
 
 def test_negative_timeout_is_an_error():
     # An infinite timeout would be written as Infinity, which is not JSON.
-    for args, env in [(["--timeout", "-1"], None),
-                      ([], {"RIMCERT_TIMEOUT": "-1"}),
-                      (["--timeout", "inf", "--json"], None),
-                      (["--timeout", "nan", "--json"], None)]:
-        r = _run("certify", "--knot", "5_2", "--d", "3", "--m", "1",
-                 "--n", "3", *args, env=env)
+    for args in (["--timeout", "-1"], ["--timeout", "inf", "--json"],
+                 ["--timeout", "nan", "--json"]):
+        r = _run("certify", "--knot", "5_2", "--d", "3", "--m", "1", "--n", "3", *args)
         assert r.exit_code == EXIT_ERROR
         assert "error: timeout" in r.output
         assert "limits:" not in r.output
 
 
-@pytest.mark.parametrize("args, env", [
-    (["certify", "--knot", "3_1"], None),
-    (["certify", "--knot", "3_1", "--d", "x"], None),
-    (["certify", "--knot", "3_1", "--d", "2", "--kind", "torus"], None),
-    (["batch", "--config", "missing/config.json"], None),
-    (["certify", "--knot", "3_1", "--d", "2"], {"RIMCERT_MAX_COSETS": "abc"}),
-    (["frobnicate"], None),
-    ([], None),
-], ids=["missing-d", "bad-d", "unknown-kind", "missing-config", "bad-env",
-        "unknown-command", "bare"])
-def test_usage_errors_exit_one_not_the_inconclusive_two(args, env, tmp_path, monkeypatch):
+@pytest.mark.parametrize("args", [
+    ["certify", "--knot", "3_1"],
+    ["certify", "--knot", "3_1", "--d", "x"],
+    ["certify", "--knot", "3_1", "--d", "2", "--kind", "torus"],
+    ["batch", "--config", "missing/config.json"],
+    ["frobnicate"],
+    [],
+], ids=["missing-d", "bad-d", "unknown-kind", "missing-config", "unknown-command", "bare"])
+def test_usage_errors_exit_one_not_the_inconclusive_two(args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    r = _run(*args, env=env)
+    r = _run(*args)
     assert r.exit_code == EXIT_ERROR
     assert "error:" in r.output
     assert "verdict:" not in r.output
 
 
-def test_a_malformed_limit_variable_is_named():
-    for name, value in [("RIMCERT_MAX_COSETS", "abc"), ("RIMCERT_MAX_COSETS", "2.5"),
-                        ("RIMCERT_TIMEOUT", "soon")]:
-        r = _run("certify", "--knot", "3_1", "--d", "2", env={name: value})
-        assert r.exit_code == EXIT_ERROR
-        assert f"error: {name}: " in r.output
-    # Values that parse as floats reach the library's own limit check.
-    for value in ("nan", "inf"):
-        r = _run("certify", "--knot", "3_1", "--d", "2", env={"RIMCERT_TIMEOUT": value})
-        assert r.exit_code == EXIT_ERROR
-        assert "error: timeout" in r.output
-
-
 def test_flags_are_not_abbreviated_and_limits_default(monkeypatch):
-    monkeypatch.delenv("RIMCERT_MAX_COSETS", raising=False)
-    monkeypatch.delenv("RIMCERT_TIMEOUT", raising=False)
+    # Limits come from flags alone; no environment variable sets them.
+    monkeypatch.setenv("RIMCERT_MAX_COSETS", "abc")
+    monkeypatch.setenv("RIMCERT_TIMEOUT", "30")
     r = _run("certify", "--knot", "4_1", "--d", "3", "--m", "1", "--n", "20",
              "--max", "500")
     assert r.exit_code == EXIT_ERROR
@@ -145,7 +118,7 @@ def test_batch_roundtrip_to_file(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "specs": [{"knot": "unknot", "d": 2}],
-        "sweeps": [{"knot": "3_1", "d": 2, "m": [0, 1]}],
+        "sweeps": [{"knots": ["3_1"], "d": 2, "m": [0, 1]}],
     }))
     out = tmp_path / "out.json"
     r = _run("batch", "--config", str(config), "--out", str(out))

@@ -29,6 +29,14 @@ def test_unknot_closure_has_no_crossings():
     assert d.n_arcs == 1 and not d.crossings and d.writhe == 0
 
 
+def test_a_crossingless_diagram_has_writhe_zero():
+    # A crossingless diagram once took any stored writhe and echoed it.
+    with pytest.raises(ValueError, match="writhe"):
+        KnotDiagram((), 1, 5)
+    with pytest.raises(ValueError, match="writhe"):
+        KnotDiagram.from_json({"crossings": [], "arcs": 1, "writhe": -3})
+
+
 def test_closure_rejects_links():
     from rimcert.braids import BraidWord
 
