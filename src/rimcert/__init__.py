@@ -39,7 +39,6 @@ from .laurent import LaurentPolynomial, poly_determinant
 from .report import (
     CertificationReport,
     certify,
-    companion_diagram,
     conclusions_for,
     invariant_block,
     render_text,
@@ -81,7 +80,6 @@ __all__ = [
     "certify_cyclic",
     "collapse_presentation",
     "commutator",
-    "companion_diagram",
     "conclusions_for",
     "expand_config",
     "format_word",

@@ -107,6 +107,10 @@ def run_batch(config: dict) -> dict:
     docs = expand_config(config)
     max_cosets = config.get("max_cosets", DEFAULT_MAX_COSETS)
     timeout = config.get("timeout", DEFAULT_TIMEOUT)
+    # 0 means no deadline, as `rimcert certify --timeout 0` does; a JSON
+    # false is no number and stays an error.
+    if type(timeout) in (int, float) and timeout == 0:
+        timeout = None
     check_limits(max_cosets, timeout)
     timeout = None if timeout is None else float(timeout)
     parallelism = config.get("parallelism", 1)

@@ -12,6 +12,7 @@ import math
 import sys
 
 from .batch import batch_json, run_batch
+from .braids import KNOT_TABLE
 from .enumeration import DEFAULT_MAX_COSETS
 from .groups import format_word
 from .report import DEFAULT_TIMEOUT, certify as certify_spec, invariant_block, render_text
@@ -97,7 +98,7 @@ def _parser() -> _Parser:
         sub[name].set_defaults(run=run)
     for name in ("certify", "explain", "invariants"):
         sub[name].add_argument("--knot", required=True, help=(
-            "Table name (unknot, 3_1, 4_1, 5_1, 5_2) or a braid literal like 'B3: 1 -2 1 -2'."))
+            f"Table name ({', '.join(KNOT_TABLE)}) or a braid literal like 'B3: 1 -2 1 -2'."))
     for name in ("certify", "explain"):
         add = sub[name].add_argument
         add("--d", type=int, required=True, help="Order of the meridian power killed.")

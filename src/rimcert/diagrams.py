@@ -38,33 +38,6 @@ def check_keys(doc, allowed: tuple[str, ...], what: str) -> None:
         )
 
 
-def _json_field(doc: dict, key: str):
-    if key not in doc:
-        raise ValueError(f"diagram field {key!r} is missing")
-    return doc[key]
-
-
-def _json_int(doc: dict, key: str) -> int:
-    value = _json_field(doc, key)
-    if not is_integer(value):
-        raise ValueError(f"diagram field {key!r} must be an integer")
-    return value
-
-
-def _json_ints(doc: dict, key: str) -> list[int]:
-    value = _json_field(doc, key)
-    if not isinstance(value, (list, tuple)) or not all(is_integer(v) for v in value):
-        raise ValueError(f"diagram field {key!r} must be a list of integers")
-    return value
-
-
-def _json_crossings(doc: dict) -> tuple[Crossing, ...]:
-    value = _json_field(doc, "crossings")
-    if not isinstance(value, (list, tuple)):
-        raise ValueError("diagram field 'crossings' must be a list of crossing objects")
-    return tuple(map(Crossing.from_json, value))
-
-
 def _check_over_arcs(crossings: tuple[Crossing, ...], n_arcs: int) -> None:
     if any(not (0 <= x.over < n_arcs) for x in crossings):
         raise ValueError("crossing references an unknown over arc")
@@ -80,20 +53,6 @@ class Crossing:
     def __post_init__(self) -> None:
         if self.sign not in (-1, 1):
             raise ValueError("crossing sign must be +1 or -1")
-
-    def to_json(self) -> dict:
-        return {
-            "over": self.over,
-            "under_in": self.under_in,
-            "under_out": self.under_out,
-            "sign": self.sign,
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "Crossing":
-        keys = ("over", "under_in", "under_out", "sign")
-        check_keys(doc, keys, "crossing")
-        return Crossing(*(_json_int(doc, k) for k in keys))
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,34 +88,6 @@ class KnotDiagram:
             raise ValueError("arcs must be numbered in traversal order")
         _check_over_arcs(self.crossings, self.n_arcs)
 
-    def to_json(self) -> dict:
-        return {
-            "crossings": [x.to_json() for x in self.crossings],
-            "arcs": self.n_arcs,
-            "writhe": self.writhe,
-            "braid": str(self.braid) if self.braid is not None else None,
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "KnotDiagram":
-        from .braids import parse_braid
-
-        check_keys(doc, ("crossings", "arcs", "writhe", "braid"), "knot diagram")
-        text = doc.get("braid")
-        if text is not None and not isinstance(text, str):
-            raise ValueError("diagram field 'braid' must be a string or null")
-        diagram = KnotDiagram(
-            crossings=_json_crossings(doc),
-            n_arcs=_json_int(doc, "arcs"),
-            writhe=_json_int(doc, "writhe"),
-            braid=parse_braid(text) if text else None,
-        )
-        # Reports echo the braid as the knot, and band_double sweeps it, so
-        # it must be a braid whose closure is this very diagram.
-        if text and braid_closure_diagram(diagram.braid) != diagram:
-            raise ValueError("diagram field 'braid' does not close to this diagram")
-        return diagram
-
 
 @dataclass(frozen=True, slots=True)
 class TangleDiagram:
@@ -174,7 +105,6 @@ class TangleDiagram:
     n_arcs: int
     strand1: tuple[int, ...]
     strand2: tuple[int, ...]
-    source_writhe: int
 
     def __post_init__(self) -> None:
         for key in ("crossings", "strand1", "strand2"):
@@ -208,39 +138,6 @@ class TangleDiagram:
                 if x is None or x.under_out != b:
                     raise ValueError("strand arcs are not chained by underpasses")
         _check_over_arcs(self.crossings, self.n_arcs)
-
-    def to_json(self) -> dict:
-        return {
-            "crossings": [x.to_json() for x in self.crossings],
-            "arcs": self.n_arcs,
-            "strand1": list(self.strand1),
-            "strand2": list(self.strand2),
-            "a1": [list(p) for p in self.a1],
-            "a2": [list(p) for p in self.a2],
-            "a3": [list(p) for p in self.a3],
-            "source_writhe": self.source_writhe,
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "TangleDiagram":
-        """Parse a tangle; boundary loops in `doc` must be the derived ones."""
-        keys = ("crossings", "arcs", "strand1", "strand2", "a1", "a2", "a3",
-                "source_writhe")
-        check_keys(doc, keys, "tangle diagram")
-        t = TangleDiagram(
-            crossings=_json_crossings(doc),
-            n_arcs=_json_int(doc, "arcs"),
-            strand1=_json_ints(doc, "strand1"),
-            strand2=_json_ints(doc, "strand2"),
-            source_writhe=_json_int(doc, "source_writhe"),
-        )
-        for key in ("a1", "a2", "a3"):
-            loop = [list(p) for p in getattr(t, key)]
-            if doc.get(key, loop) != loop:
-                raise ValueError(
-                    f"boundary loop {key} must be {loop}, derived from the strands"
-                )
-        return t
 
 
 def _walk(
@@ -363,7 +260,6 @@ def band_double(diagram: KnotDiagram, framing: int) -> TangleDiagram:
         n_arcs=s2[-1] + 1,
         strand1=s1,
         strand2=s2,
-        source_writhe=braid.writhe(),
     )
     if len(crossings) != 4 * len(braid.letters) + 2 * clasp_pairs:
         raise AssertionError("doubling must yield 4c + 2|framing - writhe| crossings")

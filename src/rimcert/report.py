@@ -47,24 +47,7 @@ TOPOLOGICAL_TEXT = {
 SMOOTHNESS_CAVEAT = "conditional on nontrivial Seiberg-Witten hypothesis"
 
 
-def companion_diagram(spec: SurgerySpec) -> KnotDiagram | None:
-    """Closed diagram whose invariants the report quotes.
-
-    Annulus specs carry a tangle; the closed companion is recovered from
-    the recorded source name, through the same per-process named_diagram
-    that built the spec.  A raw tangle with no source has no closed
-    diagram to take invariants from, so the block is omitted.
-    """
-    if isinstance(spec.knot, KnotDiagram):
-        return spec.knot
-    if spec.source is not None:
-        return named_diagram(spec.source, RIM)
-    return None
-
-
-def invariant_block(diagram: KnotDiagram | None) -> dict | None:
-    if diagram is None:
-        return None
+def invariant_block(diagram: KnotDiagram) -> dict:
     delta = alexander_polynomial(diagram)
     nir = normal_invariant_report(delta)
     return {
@@ -77,7 +60,7 @@ def invariant_block(diagram: KnotDiagram | None) -> dict | None:
     }
 
 
-def conclusions_for(status: str, invariants: dict | None) -> dict:
+def conclusions_for(status: str, invariants: dict) -> dict:
     """Conclusions as a pure function of (verdict status, invariants).
 
     The smooth-knotting flag is simply "Alexander polynomial nontrivial";
@@ -86,12 +69,11 @@ def conclusions_for(status: str, invariants: dict | None) -> dict:
     """
     if status not in TOPOLOGICAL_TEXT:
         raise ValueError(f"unknown verdict status {status!r}")
-    smooth = None if invariants is None else not invariants["alexander_trivial"]
     return {
         "topological": TOPOLOGICAL_TEXT[status],
-        "smoothly_knotted": smooth,
+        "smoothly_knotted": not invariants["alexander_trivial"],
         "smoothness_caveat": SMOOTHNESS_CAVEAT,
-        "normal_invariant": None if invariants is None else invariants["normal_invariant"],
+        "normal_invariant": invariants["normal_invariant"],
     }
 
 
@@ -100,7 +82,7 @@ class CertificationReport:
     spec: SurgerySpec
     verdict: CyclicityVerdict
     group: dict
-    invariants: dict | None
+    invariants: dict
     conclusions: dict
     limits: dict
     elapsed: float
@@ -132,7 +114,9 @@ def certify(
     start = time.monotonic()
     group = surgered_group(spec)
     verdict = certify_cyclic(group, spec.d, max_cosets=max_cosets, timeout=timeout)
-    invariants = invariant_block(companion_diagram(spec))
+    # The invariants are the closed companion's, also for an annulus spec,
+    # whose own diagram is the band tangle.
+    invariants = invariant_block(named_diagram(spec.knot, RIM))
     return CertificationReport(
         spec=spec,
         verdict=verdict,
@@ -164,24 +148,17 @@ def render_text(report: CertificationReport) -> str:
         f"group: {g['generators']} generators, {g['relators']} relators{enum}"
     )
     inv = report.invariants
-    if inv is None:
-        lines.append("invariants: unavailable (no closed companion diagram)")
-    else:
-        lines.append(
-            "invariants: alexander polynomial {p}, determinant {d}, arf {a}".format(
-                p=inv["alexander_polynomial"], d=inv["determinant"], a=inv["arf"]
-            )
+    lines.append(
+        "invariants: alexander polynomial {p}, determinant {d}, arf {a}".format(
+            p=inv["alexander_polynomial"], d=inv["determinant"], a=inv["arf"]
         )
+    )
     c = report.conclusions
     lines.append("conclusions:")
     lines.append(f"  topological: {c['topological']}")
-    if c["smoothly_knotted"] is None:
-        lines.append("  smoothly knotted: unknown")
-    else:
-        flag = "yes" if c["smoothly_knotted"] else "no"
-        lines.append(f"  smoothly knotted: {flag} ({c['smoothness_caveat']})")
-    if c["normal_invariant"] is not None:
-        lines.append(f"  normal invariant: {c['normal_invariant']}")
+    flag = "yes" if c["smoothly_knotted"] else "no"
+    lines.append(f"  smoothly knotted: {flag} ({c['smoothness_caveat']})")
+    lines.append(f"  normal invariant: {c['normal_invariant']}")
     timeout = report.limits["timeout"]
     budget = "no timeout" if timeout is None else f"{timeout:g} s timeout"
     lines.append(f"limits: {report.limits['max_cosets']} cosets, {budget}")

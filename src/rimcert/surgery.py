@@ -11,7 +11,7 @@ roll counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .braids import resolve_knot
@@ -87,38 +87,41 @@ def plotnick_matrix(d: int, m: int) -> PlotnickMatrix:
 class SurgerySpec:
     """One surgery instance: what to cut along and how to reglue.
 
-    ``knot`` is a closed diagram for plain rim surgery and a doubled-band
-    tangle for the annulus flavor.  ``source`` keeps the human-readable
-    origin (a table name or braid literal) purely for reporting.
+    ``knot`` names the companion: a table name or a braid literal.  Every
+    classical knot is a braid closure (Alexander), so the two spellings
+    name every companion the construction admits.  ``diagram`` is what
+    `named_diagram` resolves the name to for this ``kind``, once, when the
+    spec is made: the braid closure for rim surgery and its band double at
+    framing 0 for the annulus flavor.  A name that does not resolve fails
+    here.
     """
 
-    knot: KnotDiagram | TangleDiagram
+    knot: str
     d: int
     m: int = 0
     n: int = 0
     kind: str = RIM
-    source: str | None = None
+    diagram: KnotDiagram | TangleDiagram = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
+        if not isinstance(self.knot, str):
+            raise ValueError("'knot' must be a table name or a braid literal")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
         if self.d < 1:
             raise ValueError("d must be a positive integer")
         if self.m < 0:
             raise ValueError("twist count m must be nonnegative")
-        if self.kind == RIM and not isinstance(self.knot, KnotDiagram):
-            raise ValueError("rim surgery needs a closed knot diagram")
-        if self.kind == ANNULUS and not isinstance(self.knot, TangleDiagram):
-            raise ValueError("annulus surgery needs a doubled-band tangle")
+        object.__setattr__(self, "diagram", named_diagram(self.knot, self.kind))
 
     def label(self) -> str:
-        src = self.source or f"{len(self.knot.crossings)} crossings"
-        return f"{self.kind}({src}, d={self.d}, m={self.m}, n={self.n})"
+        return f"{self.kind}({self.knot}, d={self.d}, m={self.m}, n={self.n})"
 
     def to_json(self) -> dict:
-        knot = self.source if self.source is not None else self.knot.to_json()
         return {
-            "knot": knot,
+            "knot": self.knot,
             "d": self.d,
             "m": self.m,
             "n": self.n,
@@ -142,7 +145,11 @@ def named_diagram(text: str, kind: str) -> KnotDiagram | TangleDiagram:
 
 
 def spec_from_json(doc: dict) -> SurgerySpec:
-    """Parse {"knot": name|braid|diagram, "d", "m", "n", "kind"}."""
+    """Parse {"knot": name|braid, "d", "m", "n", "kind"}.
+
+    Only ``knot`` and ``d`` are required; the counts are JSON integers, and
+    a ``knot`` that is not a string is rejected by `SurgerySpec`.
+    """
     check_keys(doc, ("knot", "d", "m", "n", "kind"), "surgery spec")
     if "knot" not in doc or "d" not in doc:
         raise ValueError("surgery spec needs at least 'knot' and 'd'")
@@ -152,20 +159,7 @@ def spec_from_json(doc: dict) -> SurgerySpec:
         if not is_integer(value):
             raise ValueError(f"{key} must be an integer")
         counts[key] = value
-    kind = doc.get("kind", RIM)
-    knot = doc["knot"]
-    source = None
-    if isinstance(knot, str):
-        source = knot
-        # Any kind but annulus builds the rim diagram, and SurgerySpec then
-        # rejects a kind it does not know.
-        knot = named_diagram(knot, ANNULUS if kind == ANNULUS else RIM)
-    elif isinstance(knot, dict):
-        loader = TangleDiagram if kind == ANNULUS else KnotDiagram
-        knot = loader.from_json(knot)
-    else:
-        raise ValueError("'knot' must be a name, a braid literal, or a diagram")
-    return SurgerySpec(knot=knot, kind=kind, source=source, **counts)
+    return SurgerySpec(knot=doc["knot"], kind=doc.get("kind", RIM), **counts)
 
 
 # -- surgered groups --------------------------------------------------------
@@ -184,13 +178,13 @@ def surgery_recipe(spec: SurgerySpec) -> tuple[GroupPresentation, Word, list[Wor
     freely; the order is fixed once here.
     """
     if spec.kind == RIM:
-        base = wirtinger(spec.knot)
+        base = wirtinger(spec.diagram)
         core = base.meridian
         boundary = [core ** spec.d]
     else:
-        base = tangle_wirtinger(spec.knot)
-        core = Word(spec.knot.a3)
-        a1, a2 = base.meridian, Word(spec.knot.a2)
+        base = tangle_wirtinger(spec.diagram)
+        core = Word(spec.diagram.a3)
+        a1, a2 = base.meridian, Word(spec.diagram.a2)
         boundary = [a1 ** spec.d, core, a1 * a2.inverse()]
     return base, (base.longitude ** spec.n) * (core ** spec.m), boundary
 

@@ -178,7 +178,7 @@ def unbranched_cover_group(
     """
     if spec.kind != RIM:
         raise ValueError("covers are built for rim specs")
-    base = wirtinger(spec.knot)
+    base = wirtinger(spec.diagram)
     assert base.meridian == Word.gen(0)
     sub = reidemeister_schreier(
         base, meridian_kernel_words(0, base.ngens, spec.d), max_cosets

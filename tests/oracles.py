@@ -619,3 +619,35 @@ def artin_rim_group(strands, letters, d, m, n):
                 )
             )
     return strands, [r for r in relators if r]
+
+
+# Diagrams as JSON documents, in the field layout the builders' digest was
+# frozen with.  Plain attribute reads, so no rimcert import here either.
+
+
+def _crossing_json(x):
+    return {"over": x.over, "under_in": x.under_in, "under_out": x.under_out,
+            "sign": x.sign}
+
+
+def knot_diagram_json(d):
+    return {
+        "crossings": [_crossing_json(x) for x in d.crossings],
+        "arcs": d.n_arcs,
+        "writhe": d.writhe,
+        "braid": str(d.braid) if d.braid is not None else None,
+    }
+
+
+def tangle_diagram_json(t, source_writhe):
+    """The band tangle `t` of a knot whose diagram has `source_writhe`."""
+    return {
+        "crossings": [_crossing_json(x) for x in t.crossings],
+        "arcs": t.n_arcs,
+        "strand1": list(t.strand1),
+        "strand2": list(t.strand2),
+        "a1": [list(p) for p in t.a1],
+        "a2": [list(p) for p in t.a2],
+        "a3": [list(p) for p in t.a3],
+        "source_writhe": source_writhe,
+    }

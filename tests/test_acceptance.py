@@ -316,7 +316,7 @@ def test_criterion_7_invariants_match_independent_oracles():
     frozen_arf = {"unknot": 0, "3_1": 1, "4_1": 1, "5_1": 1, "5_2": 0}
     mismatches = []
     for name, seifert in SEIFERT.items():
-        d = spec_from_json({"knot": name, "d": 1}).knot
+        d = spec_from_json({"knot": name, "d": 1}).diagram
         delta = alexander_polynomial(d)
         if str(delta) != frozen_delta[name]:
             mismatches.append((name, "frozen", str(delta)))

@@ -17,6 +17,8 @@ from rimcert.diagrams import band_double, braid_closure_diagram
 from rimcert.batch import expand_sweep
 from rimcert.surgery import spec_from_json
 
+from oracles import knot_diagram_json, tangle_diagram_json
+
 
 def test_sweep_expansion_order_and_coprime_filter():
     rows = expand_sweep(
@@ -141,68 +143,75 @@ def test_a_spec_that_is_not_an_object_is_a_row_error():
         assert row["error"] == "surgery spec must be a JSON object"
 
 
-def test_a_raw_diagram_braid_must_be_the_braid_it_closes():
-    # The figure eight's braid beside the trefoil's crossings once certified
-    # cyclic, echoing the figure eight as the spec's knot; a non-string
-    # braid failed with "expected string or bytes-like object".
-    from rimcert.braids import resolve_knot
-    from rimcert.diagrams import braid_closure_diagram
-
-    trefoil = braid_closure_diagram(resolve_knot("3_1")).to_json()
-    braids = ["B3: 1 -2 1 -2", 5, ["B2: 1 1 1"], trefoil["braid"], None]
-    specs = [{"knot": {**trefoil, "braid": b}, "d": 2, "m": 1} for b in braids]
-    doc = run_batch({"specs": specs})
-    assert doc["summary"]["error"] == 3 and doc["summary"]["cyclic"] == 2
-    mismatch, number, listed = (row["error"] for row in doc["rows"][:3])
-    assert mismatch == "diagram field 'braid' does not close to this diagram"
-    assert number == listed == "diagram field 'braid' must be a string or null"
-
-
 def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
 
 _TREFOIL = braid_closure_diagram(resolve_knot("3_1"))
-_KNOT = _TREFOIL.to_json()
-_TANGLE = band_double(_TREFOIL, 0).to_json()
+_KNOT = knot_diagram_json(_TREFOIL)
+_TANGLE = tangle_diagram_json(band_double(_TREFOIL, 0), _TREFOIL.writhe)
+# A 4-crossing Gauss diagram with Alexander polynomial 2t - 1, which is
+# not symmetric, so it is no classical knot; it was certified cyclic.
+PROBE_2T_MINUS_1 = {
+    "crossings": [
+        {"over": 0, "under_in": 0, "under_out": 1, "sign": 1},
+        {"over": 0, "under_in": 2, "under_out": 3, "sign": 1},
+        {"over": 2, "under_in": 3, "under_out": 0, "sign": -1},
+        {"over": 0, "under_in": 1, "under_out": 2, "sign": -1},
+    ],
+    "arcs": 4, "writhe": 0, "braid": None,
+}
+# The trefoil band with its first crossing's sign flipped is no band
+# double; it was certified non_cyclic.
+FLIPPED_BAND = {
+    **_TANGLE,
+    "crossings": [{**_TANGLE["crossings"][0], "sign": -_TANGLE["crossings"][0]["sign"]}]
+    + _TANGLE["crossings"][1:],
+}
+KNOT_ERROR = "'knot' must be a table name or a braid literal"
 
 
 @pytest.mark.parametrize(
-    "kind, knot, error",
+    "kind, knot",
     [
-        pytest.param("rim", {**_KNOT, "crossings": 5},
-                     "diagram field 'crossings' must be a list of crossing objects",
-                     id="crossings-number"),
+        pytest.param("rim", {**_KNOT, "crossings": 5}, id="crossings-number"),
         pytest.param("rim", {**_KNOT, "crossings": [list(c.values()) for c in _KNOT["crossings"]]},
-                     "crossing must be a JSON object", id="crossing-list"),
-        pytest.param("rim", _without(_KNOT, "arcs"), "diagram field 'arcs' is missing",
-                     id="missing-arcs"),
-        pytest.param("rim", {**_KNOT, "extra": 1},
-                     "unknown knot diagram keys 'extra'; "
-                     "accepted: crossings, arcs, writhe, braid", id="knot-extra"),
+                     id="crossing-list"),
+        pytest.param("rim", _without(_KNOT, "arcs"), id="missing-arcs"),
+        pytest.param("rim", {**_KNOT, "extra": 1}, id="knot-extra"),
         pytest.param("rim", {**_KNOT, "crossings": [{**_KNOT["crossings"][0], "x": 1}]},
-                     "unknown crossing keys 'x'; accepted: over, under_in, under_out, sign",
                      id="crossing-extra"),
         pytest.param("rim", {**_KNOT, "crossings": [_without(_KNOT["crossings"][0], "sign")]},
-                     "diagram field 'sign' is missing", id="crossing-missing-sign"),
-        pytest.param("rim", {"crossings": [], "arcs": 1, "writhe": 1},
-                     "stored writhe disagrees with crossing signs", id="crossingless-writhe"),
-        pytest.param("annulus", {**_TANGLE, "crossings": {}},
-                     "diagram field 'crossings' must be a list of crossing objects",
-                     id="tangle-crossings-object"),
-        pytest.param("annulus", _without(_TANGLE, "strand2"),
-                     "diagram field 'strand2' is missing", id="tangle-missing-strand"),
-        pytest.param("annulus", {**_TANGLE, "writhe": 0},
-                     "unknown tangle diagram keys 'writhe'; accepted: crossings, arcs, "
-                     "strand1, strand2, a1, a2, a3, source_writhe", id="tangle-extra"),
+                     id="crossing-missing-sign"),
+        pytest.param("rim", {"crossings": [], "arcs": 1, "writhe": 1}, id="crossingless-writhe"),
+        pytest.param("annulus", {**_TANGLE, "crossings": {}}, id="tangle-crossings-object"),
+        pytest.param("annulus", _without(_TANGLE, "strand2"), id="tangle-missing-strand"),
+        pytest.param("annulus", {**_TANGLE, "writhe": 0}, id="tangle-extra"),
+        pytest.param("rim", _KNOT, id="trefoil"),
+        pytest.param("annulus", _TANGLE, id="trefoil-band"),
+        pytest.param("rim", PROBE_2T_MINUS_1, id="probe-2t-1-rim"),
+        pytest.param("annulus", PROBE_2T_MINUS_1, id="probe-2t-1-annulus"),
+        pytest.param("rim", FLIPPED_BAND, id="flipped-band-rim"),
+        pytest.param("annulus", FLIPPED_BAND, id="flipped-band-annulus"),
     ],
 )
-def test_a_malformed_raw_diagram_is_a_row_error_naming_the_field(kind, knot, error):
+def test_a_malformed_raw_diagram_is_a_row_error_naming_the_field(kind, knot):
+    # A companion is named by table name or braid literal only, so every
+    # diagram document, well formed or not, is a row error naming 'knot'.
     spec = {"knot": knot, "d": 2, "m": 1, "kind": kind}
     doc = run_batch({"specs": [spec, {"knot": "3_1", "d": 2, "m": 1, "kind": kind}]})
     bad, good = doc["rows"]
-    assert bad == {"schema": "rimcert.batch/1", "spec": spec, "error": error}
+    assert bad == {"schema": "rimcert.batch/1", "spec": spec, "error": KNOT_ERROR}
     assert good["verdict"]["status"] == "cyclic"
+    assert doc["summary"]["error"] == 1
+
+
+@pytest.mark.parametrize("kind", ["rim", "annulus"])
+@pytest.mark.parametrize("knot", [PROBE_2T_MINUS_1, FLIPPED_BAND],
+                         ids=["probe-2t-1", "flipped-band"])
+def test_spec_from_json_rejects_a_diagram_object_knot(knot, kind):
+    with pytest.raises(ValueError, match=KNOT_ERROR):
+        spec_from_json({"knot": knot, "d": 3, "m": 1, "n": 1, "kind": kind})
 
 
 def test_the_process_pool_loads_only_for_a_parallel_batch(tmp_path):
@@ -261,14 +270,16 @@ def test_run_batch_validates_limits():
         ("parallelism", 1.7),
         ("parallelism", True),
         ("timeout", True),
+        ("timeout", False),
         ("timeout", "60"),
         ("timeout", float("nan")),
         ("timeout", float("inf")),
     ],
 )
 def test_run_batch_takes_only_json_numbers_as_limits(key, value):
-    # A bool is no count, a string is no number, and nan or inf would be
-    # written back as NaN or Infinity, which is not JSON.
+    # A bool is no count and no number (false neither, though it equals 0
+    # and a timeout of 0 means none), a string is no number, and nan or inf
+    # would be written back as NaN or Infinity, which is not JSON.
     spec = {"knot": "unknot", "d": 2}
     with pytest.raises(ValueError, match=key):
         run_batch({"specs": [spec], key: value})
@@ -278,6 +289,11 @@ def test_run_batch_echoes_valid_limits():
     doc = run_batch({"specs": [], "max_cosets": 500, "timeout": 5})
     assert doc["limits"] == {"max_cosets": 500, "timeout": 5.0}
     assert run_batch({"timeout": None})["limits"]["timeout"] is None
+    # 0 means no deadline, as `rimcert certify --timeout 0` does.
+    for zero in (0, 0.0):
+        doc = run_batch({"specs": [{"knot": "3_1", "d": 2, "m": 1}], "timeout": zero})
+        assert doc["limits"]["timeout"] is doc["rows"][0]["limits"]["timeout"] is None
+        assert doc["rows"][0]["verdict"]["status"] == "cyclic"
 
 
 def test_parallelism_does_not_change_the_bytes():

@@ -12,8 +12,9 @@ from rimcert.diagrams import (
     band_double,
     braid_closure_diagram,
 )
-from rimcert.report import certify
-from rimcert.surgery import SurgerySpec, spec_from_json
+from rimcert.invariants import alexander_polynomial, tangle_wirtinger
+
+from oracles import knot_diagram_json, tangle_diagram_json
 
 TABLE_KNOTS = ("unknot", "3_1", "4_1", "5_1", "5_2")
 
@@ -31,10 +32,9 @@ def test_unknot_closure_has_no_crossings():
 
 def test_a_crossingless_diagram_has_writhe_zero():
     # A crossingless diagram once took any stored writhe and echoed it.
-    with pytest.raises(ValueError, match="writhe"):
-        KnotDiagram((), 1, 5)
-    with pytest.raises(ValueError, match="writhe"):
-        KnotDiagram.from_json({"crossings": [], "arcs": 1, "writhe": -3})
+    for writhe in (5, -3):
+        with pytest.raises(ValueError, match="writhe"):
+            KnotDiagram((), 1, writhe)
 
 
 def test_closure_rejects_links():
@@ -59,12 +59,6 @@ def test_closures_of_all_table_knots_validate():
         assert d.n_arcs == max(1, len(d.crossings))
 
 
-def test_diagram_json_round_trip():
-    for name in TABLE_KNOTS:
-        d = braid_closure_diagram(resolve_knot(name))
-        assert KnotDiagram.from_json(d.to_json()) == d
-
-
 def test_diagrams_given_lists_store_tuples_and_certify():
     # A knot built with a list of crossings used to pass validate() and
     # then fail certify with "unhashable type: 'list'" in the cached
@@ -72,29 +66,29 @@ def test_diagrams_given_lists_store_tuples_and_certify():
     knot = braid_closure_diagram(resolve_knot("3_1"))
     listed = KnotDiagram(list(knot.crossings), knot.n_arcs, knot.writhe, knot.braid)
     assert listed == knot and hash(listed) == hash(knot)
-    assert certify(SurgerySpec(knot=listed, d=2, m=1)).verdict.status == "cyclic"
+    assert alexander_polynomial(listed) == alexander_polynomial(knot)
     band = band_double(knot, 0)
     listed_band = TangleDiagram(
-        list(band.crossings), band.n_arcs, list(band.strand1),
-        list(band.strand2), band.source_writhe,
+        list(band.crossings), band.n_arcs, list(band.strand1), list(band.strand2),
     )
     assert listed_band == band and hash(listed_band) == hash(band)
-    spec = SurgerySpec(knot=listed_band, d=3, m=1, n=1, kind="annulus")
-    assert certify(spec).verdict.status == "cyclic"
+    assert tangle_wirtinger(listed_band) == tangle_wirtinger(band)
 
 
 def test_knot_diagram_arcs_must_follow_the_traversal():
     # Swapping arcs 1 and 2 of the trefoil still has every arc end and
     # start one underpass, but the longitude would read the underpasses
-    # out of order: this spec was certified cyclic, while the named
+    # out of order: as a spec this was certified cyclic, while the named
     # trefoil spec is non-cyclic of order 600.
-    doc = braid_closure_diagram(resolve_knot("3_1")).to_json()
-    swap = {1: 2, 2: 1}
-    for c in doc["crossings"]:
-        for key in ("over", "under_in", "under_out"):
-            c[key] = swap.get(c[key], c[key])
+    knot = braid_closure_diagram(resolve_knot("3_1"))
+    swap = {1: 2, 2: 1}.get
+    swapped = [
+        Crossing(swap(x.over, x.over), swap(x.under_in, x.under_in),
+                 swap(x.under_out, x.under_out), x.sign)
+        for x in knot.crossings
+    ]
     with pytest.raises(ValueError, match="traversal order"):
-        spec_from_json({"knot": doc, "d": 5, "m": 1, "n": 4})
+        KnotDiagram(swapped, knot.n_arcs, knot.writhe)
     # A Hopf link: each one-arc component dives under the other and comes
     # back to itself.  A diagram is checked when it is made.
     with pytest.raises(ValueError, match="traversal order"):
@@ -128,59 +122,36 @@ def test_band_double_of_unknot():
     t.validate()
 
 
-def test_tangle_json_round_trip():
-    t = band_double(braid_closure_diagram(resolve_knot("3_1")), 0)
-    assert TangleDiagram.from_json(t.to_json()) == t
-
-
 def test_tangle_boundary_loops_shape():
     t = band_double(braid_closure_diagram(resolve_knot("5_2")), 0)
     assert len(t.a1) == 1 and len(t.a2) == 1 and len(t.a3) == 2
 
 
-@pytest.mark.parametrize(
-    "loop, slot, value",
-    [
-        # Sign 0 made the meridian the identity and sign 5 its fifth
-        # power; both raw tangles were certified as surgery specs.
-        ("a1", 1, 0),
-        ("a1", 1, 5),
-        ("a3", 1, 2),
-        ("a2", 0, -1),
-        ("a3", 0, 10**6),
-    ],
-    ids=["a1-sign-0", "a1-sign-5", "a3-sign-2", "a2-arc-negative", "a3-arc-too-big"],
-)
-def test_tangle_boundary_loops_need_unit_signs_and_known_arcs(loop, slot, value):
-    doc = band_double(braid_closure_diagram(resolve_knot("3_1")), 0).to_json()
-    pairs = [list(p) for p in doc[loop]]
-    pairs[0][slot] = value
-    bad = dict(doc, **{loop: pairs})
-    with pytest.raises(ValueError, match=f"boundary loop {loop} must be"):
-        spec_from_json({"knot": bad, "d": 3, "m": 1, "kind": "annulus"})
-
-
 def test_tangle_boundary_loops_sit_at_the_shared_end():
-    # Unit signs on known arcs, but a1 on strand 2's last arc and a3 on
-    # strand 2's first: this raw tangle was certified non_cyclic at the
-    # abelianization (Z + Z/3), while the band of the trefoil has H1 = Z/3.
-    doc = band_double(braid_closure_diagram(resolve_knot("3_1")), 0).to_json()
-    assert (doc["strand1"][0], doc["strand2"][0], doc["strand2"][-1]) == (0, 10, 19)
-    bad = dict(doc, a1=[[19, 1]], a2=[[19, 1]], a3=[[10, 1], [19, -1]])
-    with pytest.raises(ValueError, match="boundary loop a1 must be"):
-        spec_from_json({"knot": bad, "d": 3, "m": 1, "kind": "annulus"})
-    # The loops are derived from the strands, so a document may leave them out.
-    lean = {k: v for k, v in doc.items() if k not in ("a1", "a2", "a3")}
-    assert TangleDiagram.from_json(lean) == TangleDiagram.from_json(doc)
+    # The loops are derived from the strands: a1 on strand 1's first arc,
+    # a2 on strand 2's last, where strand 1 starts, and a3 = a1 * a2^-1.
+    t = band_double(braid_closure_diagram(resolve_knot("3_1")), 0)
+    assert (t.strand1[0], t.strand2[0], t.strand2[-1]) == (0, 10, 19)
+    assert (t.a1, t.a2, t.a3) == (((0, 1),), ((19, 1),), ((0, 1), (19, -1)))
+
+
+def _tangle(band, **changes):
+    fields = {"crossings": band.crossings, "n_arcs": band.n_arcs,
+              "strand1": band.strand1, "strand2": band.strand2}
+    return TangleDiagram(**{**fields, **changes})
 
 
 def test_tangle_crossings_all_sit_on_the_strands():
     # A crossing where strand 1 ends adds a relator that no arc of the
-    # band accounts for; this raw tangle was certified cyclic.
-    doc = band_double(braid_closure_diagram(resolve_knot("3_1")), 0).to_json()
-    doc["crossings"].append({"over": 0, "under_in": 9, "under_out": 10, "sign": 1})
+    # band accounts for; as a spec this tangle was certified cyclic.
+    band = band_double(braid_closure_diagram(resolve_knot("3_1")), 0)
+    extra = band.crossings + (Crossing(0, 9, 10, 1),)
     with pytest.raises(ValueError, match="two more arcs than crossings"):
-        spec_from_json({"knot": doc, "d": 3, "m": 1, "kind": "annulus"})
+        _tangle(band, crossings=extra)
+    # Strand arcs follow one another through underpasses.
+    s1 = band.strand1
+    with pytest.raises(ValueError, match="not chained by underpasses"):
+        _tangle(band, strand1=(s1[0], s1[2], s1[1]) + s1[3:])
 
 
 @pytest.mark.parametrize("kind", ["rim", "annulus"])
@@ -190,40 +161,42 @@ def test_over_arcs_must_be_known_arcs(kind, past_end):
     # a relator on a generator outside the group, and -1 with a negative
     # generator index.
     knot = braid_closure_diagram(resolve_knot("3_1"))
-    doc = (band_double(knot, 0) if kind == "annulus" else knot).to_json()
-    doc["crossings"][0]["over"] = doc["arcs"] if past_end else -1
+    diagram = band_double(knot, 0) if kind == "annulus" else knot
+    first, *rest = diagram.crossings
+    bad = (Crossing(diagram.n_arcs if past_end else -1, first.under_in,
+                    first.under_out, first.sign), *rest)
     with pytest.raises(ValueError, match="crossing references an unknown over arc"):
-        spec_from_json({"knot": doc, "d": 3, "m": 1, "kind": kind})
+        if kind == "annulus":
+            _tangle(diagram, crossings=bad)
+        else:
+            KnotDiagram(bad, knot.n_arcs, knot.writhe, knot.braid)
+
+
+_TREFOIL = braid_closure_diagram(resolve_knot("3_1"))
+_BAND = band_double(_TREFOIL, 0)
 
 
 @pytest.mark.parametrize(
-    "kind, path, value",
+    "build, error",
     [
-        # A float over arc failed late in the relator's XOR, a float sign
-        # in a sequence product; a float strand was certified cyclic.
-        ("rim", ("crossings", 0, "over"), 1.0),
-        ("rim", ("crossings", 1, "sign"), 1.0),
-        ("rim", ("crossings", 2, "under_in"), True),
-        ("rim", ("arcs",), "3"),
-        ("rim", ("writhe",), 3.0),
-        ("annulus", ("crossings", 0, "under_out"), 1.0),
-        ("annulus", ("strand1", 0), 0.0),
-        ("annulus", ("strand2",), "10"),
-        ("annulus", ("source_writhe",), 3.0),
+        (lambda: KnotDiagram((), 2, 0), "a crossingless knot diagram has exactly one arc"),
+        (lambda: KnotDiagram(_TREFOIL.crossings, 4, 3), "as many arcs as crossings"),
+        (lambda: KnotDiagram((_TREFOIL.crossings[0], Crossing(2, 1, 2, 1),
+                              _TREFOIL.crossings[2]), 3, 3),
+         "each arc must end exactly one underpass"),
+        (lambda: _tangle(_BAND, strand1=_BAND.strand1[:-1]), "partition the arcs"),
+        (lambda: _tangle(_BAND, crossings=(Crossing(19, 3, 3, -1),) + _BAND.crossings[1:]),
+         "an arc ends at more than one underpass"),
+        (lambda: band_double(KnotDiagram(_TREFOIL.crossings, 3, 3), 0),
+         "needs a diagram built from a braid word"),
     ],
-    ids=["over", "sign", "under_in", "arcs", "writhe", "under_out", "strand1",
-         "strand2", "source_writhe"],
+    ids=["crossingless-arcs", "knot-arcs", "knot-underpasses", "tangle-partition",
+         "tangle-underpasses", "double-without-braid"],
 )
-def test_diagram_json_takes_only_json_integers(kind, path, value):
-    knot = braid_closure_diagram(resolve_knot("3_1"))
-    doc = (band_double(knot, 0) if kind == "annulus" else knot).to_json()
-    target = doc
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
-    field = [key for key in path if isinstance(key, str)][-1]
-    with pytest.raises(ValueError, match=f"diagram field '{field}' must be"):
-        spec_from_json({"knot": doc, "d": 3, "m": 1, "kind": kind})
+def test_validate_rejects_each_broken_rule(build, error):
+    # The checks that every diagram passes when it is built, one rule each.
+    with pytest.raises(ValueError, match=error):
+        build()
 
 
 def _random_knot_braids(seed: int, count: int):
@@ -254,7 +227,7 @@ def test_diagram_builders_are_pinned():
     docs = []
     for braid in braids:
         knot = braid_closure_diagram(braid)
-        bands = [band_double(knot, f).to_json() for f in (-2, 0, 3)]
-        docs.append([knot.to_json()] + bands)
+        bands = [tangle_diagram_json(band_double(knot, f), knot.writhe) for f in (-2, 0, 3)]
+        docs.append([knot_diagram_json(knot)] + bands)
     blob = json.dumps(docs, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == BUILDERS_DIGEST

@@ -9,21 +9,20 @@ import pytest
 from rimcert import (
     CertificationReport,
     certify,
-    companion_diagram,
     conclusions_for,
     invariant_block,
     render_text,
     spec_from_json,
 )
 from rimcert.braids import resolve_knot
-from rimcert.diagrams import band_double, braid_closure_diagram
+from rimcert.diagrams import braid_closure_diagram
 from rimcert.report import REPORT_SCHEMA, SMOOTHNESS_CAVEAT, TOPOLOGICAL_TEXT
+from rimcert.surgery import named_diagram
 
 STATUSES = ("cyclic", "non_cyclic", "inconclusive")
 
 
 def _invariant_samples():
-    yield None
     for name in ("unknot", "3_1", "4_1"):
         yield invariant_block(braid_closure_diagram(resolve_knot(name)))
 
@@ -35,17 +34,14 @@ def test_conclusions_pure_and_total():
         assert first == again
         assert first["topological"] == TOPOLOGICAL_TEXT[status]
         assert first["smoothness_caveat"] == SMOOTHNESS_CAVEAT
-        if inv is None:
-            assert first["smoothly_knotted"] is None
-            assert first["normal_invariant"] is None
-        else:
-            assert first["smoothly_knotted"] == (not inv["alexander_trivial"])
-            assert first["normal_invariant"] == inv["normal_invariant"]
+        assert first["smoothly_knotted"] == (not inv["alexander_trivial"])
+        assert first["normal_invariant"] == inv["normal_invariant"]
 
 
 def test_pairwise_homeomorphism_claim_only_when_cyclic():
+    inv = next(_invariant_samples())
     for status in STATUSES:
-        text = conclusions_for(status, None)["topological"]
+        text = conclusions_for(status, inv)["topological"]
         claimed = "pairwise homeomorphism" in text
         assert claimed == (status == "cyclic")
     assert "standardness theorems do not apply" in TOPOLOGICAL_TEXT["non_cyclic"]
@@ -54,7 +50,7 @@ def test_pairwise_homeomorphism_claim_only_when_cyclic():
 
 def test_unknown_status_rejected():
     with pytest.raises(ValueError):
-        conclusions_for("certified", None)
+        conclusions_for("certified", next(_invariant_samples()))
 
 
 def test_certified_cyclic_report():
@@ -115,24 +111,14 @@ def test_timing_block_is_optional():
 
 def test_companion_of_rim_spec_is_its_own_diagram():
     spec = spec_from_json({"knot": "5_2", "d": 2})
-    assert companion_diagram(spec) is spec.knot
+    assert spec.diagram is named_diagram("5_2", "rim")
+    assert certify(spec).invariants == invariant_block(spec.diagram)
 
 
 def test_companion_of_named_annulus_spec_is_the_closure():
     spec = spec_from_json({"knot": "3_1", "d": 2, "kind": "annulus"})
-    companion = companion_diagram(spec)
     expected = braid_closure_diagram(resolve_knot("3_1"))
-    assert companion.to_json() == expected.to_json()
-
-
-def test_raw_tangle_report_omits_invariants():
-    tangle = band_double(braid_closure_diagram(resolve_knot("3_1")), 0)
-    spec = spec_from_json({"knot": tangle.to_json(), "d": 2, "kind": "annulus"})
-    assert companion_diagram(spec) is None
-    report = certify(spec)
-    assert report.invariants is None
-    assert report.conclusions["smoothly_knotted"] is None
-    assert "unavailable" in render_text(report)
+    assert certify(spec).invariants == invariant_block(expected)
 
 
 def test_render_text_mentions_the_load_bearing_facts():

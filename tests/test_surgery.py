@@ -12,7 +12,6 @@ from rimcert.diagrams import band_double, braid_closure_diagram
 from rimcert.enumeration import todd_coxeter
 from rimcert.groups import GroupPresentation, Word
 from rimcert.invariants import tangle_wirtinger, wirtinger
-from rimcert.report import companion_diagram
 from rimcert.surgery import (
     SurgerySpec,
     named_diagram,
@@ -84,16 +83,12 @@ def test_spec_validation():
                        ("n", "1"), ("n", None)]:
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             spec_from_json({"knot": "3_1", "d": 2, key: value})
-    with pytest.raises(ValueError):
-        SurgerySpec(knot=braid_closure_diagram(resolve_knot("3_1")), d=2,
-                    kind="annulus")
-
-
-def test_spec_round_trips_raw_diagrams():
-    d = braid_closure_diagram(resolve_knot("4_1"))
-    spec = spec_from_json({"knot": d.to_json(), "d": 3})
-    assert spec.source is None
-    assert surgered_group(spec).ngens == d.n_arcs
+    # A companion is named by table name or braid literal, never given as
+    # a diagram.
+    for kind in ("rim", "annulus"):
+        with pytest.raises(ValueError, match="'knot' must be a table name"):
+            SurgerySpec(knot=braid_closure_diagram(resolve_knot("3_1")), d=2,
+                        kind=kind)
 
 
 # -- surgered groups -----------------------------------------------------------
@@ -102,18 +97,15 @@ def test_spec_round_trips_raw_diagrams():
 def test_named_companions_are_built_once_per_process():
     rim = [_rim_spec("5_2", d, m=1, n=n) for d, n in ((3, 1), (5, 2))]
     annulus = [spec_from_json({"knot": "5_2", "d": d, "kind": "annulus"}) for d in (3, 4)]
-    assert rim[0].knot is rim[1].knot
-    assert annulus[0].knot is annulus[1].knot
-    assert annulus[0].knot == band_double(rim[0].knot, 0)
+    assert rim[0].diagram is rim[1].diagram
+    assert annulus[0].diagram is annulus[1].diagram
+    assert annulus[0].diagram == band_double(rim[0].diagram, 0)
     # The report's closed companion of an annulus spec is the rim diagram.
-    assert companion_diagram(annulus[0]) is rim[0].knot
+    assert named_diagram(annulus[0].knot, "rim") is rim[0].diagram
     # A braid literal is keyed by its text, and builds the same diagram.
     literal = _rim_spec("B3: 1 1 1 2 -1 2", 3)
-    assert literal.knot == rim[0].knot
-    assert literal.knot is named_diagram("B3: 1 1 1 2 -1 2", "rim")
-    # Raw diagrams are parsed afresh.
-    raw = spec_from_json({"knot": rim[0].knot.to_json(), "d": 3})
-    assert raw.knot == rim[0].knot and raw.knot is not rim[0].knot
+    assert literal.diagram == rim[0].diagram
+    assert literal.diagram is named_diagram("B3: 1 1 1 2 -1 2", "rim")
     # A name that does not resolve is never cached: it raises every time.
     for _ in range(2):
         with pytest.raises(ValueError, match="no_such_knot"):
