@@ -13,10 +13,9 @@ import json
 import math
 
 from .certify import check_limits
-from .diagrams import check_keys, is_integer
 from .enumeration import DEFAULT_MAX_COSETS
 from .report import DEFAULT_TIMEOUT, certify
-from .surgery import KINDS, spec_from_json
+from .surgery import KINDS, check_keys, is_integer, spec_from_json
 
 BATCH_SCHEMA = "rimcert.batch/1"
 

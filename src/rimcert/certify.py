@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass, field
 
 from .abelian import AbelianInvariants, abelian_invariants
-from .diagrams import is_integer
 from .enumeration import DEFAULT_MAX_COSETS, todd_coxeter
 from .groups import (
     GroupPresentation,
@@ -25,6 +24,7 @@ from .groups import (
     cyclic_normal_form,
     quotient,
 )
+from .surgery import is_integer
 
 CYCLIC = "cyclic"
 NON_CYCLIC = "non_cyclic"

@@ -21,23 +21,6 @@ from dataclasses import dataclass
 from .braids import BraidWord
 
 
-def is_integer(value) -> bool:
-    """A JSON integer: an int that is not a bool (floats and strings fail)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def check_keys(doc, allowed: tuple[str, ...], what: str) -> None:
-    """Reject a `doc` that is not a JSON object or has keys outside `allowed`."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    unknown = [k for k in doc if k not in allowed]
-    if unknown:
-        raise ValueError(
-            f"unknown {what} keys {', '.join(map(repr, unknown))}; "
-            f"accepted: {', '.join(allowed)}"
-        )
-
-
 def _check_over_arcs(crossings: tuple[Crossing, ...], n_arcs: int) -> None:
     if any(not (0 <= x.over < n_arcs) for x in crossings):
         raise ValueError("crossing references an unknown over arc")

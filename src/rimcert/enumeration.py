@@ -19,16 +19,26 @@ entries with chains of one; on decided specs nearly all of these cosets
 die in coincidences.  No row is removed before the table is complete, so
 the cosets defined are the table's length.  A complete table is
 renumbered once, breadth-first from coset 0, which skips its dead rows.
-Lookahead reads a relator's first forward and last backward entry at a
-coset before it scans: a scan of two or more letters that can step
-neither way does nothing, and about a sixth of the lookahead scans of an
-overflowing enumeration are skipped that way.
+Lookahead is most of the time of an enumeration that overflows.  It runs
+as a pass generated for the presentation's relator pattern, how many
+relators there are and which have four or more letters, with one
+straight-line block per relator and that relator's columns bound to local
+names.  A pass is compiled the first time a table with its pattern needs a
+lookahead and cached per pattern, so nothing compiles at import or for an
+enumeration whose table never fills.  A block reads at most the first two
+steps each way before it walks: in a relator of four or more letters,
+walks of at most one step each leave a gap of two or more letters, where
+the scan neither deduces nor merges, so it moves on.  That settles about
+60% of the scans of a full overflowing table.  Every other scan walks,
+deduces and merges as the plain loop over relators does, in the same
+order, so each pass leaves the same rows and parents.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import eq
 
 from .groups import GroupPresentation, Word
@@ -50,13 +60,15 @@ class CosetTable:
     Columns alternate generator and inverse, so letter x ^ 1 is the inverse
     of letter x.  A definition appends one entry to every column.  Columns
     are never replaced, only rebuilt in place, so the views of a relator
-    (see views) stay valid for the whole enumeration.  Dead cosets keep
-    their rows until standardize, so len(p) is the number of cosets defined.
+    (see views) and the column pairs coincidence reads stay valid for the
+    whole enumeration.  Dead cosets keep their rows until standardize, so
+    len(p) is the number of cosets defined.
     """
 
     __slots__ = (
         "ncols",
         "cols",
+        "pairs",
         "p",
         "limit",
         "deadline",
@@ -65,6 +77,8 @@ class CosetTable:
     def __init__(self, ngens: int, limit: int, deadline: float | None = None):
         self.ncols = 2 * ngens
         self.cols: list[list[int | None]] = [[None] for _ in range(self.ncols)]
+        # Each column beside its inverse's, in column order, for coincidence.
+        self.pairs = [(col, self.cols[x ^ 1]) for x, col in enumerate(self.cols)]
         self.p: list[int] = [0]
         self.limit = limit
         self.deadline = deadline
@@ -146,9 +160,7 @@ class CosetTable:
         if alpha > beta:
             alpha, beta = beta, alpha
         p[beta] = alpha
-        # Each column beside its inverse's, in column order.
-        cols = self.cols
-        pairs = [(col, cols[x ^ 1]) for x, col in enumerate(cols)]
+        pairs = self.pairs
         queue = [beta]
         qi = 0
         while qi < len(queue):
@@ -237,54 +249,17 @@ class CosetTable:
         """Scan each relator from each live coset from start on; define none.
 
         Rows below start must be complete, as HLT leaves the rows below its
-        cursor.  This is the non-filling scan, inlined: one forward and one
-        backward pass per relator.  A gap of one letter is filled as a
-        deduction, and a scan whose two ends meet at different cosets merges
-        them; only such a merge can kill alpha.  A scan of two or more
-        letters that can step neither forward nor backward from alpha does
-        nothing, so it is skipped after reading those two entries.
+        cursor.  Each scan is the non-filling scan, one forward and one
+        backward walk: a gap of one letter is filled as a deduction, and a
+        scan whose two ends meet at different cosets merges them; only such
+        a merge can kill alpha, which ends alpha's scans.  The deadline is
+        polled once per 1024 rows.  The pass is the one _lookahead_pass
+        compiles for the views' pattern.  It reads the first two steps of a
+        relator of four or more letters each way before it walks: a scan
+        whose walks take at most one step each leaves a gap of two or more
+        letters, which neither deduces nor merges, so it is skipped exactly.
         """
-        p = self.p
-        scans = [(fw, bw, fw[0], bw[-1], len(fw) - 1) for fw, bw in views]
-        for alpha in range(start, len(p)):
-            if alpha & 1023 == 1023:
-                self._poll()
-            if p[alpha] != alpha:
-                continue
-            for fw, bw, first, back, last in scans:
-                f = first[alpha]
-                if f is None:
-                    if last and back[alpha] is None:
-                        continue
-                    f, i = alpha, 0
-                else:
-                    i = 1
-                    while i <= last:
-                        nxt = fw[i][f]
-                        if nxt is None:
-                            break
-                        f = nxt
-                        i += 1
-                    if i > last:
-                        if f != alpha:
-                            self.coincidence(f, alpha)
-                            if p[alpha] != alpha:
-                                break
-                        continue
-                b, j = alpha, last
-                while j >= i:
-                    prev = bw[j][b]
-                    if prev is None:
-                        break
-                    b = prev
-                    j -= 1
-                if j < i:
-                    self.coincidence(f, b)
-                    if p[alpha] != alpha:
-                        break
-                elif j == i:
-                    fw[i][f] = b
-                    bw[i][b] = f
+        _lookahead_pass(tuple(len(fw) >= 4 for fw, _ in views))(self, views, start)
 
     def standardize(self) -> int:
         """Renumber breadth-first from coset 0; return how many cosets remain.
@@ -311,6 +286,143 @@ class CosetTable:
             ]
         self.p[:] = range(len(queue))
         return len(queue)
+
+
+# The lookahead pass that _lookahead_pass generates.  Each relator k binds
+# its views W{k} (forward) and V{k} (backward) and L{k}, the index of its
+# last letter, to locals, with the columns of its first step each way, F{k}
+# and B{k}, and the (index, column) pairs its walks read: R{k} backward from
+# letter L{k} down to 0, and E{k} forward from letter 1.  A relator of four
+# or more letters binds its second steps, G{k} and C{k}, and the walks past
+# them, H{k} forward from letter 2 and S{k} backward from letter L{k} - 2, in
+# place of E{k}.  The loop over alpha holds one block per relator.
+#
+# A backward walk is not stopped where the forward walk stopped, at letter
+# i: it only reads, and if it passes letter i, a walk stopped there would
+# have met the forward walk, so merge walks to that meeting point again.
+# That is the rare case; the common one saves a test per step.
+_PASS = """\
+def lookahead(table, views, start):
+    p = table.p
+    coincidence = table.coincidence
+    poll = table._poll
+
+    def merge(alpha, f, i, back):
+        b = alpha
+        for j, col in back:
+            if j < i:
+                break
+            b = col[b]
+        coincidence(f, b)
+        return p[alpha] != alpha
+{binds}
+    for alpha in range(start, len(p)):
+        if alpha & 1023 == 1023:
+            poll()
+        if p[alpha] != alpha:
+            continue
+{blocks}"""
+
+_BIND = """\
+    W{k}, V{k} = views[{k}]
+    L{k} = len(W{k}) - 1
+    F{k}, B{k} = W{k}[0], V{k}[L{k}]
+    R{k} = tuple(enumerate(V{k}))[::-1]
+"""
+
+_BIND_SHORT = _BIND + """\
+    E{k} = tuple(enumerate(W{k}))[1:]
+"""
+
+_BIND_LONG = _BIND + """\
+    G{k}, C{k} = W{k}[1], V{k}[L{k} - 1]
+    H{k}, S{k} = tuple(enumerate(W{k}))[2:], R{k}[2:]
+"""
+
+# The backward walk along {back} from b, then what the two walks found: a
+# merge when they met (which may kill alpha and so end its scans), or a
+# deduction when one letter is left.  {ind} indents it.
+_BACK = """\
+{ind}for j, col in {back}:
+{ind}    prev = col[b]
+{ind}    if prev is None:
+{ind}        break
+{ind}    b = prev
+{ind}else:
+{ind}    j = -1
+{ind}if j < i:
+{ind}    if merge(alpha, f, i, R{k}):
+{ind}        continue
+{ind}elif j == i:
+{ind}    W{k}[i][f] = b
+{ind}    V{k}[i][b] = f
+"""
+
+# The forward walk; a scan it completes merges its ends.
+_FORWARD = """\
+            for i, col in {walk}:
+                nxt = col[f]
+                if nxt is None:
+                    break
+                f = nxt
+            else:
+                i = L{k} + 1
+            if i > L{k}:
+                if f != alpha:
+                    coincidence(f, alpha)
+                    if p[alpha] != alpha:
+                        continue
+            else:
+                b = alpha
+{back}"""
+
+# One to three letters: scanned unless both first steps are undefined in a
+# relator of two or more letters.
+_BLOCK = """\
+        f = F{k}[alpha]
+        if f is not None:
+{forward}        elif not L{k} or B{k}[alpha] is not None:
+            f, i, b = alpha, 0, alpha
+{rest}"""
+
+# Four or more letters: scanned only when a walk takes two steps, since
+# walks of at most one step each leave a gap of two or more letters.  The
+# steps the test took are not taken again.
+_BLOCK_LONG = """\
+        f = F{k}[alpha]
+        if f is not None and (g := G{k}[f]) is not None:
+            f = g
+{forward}        elif (b := B{k}[alpha]) is not None and (g := C{k}[b]) is not None:
+            if f is None:
+                f, i = alpha, 0
+            else:
+                i = 1
+            b = g
+{rest}"""
+
+
+@lru_cache(maxsize=64)
+def _lookahead_pass(pattern: tuple[bool, ...]):
+    """The lookahead pass for relators whose lengths follow pattern.
+
+    pattern[k] says whether relator k has four or more letters.  The pass is
+    compiled the first time a table with this pattern needs a lookahead, and
+    every later table with it shares the compiled pass.
+    """
+    binds, blocks = [], []
+    for k, long in enumerate(pattern):
+        walk, rest = (f"H{k}", f"S{k}") if long else (f"E{k}", f"R{k}")
+        back = _BACK.format(ind=" " * 16, back=f"R{k}", k=k)
+        binds.append((_BIND_LONG if long else _BIND_SHORT).format(k=k))
+        blocks.append((_BLOCK_LONG if long else _BLOCK).format(
+            k=k,
+            forward=_FORWARD.format(walk=walk, back=back, k=k),
+            rest=_BACK.format(ind=" " * 12, back=rest, k=k),
+        ))
+    source = _PASS.format(binds="".join(binds), blocks="".join(blocks))
+    namespace: dict = {}
+    exec(compile(source, "<lookahead>", "exec"), namespace)
+    return namespace["lookahead"]
 
 
 @dataclass(frozen=True, slots=True)

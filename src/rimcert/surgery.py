@@ -15,14 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .braids import resolve_knot
-from .diagrams import (
-    KnotDiagram,
-    TangleDiagram,
-    band_double,
-    braid_closure_diagram,
-    check_keys,
-    is_integer,
-)
+from .diagrams import KnotDiagram, TangleDiagram, band_double, braid_closure_diagram
 from .groups import GroupPresentation, Word, commutator, quotient
 from .invariants import tangle_wirtinger, wirtinger
 
@@ -93,7 +86,7 @@ class SurgerySpec:
     `named_diagram` resolves the name to for this ``kind``, once, when the
     spec is made: the braid closure for rim surgery and its band double at
     framing 0 for the annulus flavor.  A name that does not resolve fails
-    here.
+    here, and so do counts that are not ints (a bool is not one).
     """
 
     knot: str
@@ -106,6 +99,10 @@ class SurgerySpec:
     )
 
     def __post_init__(self) -> None:
+        # Counts first: a spec document with several faults names its counts.
+        for key in ("d", "m", "n"):
+            if not is_integer(getattr(self, key)):
+                raise ValueError(f"{key} must be an integer")
         if not isinstance(self.knot, str):
             raise ValueError("'knot' must be a table name or a braid literal")
         if self.kind not in KINDS:
@@ -144,22 +141,39 @@ def named_diagram(text: str, kind: str) -> KnotDiagram | TangleDiagram:
     return braid_closure_diagram(resolve_knot(text))
 
 
+def is_integer(value) -> bool:
+    """A JSON integer: an int that is not a bool (floats and strings fail)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_keys(doc, allowed: tuple[str, ...], what: str) -> None:
+    """Reject a `doc` that is not a JSON object or has keys outside `allowed`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = [k for k in doc if k not in allowed]
+    if unknown:
+        raise ValueError(
+            f"unknown {what} keys {', '.join(map(repr, unknown))}; "
+            f"accepted: {', '.join(allowed)}"
+        )
+
+
 def spec_from_json(doc: dict) -> SurgerySpec:
     """Parse {"knot": name|braid, "d", "m", "n", "kind"}.
 
-    Only ``knot`` and ``d`` are required; the counts are JSON integers, and
-    a ``knot`` that is not a string is rejected by `SurgerySpec`.
+    Only ``knot`` and ``d`` are required; `SurgerySpec` rejects a ``knot``
+    that is not a string and counts that are not JSON integers.
     """
     check_keys(doc, ("knot", "d", "m", "n", "kind"), "surgery spec")
     if "knot" not in doc or "d" not in doc:
         raise ValueError("surgery spec needs at least 'knot' and 'd'")
-    counts = {}
-    for key in ("d", "m", "n"):
-        value = doc.get(key, 0)
-        if not is_integer(value):
-            raise ValueError(f"{key} must be an integer")
-        counts[key] = value
-    return SurgerySpec(knot=doc["knot"], kind=doc.get("kind", RIM), **counts)
+    return SurgerySpec(
+        knot=doc["knot"],
+        d=doc["d"],
+        m=doc.get("m", 0),
+        n=doc.get("n", 0),
+        kind=doc.get("kind", RIM),
+    )
 
 
 # -- surgered groups --------------------------------------------------------

@@ -200,6 +200,19 @@ def test_completed_table_survives_a_passed_deadline():
     assert again.complete and again.index == 3000
 
 
+def test_the_compiled_lookahead_pass_polls_the_deadline_once_per_1024_rows():
+    # The a^3000 cycle of 3000 cosets, defined with no deadline; the pass
+    # scans b^4, whose column is empty, so it neither merges nor deduces.
+    # Rows 2048 to 2999 hold no poll; a pass from row 1 polls at row 1023.
+    table = CosetTable(2, 10_000)
+    table.scan(0, table.views((0,) * 3000))
+    table.deadline = time.monotonic() - 1.0
+    relators = [(2, 2, 2, 2)]
+    _lookahead(table, relators, 2048)
+    with pytest.raises(enumeration._Deadline):
+        _lookahead(table, relators, 1)
+
+
 # -- a gap filled by one chain defines what single definitions define ---------
 
 
@@ -495,6 +508,66 @@ def test_lookahead_matches_the_reference_loop_on_a_sweep_spec():
     reference_lookahead(reference, relators)
     assert table.rows() == reference.table
     assert table.p == reference.p
+
+
+def _mixed_relators(rng, relators):
+    """1 to 12 relators that mix one to three letters with four or more.
+
+    Each is one of the presentation's relators, one of the words
+    _short_relators builds, or a random word of 1 to 3 or of 4 to 9 letters;
+    the random words need not be reduced.
+    """
+    drawn = list(relators) + _short_relators(rng)
+    mixed = []
+    for _ in range(rng.randint(1, 12)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            mixed.append(rng.choice(drawn))
+        else:
+            n = rng.randint(1, 3) if kind == 1 else rng.randint(4, 9)
+            mixed.append(tuple(rng.randrange(4) for _ in range(n)))
+    return mixed
+
+
+def test_generated_passes_match_the_reference_loop_on_mixed_patterns():
+    # Each pattern, the relator count and which relators have four or more
+    # letters, compiles its own pass with one block per relator.  Two passes
+    # over each full table, from coset 0, since the mixed relators need not
+    # close the rows below the HLT cursor.
+    rng = random.Random(113)
+    patterns = set()
+    changed = 0
+    for p, sub, limit in _full_tables(113, 100):
+        table, relators, _ = _full_table(p, sub, limit)
+        for _ in range(2):
+            mixed = _mixed_relators(rng, relators)
+            reference = _mirror(table)
+            before = table.rows()
+            _lookahead(table, mixed, 0)
+            reference_lookahead(reference, mixed)
+            assert table.rows() == reference.table
+            assert table.p == reference.p
+            patterns.add(tuple(len(r) >= 4 for r in mixed))
+            changed += table.rows() != before
+    # Most draws are new patterns, and most passes change the table.
+    assert len(patterns) > 100 and changed > 100
+
+
+def test_tables_with_one_relator_pattern_share_one_compiled_pass():
+    passes = enumeration._lookahead_pass
+    passes.cache_clear()
+    # A table that never fills compiles nothing.
+    assert todd_coxeter(S3, [], 100).complete
+    assert passes.cache_info().currsize == 0
+    # Letters 0, 1 are a, a^-1 and 2, 3 are b, b^-1: the first two relator
+    # lists differ but share the pattern (four or more letters, fewer).
+    for relators in ([(0,) * 5, (2, 2)], [(0, 2, 1, 3), (0, 0, 0)]):
+        _lookahead(CosetTable(2, 10), relators, 0)
+    info = passes.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    _lookahead(CosetTable(2, 10), [(2, 2), (0,) * 5], 0)
+    assert passes.cache_info().misses == 2
+    assert passes((False, True)) is not passes((True, False))
 
 
 def test_one_breadth_first_pass_finishes_a_table_with_dead_rows(monkeypatch):

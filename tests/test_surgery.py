@@ -83,6 +83,13 @@ def test_spec_validation():
                        ("n", "1"), ("n", None)]:
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             spec_from_json({"knot": "3_1", "d": 2, key: value})
+    # The constructor checks them the same way, so a bool is not certified
+    # as a count and a float does not fail late in a word power.
+    for key, value in [("d", True), ("d", 2.0), ("m", True), ("m", 1.0),
+                       ("n", False), ("n", 1.5)]:
+        counts = {"d": 2, "m": 1, "n": 0, key: value}
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            SurgerySpec("3_1", **counts)
     # A companion is named by table name or braid literal, never given as
     # a diagram.
     for kind in ("rim", "annulus"):
