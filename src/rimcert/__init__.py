@@ -29,7 +29,6 @@ from .invariants import (
     NormalInvariantReport,
     alexander_polynomial,
     arf_invariant,
-    fox_derivative,
     knot_determinant,
     normal_invariant_report,
     tangle_wirtinger,
@@ -83,7 +82,6 @@ __all__ = [
     "conclusions_for",
     "expand_config",
     "format_word",
-    "fox_derivative",
     "invariant_block",
     "knot_determinant",
     "normal_invariant_report",

@@ -8,6 +8,8 @@ diagram.  Relator convention at a crossing with sign s:
 so the outgoing under-arc is the over-conjugate of the incoming one.  The
 meridian is the generator of arc 0 and the longitude is the product of
 over-arc letters along the traversal, compensated to exponent sum zero.
+The Alexander polynomial comes from the Burau matrix of the braid word the
+diagram was built from.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagrams import Crossing, KnotDiagram, TangleDiagram
+from .braids import BraidWord
+from .diagrams import Crossing, KnotDiagram, TangleDiagram, braid_closure_diagram
 from .groups import GroupPresentation, Word
 from .laurent import LaurentPolynomial, poly_determinant
 
@@ -75,70 +78,58 @@ def tangle_wirtinger(tangle: TangleDiagram) -> GroupPresentation:
     return _marked_group(tangle.crossings, tangle.n_arcs, Word(tangle.a1), tangle.strand2)
 
 
-# -- Fox calculus ---------------------------------------------------------
+# -- Alexander polynomial -------------------------------------------------
 
 
-def _poly(coeffs: dict[int, int]) -> LaurentPolynomial:
-    coeffs = {e: c for e, c in coeffs.items() if c != 0}
-    if not coeffs:
-        return LaurentPolynomial.zero()
-    lo, hi = min(coeffs), max(coeffs)
-    return LaurentPolynomial(
-        tuple(coeffs.get(e, 0) for e in range(lo, hi + 1)), lo
-    )
+def _burau(braid: BraidWord) -> list[list[LaurentPolynomial]]:
+    """Unreduced Burau matrix of the braid, one 2x2 block per letter.
 
-
-def fox_derivative(w: Word, gen: int) -> LaurentPolynomial:
-    """Free derivative of w by the generator, abelianized gen -> t.
-
-    Every generator is sent to t, which is the right specialization for
-    knot groups where all arc meridians are conjugate.
+    sigma_i acts on strands i, i+1 by [[1-t, t], [1, 0]] and its inverse
+    by [[0, 1], [t^-1, 1-t^-1]]; the running matrix is right-multiplied by
+    each letter's block, so only columns i and i+1 change.
     """
-    coeffs: dict[int, int] = {}
-    prefix = 0
-    for g, s in w.letters():
-        if g == gen:
-            # x contributes t^prefix; x^-1 contributes -t^(prefix - 1).
-            at = prefix if s > 0 else prefix - 1
-            coeffs[at] = coeffs.get(at, 0) + s
-        prefix += s
-    return _poly(coeffs)
-
-
-def alexander_matrix(diagram: KnotDiagram) -> list[list[LaurentPolynomial]]:
-    """Fox derivative matrix, one row per crossing, one column per arc."""
-    return [
-        [fox_derivative(_crossing_relator(c), g) for g in range(diagram.n_arcs)]
-        for c in diagram.crossings
-    ]
+    one, zero = LaurentPolynomial.one(), LaurentPolynomial.zero()
+    t, t_inv = LaurentPolynomial((1,), 1), LaurentPolynomial((1,), -1)
+    u, u_inv = one - t, one - t_inv
+    s = braid.strands
+    b = [[one if i == j else zero for j in range(s)] for i in range(s)]
+    for l in braid.letters:
+        i = abs(l) - 1
+        for row in b:
+            x, y = row[i], row[i + 1]
+            if l > 0:
+                row[i], row[i + 1] = u * x + y, t * x
+            else:
+                row[i], row[i + 1] = t_inv * y, x + u_inv * y
+    return b
 
 
 @lru_cache(maxsize=64)
 def alexander_polynomial(diagram: KnotDiagram) -> LaurentPolynomial:
     """Normalized Alexander polynomial: lowest exponent 0, leading sign +.
 
-    Two independent minors of the column-deleted Fox matrix are computed
-    and must agree; evaluation at 1 must be a unit.  Both checks guard the
-    crossing bookkeeping, not the theory.
+    I - B is the Alexander matrix of the closure's group <x_i | x_i =
+    beta(x_i)>, with B the unreduced Burau matrix of the diagram's braid
+    beta: its leading (s-1)x(s-1) minor, for s strands, is the polynomial
+    up to a unit.  The diagram must be the closure of its braid, so the
+    polynomial is that of the crossings `wirtinger` reads; evaluation at 1
+    must be a unit, a guard on the matrix bookkeeping, not the theory.
 
     A sweep certifies many specs on a few companions, so the polynomial is
     cached per diagram (a frozen value) for the life of the process; the
     polynomial is immutable, so callers share nothing they could change.
     """
-    c = len(diagram.crossings)
-    if c == 0:
-        return LaurentPolynomial.one()
-    rows = alexander_matrix(diagram)
-    reduced = [row[1:] for row in rows]
-
-    def minor(skip: int) -> LaurentPolynomial:
-        mat = [row for i, row in enumerate(reduced) if i != skip]
-        return poly_determinant(mat).normalized()
-
-    delta = minor(0)
-    check = minor(c - 1)
-    if c > 1 and delta != check:
-        raise AssertionError("row-deleted minors disagree")
+    braid = diagram.braid
+    if braid is None:
+        raise ValueError("the Alexander polynomial needs a diagram built from a braid word")
+    if diagram != braid_closure_diagram(braid):
+        raise ValueError("diagram is not the closure of its braid word")
+    k = braid.strands - 1
+    minor = [row[:k] for row in _burau(braid)[:k]]
+    for i, row in enumerate(minor):
+        row[i] -= LaurentPolynomial.one()
+    # det(B - I) is det(I - B) up to sign, which normalizing drops.
+    delta = poly_determinant(minor).normalized()
     if delta.evaluate(1) not in (1, -1):
         raise AssertionError("polynomial must evaluate to a unit at 1")
     return delta
@@ -166,7 +157,6 @@ class NormalInvariantReport:
     """Degree-one comparison data for the surgered surface exterior."""
 
     arf: int
-    normally_trivial: bool
     label: str
 
 
@@ -175,6 +165,5 @@ def normal_invariant_report(delta: LaurentPolynomial) -> NormalInvariantReport:
     a = arf_invariant(delta)
     return NormalInvariantReport(
         arf=a,
-        normally_trivial=(a == 0),
         label=f"{a}*PD(T')",
     )

@@ -1,8 +1,9 @@
 """Independent oracles the test suite checks the package against.
 
 Nothing here imports rimcert.  Alexander polynomials come from Seifert
-matrices via det(V^T - t V), the Arf invariant from the mod-2 Seifert
-quadratic form over a symplectic basis, determinants from fraction-free
+matrices via det(V^T - t V) and from the Fox matrix of a diagram's
+crossings, both by cofactor expansion, the Arf invariant from the mod-2
+Seifert quadratic form over a symplectic basis, determinants from fraction-free
 elimination, Smith diagonals from the gcds of minors, coset-table
 lookahead from a plain scan of its own on a row-major table of its own,
 relator scans from a walk that defines one coset per step, coincidence
@@ -64,20 +65,34 @@ def poly_eval(a, t):
 
 
 def poly_det(mat):
-    """Cofactor expansion; fine for the tiny matrices Seifert forms give."""
+    """Cofactor expansion along the rows in order, each minor memoized by
+    the columns it keeps, and zero entries skipped: fine for the tiny
+    matrices Seifert forms give and for the sparse Fox matrices of the
+    test braids, at most 16 crossings."""
     n = len(mat)
-    if n == 0:
-        return [1]
-    if n == 1:
-        return list(mat[0][0])
-    total = []
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = poly_mul(mat[0][j], poly_det(minor))
-        if j % 2:
-            term = poly_neg(term)
-        total = poly_add(total, term)
-    return total
+    memo = {}
+
+    def minor(cols):
+        if not cols:
+            return [1]
+        if cols not in memo:
+            row = mat[n - len(cols)]
+            total = []
+            for k, j in enumerate(cols):
+                if row[j]:
+                    term = poly_mul(row[j], minor(cols[:k] + cols[k + 1:]))
+                    total = poly_add(total, poly_neg(term) if k % 2 else term)
+            memo[cols] = total
+        return memo[cols]
+
+    return list(minor(tuple(range(n))))
+
+
+def _normalized(delta):
+    """Lowest exponent 0 and positive lead."""
+    while delta and delta[0] == 0:
+        delta.pop(0)
+    return poly_neg(delta) if delta and delta[-1] < 0 else delta
 
 
 def alexander_from_seifert(v):
@@ -90,11 +105,43 @@ def alexander_from_seifert(v):
     delta = poly_det(mat)
     if not delta:
         raise ValueError("degenerate Seifert matrix")
-    while delta and delta[0] == 0:
-        delta.pop(0)
-    if delta[-1] < 0:
-        delta = poly_neg(delta)
-    return delta
+    return _normalized(delta)
+
+
+def fox_derivative(word, gen):
+    """Free derivative of a syllable word by generator gen, every generator
+    sent to t, as {exponent: coefficient} with the zeros dropped."""
+    out = {}
+    prefix = 0
+    for g, e in _word_letters(word):
+        if g == gen:
+            # x contributes t^prefix; x^-1 contributes -t^(prefix - 1).
+            at = prefix if e > 0 else prefix - 1
+            out[at] = out.get(at, 0) + e
+        prefix += e
+    return {k: c for k, c in out.items() if c}
+
+
+def alexander_from_fox(crossings):
+    """Delta of a knot diagram from the Fox matrix of its Wirtinger relators.
+
+    A crossing's relator is out^-1 over^s in over^-s, read from the plain
+    attributes over, under_in, under_out and sign; the arcs are numbered
+    0..len(crossings)-1.  Deleting the first crossing's row and arc 0's
+    column leaves Delta up to a unit.  Each row is shifted to nonnegative
+    exponents, another unit.  Normalized like alexander_from_seifert.
+    """
+    n = len(crossings)
+    rows = []
+    for c in crossings[1:]:
+        relator = ((c.under_out, -1), (c.over, c.sign), (c.under_in, 1), (c.over, -c.sign))
+        derivs = [fox_derivative(relator, g) for g in range(1, n)]
+        low = min((k for d in derivs for k in d), default=0)
+        rows.append([
+            poly_trim([d.get(k, 0) for k in range(low, max(d, default=low) + 1)])
+            for d in derivs
+        ])
+    return _normalized(poly_det(rows))
 
 
 def arf_from_seifert(v):

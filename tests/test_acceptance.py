@@ -305,7 +305,7 @@ def test_criterion_6_annulus_surgery_on_band_and_control():
 
 def test_criterion_7_invariants_match_independent_oracles():
     # Frozen from the Seifert-matrix oracle, which shares no code with the
-    # Fox-calculus route under test.
+    # Burau-matrix route under test.
     frozen_delta = {
         "unknot": "1",
         "3_1": "t^2-t+1",
@@ -343,7 +343,7 @@ def test_criterion_7_invariants_match_independent_oracles():
         checked += 1
         delta = alexander_polynomial(braid_closure_diagram(braid))
         if abs(delta.evaluate(1)) != 1 or not is_palindrome(delta.coeffs):
-            mismatches.append(("random", braid.to_json(), str(delta)))
+            mismatches.append(("random", str(braid), str(delta)))
     ok = not mismatches
     record_acceptance(
         f"criterion 7: {'PASS' if ok else 'FAIL'} - 5 table knots match the "

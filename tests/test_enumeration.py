@@ -1,3 +1,4 @@
+import functools
 import random
 import time
 from dataclasses import replace
@@ -159,26 +160,50 @@ def test_strategies_agree_on_random_finite_quotients():
         assert hlt.index == _sympy_index(p, [])
 
 
-@pytest.mark.parametrize(
-    "max_cosets, seconds", [(100_000, 0.4), (400_000, 1.0), (400_000, 2.0)]
-)
-def test_deadline_holds_through_lookahead(max_cosets, seconds):
-    # The collapsed meridian enumeration of 5_2 d=3 m=1 n=3 fills its table
-    # early and then spends most of its time in lookahead and coincidence
-    # handling, which must poll the deadline just as defining a coset does.
-    # On 2 vCPUs (Python 3.11) the 100000-row table fills after about
-    # 0.15 s, its first lookahead round ends at about 0.55 s, and the run
-    # gives up after about 1.2 s; the 400000-row run takes about 5 s.
-    # Each deadline is under half the run, so it fires, and in lookahead.
+@functools.lru_cache(maxsize=None)
+def _overflow_run(max_cosets):
+    """The collapsed meridian enumeration of 5_2 d=3 m=1 n=3, and the
+    seconds that its run with no deadline takes to give up."""
     from rimcert import collapse_presentation, spec_from_json, surgered_group
 
     p = surgered_group(spec_from_json({"knot": "5_2", "d": 3, "m": 1, "n": 3}))
     q = collapse_presentation(p, protect=(p.meridian.syllables[0][0],))
     start = time.monotonic()
-    r = todd_coxeter(q, [q.meridian], max_cosets, deadline=start + seconds)
+    r = todd_coxeter(q, [q.meridian], max_cosets)
+    assert r.reason == "max_cosets"
+    return q, time.monotonic() - start
+
+
+@pytest.mark.parametrize(
+    "max_cosets, fraction", [(100_000, 0.25), (400_000, 0.25), (400_000, 0.7)]
+)
+def test_deadline_holds_through_lookahead(monkeypatch, max_cosets, fraction):
+    # This enumeration fills its table early and then spends most of its
+    # time in lookahead and coincidence handling, which must poll the
+    # deadline just as defining a coset does.  Both table sizes give up
+    # after two lookahead rounds: on 2 vCPUs (Python 3.11) the rounds run
+    # over about 6-44% and 48-98% of the run, the gap between them is HLT
+    # defining cosets again, and the 400000-row run takes about 2 s.  Each
+    # deadline is a fraction of a timed run with no deadline, so it fires
+    # in the first or the second round however fast the host is.
+    q, seconds = _overflow_run(max_cosets)
+    fired_in_lookahead = []
+    lookahead = CosetTable.lookahead
+
+    def recording_lookahead(table, views, start):
+        try:
+            lookahead(table, views, start)
+        except enumeration._Deadline:
+            fired_in_lookahead.append(True)
+            raise
+
+    monkeypatch.setattr(CosetTable, "lookahead", recording_lookahead)
+    start = time.monotonic()
+    r = todd_coxeter(q, [q.meridian], max_cosets, deadline=start + fraction * seconds)
     elapsed = time.monotonic() - start
     assert r.reason == "timeout"
-    assert elapsed < seconds + 0.5
+    assert fired_in_lookahead == [True]
+    assert elapsed < fraction * seconds + 0.5
 
 
 def test_a_scan_polls_the_deadline_while_it_defines():
