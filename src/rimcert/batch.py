@@ -131,7 +131,9 @@ def run_batch(config: dict) -> dict:
         # pool, so only the row that kills its worker is lost.
         rows = []
         try:
-            with ProcessPoolExecutor(max_workers=parallelism) as pool:
+            # Under fork the pool starts all its workers at the first
+            # submit, so it gets no more of them than there are rows.
+            with ProcessPoolExecutor(max_workers=min(parallelism, len(jobs))) as pool:
                 for row in pool.map(_run_row, jobs):
                     rows.append(row)
         except BrokenProcessPool:

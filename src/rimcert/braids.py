@@ -34,24 +34,26 @@ class BraidWord:
         return sum(1 if l > 0 else -1 for l in self.letters)
 
     def closure_components(self) -> int:
-        """The cycles of the braid's strand permutation.
+        """The cycles of the braid's strand permutation, in O(letters).
 
         perm[b] is the top position of the strand that ends at bottom
         position b.  That is the inverse of the map from tops to bottoms,
-        and a permutation has the same cycles as its inverse.
+        and a permutation has the same cycles as its inverse.  A position
+        no letter touches is a fixed point, one cycle of its own, so perm
+        holds only the touched positions and the rest are counted.
         """
-        perm = list(range(self.strands))
+        perm: dict[int, int] = {}
         for l in self.letters:
             i = abs(l) - 1
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        seen = [False] * self.strands
-        cycles = 0
-        for s in range(self.strands):
-            if not seen[s]:
+            perm[i], perm[i + 1] = perm.get(i + 1, i + 1), perm.get(i, i)
+        seen: set[int] = set()
+        cycles = self.strands - len(perm)
+        for s in perm:
+            if s not in seen:
                 cycles += 1
                 t = s
-                while not seen[t]:
-                    seen[t] = True
+                while t not in seen:
+                    seen.add(t)
                     t = perm[t]
         return cycles
 

@@ -12,18 +12,11 @@ import math
 import sys
 
 from .batch import batch_json, run_batch
-from .braids import KNOT_TABLE
+from .braids import KNOT_TABLE, resolve_knot
 from .enumeration import DEFAULT_MAX_COSETS
 from .groups import format_word
 from .report import DEFAULT_TIMEOUT, certify as certify_spec, invariant_block, render_text
-from .surgery import (
-    ANNULUS,
-    RIM,
-    named_diagram,
-    plotnick_matrix,
-    spec_from_json,
-    surgery_recipe,
-)
+from .surgery import ANNULUS, RIM, plotnick_matrix, spec_from_json, surgery_recipe
 
 EXIT_CERTIFIED = 0
 EXIT_ERROR = 1
@@ -78,7 +71,7 @@ def _explain(args) -> int:
 
 def _invariants(args) -> int:
     """Print the companion-knot invariants the reports quote."""
-    block = invariant_block(named_diagram(args.knot, RIM))
+    block = invariant_block(resolve_knot(args.knot))
     _echo(json.dumps(block, indent=2, sort_keys=True) if args.as_json else
           f"knot: {args.knot}\nalexander polynomial: {block['alexander_polynomial']}\n"
           f"determinant: {block['determinant']}\narf invariant: {block['arf']}\n"

@@ -1,8 +1,10 @@
 """Knot and tangle diagrams built by sweeping braid words.
 
-A diagram is a list of crossings over arc identifiers.  Arcs are the
-maximal overpasses of the curve: a new arc starts every time the curve
-dives under a crossing.  Arc ids are assigned in traversal order, so arc 0
+A braid word names the companion; a diagram is only ever derived from
+one, by `braid_closure_diagram` or `band_double`, never given.  It is a
+list of crossings over arc identifiers.  Arcs are the maximal overpasses
+of the curve: a new arc starts every time the curve dives under a
+crossing.  Arc ids are assigned in traversal order, so arc 0
 of a closed braid is the arc entering strand 1 at the top; its Wirtinger
 generator is the marked meridian downstream.
 
@@ -21,11 +23,6 @@ from dataclasses import dataclass
 from .braids import BraidWord
 
 
-def _check_over_arcs(crossings: tuple[Crossing, ...], n_arcs: int) -> None:
-    if any(not (0 <= x.over < n_arcs) for x in crossings):
-        raise ValueError("crossing references an unknown over arc")
-
-
 @dataclass(frozen=True, slots=True)
 class Crossing:
     over: int
@@ -33,43 +30,18 @@ class Crossing:
     under_out: int
     sign: int
 
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 1):
-            raise ValueError("crossing sign must be +1 or -1")
-
 
 @dataclass(frozen=True, slots=True)
 class KnotDiagram:
-    """A one-component closed diagram, checked by `validate` when made."""
+    """The closure of a braid word, as `braid_closure_diagram` builds it.
+
+    Arcs are numbered in traversal order: arc k dives under into arc k+1,
+    and the last arc closes up into arc 0.  The longitude reads the
+    underpasses in this order.
+    """
 
     crossings: tuple[Crossing, ...]
     n_arcs: int
-    writhe: int
-    braid: BraidWord | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "crossings", tuple(self.crossings))
-        self.validate()
-
-    def validate(self) -> None:
-        c = len(self.crossings)
-        if self.writhe != sum(x.sign for x in self.crossings):
-            raise ValueError("stored writhe disagrees with crossing signs")
-        if c == 0:
-            if self.n_arcs != 1:
-                raise ValueError("a crossingless knot diagram has exactly one arc")
-            return
-        if self.n_arcs != c:
-            raise ValueError("a knot diagram has as many arcs as crossings")
-        # Arcs are numbered in traversal order: arc k dives under into arc
-        # k+1, and the last arc closes up into arc 0.  The longitude reads
-        # the underpasses in this order, and it also makes the diagram one
-        # component.
-        if sorted(x.under_in for x in self.crossings) != list(range(c)):
-            raise ValueError("each arc must end exactly one underpass")
-        if any(x.under_out != (x.under_in + 1) % c for x in self.crossings):
-            raise ValueError("arcs must be numbered in traversal order")
-        _check_over_arcs(self.crossings, self.n_arcs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,19 +52,13 @@ class TangleDiagram:
     orientation; the strands are anti-parallel copies of the source knot,
     so strand 1 starts where strand 2 ends.  The boundary loops are signed
     arc sequences at that shared end, derived from the strands: a1 and a2
-    each encircle one arc, a3 = a1 * a2^-1 encircles both.  The tangle is
-    checked when it is made, with its arc lists stored as tuples.
+    each encircle one arc, a3 = a1 * a2^-1 encircles both.
     """
 
     crossings: tuple[Crossing, ...]
     n_arcs: int
     strand1: tuple[int, ...]
     strand2: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for key in ("crossings", "strand1", "strand2"):
-            object.__setattr__(self, key, tuple(getattr(self, key)))
-        self.validate()
 
     @property
     def a1(self) -> tuple[tuple[int, int], ...]:
@@ -105,22 +71,6 @@ class TangleDiagram:
     @property
     def a3(self) -> tuple[tuple[int, int], ...]:
         return self.a1 + ((self.strand2[-1], -1),)
-
-    def validate(self) -> None:
-        arcs = sorted(self.strand1 + self.strand2)
-        if not (self.strand1 and self.strand2) or arcs != list(range(self.n_arcs)):
-            raise ValueError("strand arc lists must partition the arcs")
-        if len(self.crossings) != self.n_arcs - 2:
-            raise ValueError("a two-strand tangle has two more arcs than crossings")
-        by_in = {x.under_in: x for x in self.crossings}
-        if len(by_in) != len(self.crossings):
-            raise ValueError("an arc ends at more than one underpass")
-        for strand in (self.strand1, self.strand2):
-            for a, b in zip(strand, strand[1:]):
-                x = by_in.get(a)
-                if x is None or x.under_out != b:
-                    raise ValueError("strand arcs are not chained by underpasses")
-        _check_over_arcs(self.crossings, self.n_arcs)
 
 
 def _walk(
@@ -146,7 +96,7 @@ def _walk(
 
 def _number_arcs(
     walks: list[list[tuple[int, bool]]], n: int
-) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
+) -> tuple[list[tuple[int, int, int]], list[tuple[int, ...]]]:
     """Number arcs along the walks in order, a new arc after each underpass.
 
     Returns the (over, under_in, under_out) arcs of each of the n crossings
@@ -165,7 +115,7 @@ def _number_arcs(
                 arc += 1
                 under_out[h] = arc
                 arcs.append(arc)
-        strands.append(arcs)
+        strands.append(tuple(arcs))
         arc += 1
     return list(zip(over, under_in, under_out)), strands
 
@@ -176,7 +126,7 @@ def braid_closure_diagram(braid: BraidWord) -> KnotDiagram:
         raise ValueError("braid closure is a link, not a knot")
     k = len(braid.letters)
     if k == 0:
-        return KnotDiagram(crossings=(), n_arcs=1, writhe=0, braid=braid)
+        return KnotDiagram(crossings=(), n_arcs=1)
 
     # Walk the whole knot from the top of position 0; each crossing is met
     # twice, once over and once under.  The arc after the last underpass is
@@ -189,7 +139,7 @@ def braid_closure_diagram(braid: BraidWord) -> KnotDiagram:
         Crossing(o % k, i, u % k, 1 if l > 0 else -1)
         for (o, i, u), l in zip(arcs, braid.letters)
     )
-    return KnotDiagram(crossings, n_arcs=k, writhe=braid.writhe(), braid=braid)
+    return KnotDiagram(crossings, n_arcs=k)
 
 
 def _double_letters(braid: BraidWord, framing: int) -> tuple[list[int], int]:
@@ -207,17 +157,17 @@ def _double_letters(braid: BraidWord, framing: int) -> tuple[list[int], int]:
     return doubled, abs(twists)
 
 
-def band_double(diagram: KnotDiagram, framing: int) -> TangleDiagram:
-    """Double the knot into the two boundary arcs of a band with `framing`.
+def band_double(braid: BraidWord, framing: int) -> TangleDiagram:
+    """Double the braid's closure into the two boundary arcs of a band with
+    `framing`; requires a one-component closure.
 
     Every crossing of the source becomes four crossings between the copies;
     |framing - writhe| clasp pairs bring the blackboard framing to the
     requested one.  The copies are anti-parallel: the second strand runs
     against the braid direction.
     """
-    if diagram.braid is None:
-        raise ValueError("band doubling needs a diagram built from a braid word")
-    braid = diagram.braid
+    if not braid.is_knot():
+        raise ValueError("braid closure is a link, not a knot")
     letters, clasp_pairs = _double_letters(braid, framing)
 
     # The closure arcs of positions 0 and 1 are cut to form the tangle ends.
@@ -238,12 +188,6 @@ def band_double(diagram: KnotDiagram, framing: int) -> TangleDiagram:
         Crossing(*a, (1 if l > 0 else -1) * (-1 if on2 == 1 else 1))
         for a, l, on2 in zip(arcs, letters, on_strand2)
     )
-    t = TangleDiagram(
-        crossings=crossings,
-        n_arcs=s2[-1] + 1,
-        strand1=s1,
-        strand2=s2,
-    )
     if len(crossings) != 4 * len(braid.letters) + 2 * clasp_pairs:
         raise AssertionError("doubling must yield 4c + 2|framing - writhe| crossings")
-    return t
+    return TangleDiagram(crossings, n_arcs=s2[-1] + 1, strand1=s1, strand2=s2)

@@ -8,8 +8,8 @@ diagram.  Relator convention at a crossing with sign s:
 so the outgoing under-arc is the over-conjugate of the incoming one.  The
 meridian is the generator of arc 0 and the longitude is the product of
 over-arc letters along the traversal, compensated to exponent sum zero.
-The Alexander polynomial comes from the Burau matrix of the braid word the
-diagram was built from.
+The Alexander polynomial comes from the Burau matrix of the braid word
+that the closure diagram is built from.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .braids import BraidWord
-from .diagrams import Crossing, KnotDiagram, TangleDiagram, braid_closure_diagram
+from .diagrams import Crossing, KnotDiagram, TangleDiagram
 from .groups import GroupPresentation, Word
 from .laurent import LaurentPolynomial, poly_determinant
 
@@ -105,25 +105,22 @@ def _burau(braid: BraidWord) -> list[list[LaurentPolynomial]]:
 
 
 @lru_cache(maxsize=64)
-def alexander_polynomial(diagram: KnotDiagram) -> LaurentPolynomial:
-    """Normalized Alexander polynomial: lowest exponent 0, leading sign +.
+def alexander_polynomial(braid: BraidWord) -> LaurentPolynomial:
+    """Normalized Alexander polynomial of the braid's closure, which must be
+    a knot: lowest exponent 0, leading sign +.
 
     I - B is the Alexander matrix of the closure's group <x_i | x_i =
-    beta(x_i)>, with B the unreduced Burau matrix of the diagram's braid
-    beta: its leading (s-1)x(s-1) minor, for s strands, is the polynomial
-    up to a unit.  The diagram must be the closure of its braid, so the
-    polynomial is that of the crossings `wirtinger` reads; evaluation at 1
-    must be a unit, a guard on the matrix bookkeeping, not the theory.
+    beta(x_i)>, with B the unreduced Burau matrix of the braid beta: its
+    leading (s-1)x(s-1) minor, for s strands, is the polynomial up to a
+    unit.  Evaluation at 1 must be a unit, a guard on the matrix
+    bookkeeping, not the theory.
 
     A sweep certifies many specs on a few companions, so the polynomial is
-    cached per diagram (a frozen value) for the life of the process; the
+    cached per braid (a frozen value) for the life of the process; the
     polynomial is immutable, so callers share nothing they could change.
     """
-    braid = diagram.braid
-    if braid is None:
-        raise ValueError("the Alexander polynomial needs a diagram built from a braid word")
-    if diagram != braid_closure_diagram(braid):
-        raise ValueError("diagram is not the closure of its braid word")
+    if not braid.is_knot():
+        raise ValueError("braid closure is a link, not a knot")
     k = braid.strands - 1
     minor = [row[:k] for row in _burau(braid)[:k]]
     for i, row in enumerate(minor):

@@ -14,14 +14,15 @@ from dataclasses import dataclass
 
 from .certify import CYCLIC, INCONCLUSIVE, NON_CYCLIC, CyclicityVerdict, certify_cyclic
 # braid_closure_diagram is not called here: diagrams are built by
-# surgery.named_diagram.  It stays bound because perfbench/spans.py's PROBES
-# rebinds this name in this module and fails if it is missing; ROADMAP item 7
-# (in-package spans) ends that.
-from .diagrams import KnotDiagram, braid_closure_diagram
+# surgery.surgery_diagram.  It stays bound because perfbench/spans.py's
+# PROBES rebinds this name in this module and fails if it is missing;
+# ROADMAP item 7 (in-package spans) ends that.
+from .braids import BraidWord
+from .diagrams import braid_closure_diagram
 from .enumeration import DEFAULT_MAX_COSETS
 from .invariants import alexander_polynomial, knot_determinant, normal_invariant_report
 from .laurent import LaurentPolynomial
-from .surgery import RIM, SurgerySpec, named_diagram, surgered_group
+from .surgery import SurgerySpec, surgered_group
 
 REPORT_SCHEMA = "rimcert.report/1"
 DEFAULT_TIMEOUT = 60.0
@@ -47,8 +48,8 @@ TOPOLOGICAL_TEXT = {
 SMOOTHNESS_CAVEAT = "conditional on nontrivial Seiberg-Witten hypothesis"
 
 
-def invariant_block(diagram: KnotDiagram) -> dict:
-    delta = alexander_polynomial(diagram)
+def invariant_block(braid: BraidWord) -> dict:
+    delta = alexander_polynomial(braid)
     nir = normal_invariant_report(delta)
     return {
         "alexander_polynomial": str(delta),
@@ -116,7 +117,7 @@ def certify(
     verdict = certify_cyclic(group, spec.d, max_cosets=max_cosets, timeout=timeout)
     # The invariants are the closed companion's, also for an annulus spec,
     # whose own diagram is the band tangle.
-    invariants = invariant_block(named_diagram(spec.knot, RIM))
+    invariants = invariant_block(spec.braid)
     return CertificationReport(
         spec=spec,
         verdict=verdict,

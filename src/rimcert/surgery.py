@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .braids import resolve_knot
+from .braids import BraidWord, resolve_knot
 from .diagrams import KnotDiagram, TangleDiagram, band_double, braid_closure_diagram
 from .groups import GroupPresentation, Word, commutator, quotient
 from .invariants import tangle_wirtinger, wirtinger
@@ -82,11 +82,11 @@ class SurgerySpec:
 
     ``knot`` names the companion: a table name or a braid literal.  Every
     classical knot is a braid closure (Alexander), so the two spellings
-    name every companion the construction admits.  ``diagram`` is what
-    `named_diagram` resolves the name to for this ``kind``, once, when the
-    spec is made: the braid closure for rim surgery and its band double at
-    framing 0 for the annulus flavor.  A name that does not resolve fails
-    here, and so do counts that are not ints (a bool is not one).
+    name every companion the construction admits.  ``braid`` is the braid
+    word the name resolves to, once, when the spec is made; the spec's
+    diagram and its invariants are derived from it.  A name that does not
+    resolve fails here, and so do counts that are not ints (a bool is not
+    one).
     """
 
     knot: str
@@ -94,9 +94,7 @@ class SurgerySpec:
     m: int = 0
     n: int = 0
     kind: str = RIM
-    diagram: KnotDiagram | TangleDiagram = field(
-        init=False, repr=False, compare=False
-    )
+    braid: BraidWord = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Counts first: a spec document with several faults names its counts.
@@ -111,7 +109,7 @@ class SurgerySpec:
             raise ValueError("d must be a positive integer")
         if self.m < 0:
             raise ValueError("twist count m must be nonnegative")
-        object.__setattr__(self, "diagram", named_diagram(self.knot, self.kind))
+        object.__setattr__(self, "braid", resolve_knot(self.knot))
 
     def label(self) -> str:
         return f"{self.kind}({self.knot}, d={self.d}, m={self.m}, n={self.n})"
@@ -127,18 +125,16 @@ class SurgerySpec:
 
 
 @lru_cache(maxsize=64)
-def named_diagram(text: str, kind: str) -> KnotDiagram | TangleDiagram:
-    """The diagram that a knot name or braid literal gives a `kind` spec.
+def surgery_diagram(braid: BraidWord, kind: str) -> KnotDiagram | TangleDiagram:
+    """The diagram a `kind` spec cuts along: the braid's closure for rim,
+    and its band double at framing 0 for annulus.
 
-    The braid closure for rim, and its band double for annulus.  A sweep
-    names a few companions over many specs, so each (text, kind) is
-    resolved, closed and checked once per process; diagrams are frozen, so
-    the specs share them.  A name that does not resolve raises every time:
-    lru_cache keeps no exceptions.
+    A sweep certifies many specs on a few companions, so each (braid, kind)
+    is built once per process; diagrams are frozen, so the specs share them.
     """
     if kind == ANNULUS:
-        return band_double(named_diagram(text, RIM), 0)
-    return braid_closure_diagram(resolve_knot(text))
+        return band_double(braid, 0)
+    return braid_closure_diagram(braid)
 
 
 def is_integer(value) -> bool:
@@ -191,14 +187,15 @@ def surgery_recipe(spec: SurgerySpec) -> tuple[GroupPresentation, Word, list[Wor
     circle (annulus).  The two factors commute in the group but not
     freely; the order is fixed once here.
     """
+    diagram = surgery_diagram(spec.braid, spec.kind)
     if spec.kind == RIM:
-        base = wirtinger(spec.diagram)
+        base = wirtinger(diagram)
         core = base.meridian
         boundary = [core ** spec.d]
     else:
-        base = tangle_wirtinger(spec.diagram)
-        core = Word(spec.diagram.a3)
-        a1, a2 = base.meridian, Word(spec.diagram.a2)
+        base = tangle_wirtinger(diagram)
+        core = Word(diagram.a3)
+        a1, a2 = base.meridian, Word(diagram.a2)
         boundary = [a1 ** spec.d, core, a1 * a2.inverse()]
     return base, (base.longitude ** spec.n) * (core ** spec.m), boundary
 

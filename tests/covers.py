@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from rimcert.diagrams import braid_closure_diagram
 from rimcert.enumeration import DEFAULT_MAX_COSETS, CosetTable, todd_coxeter
 from rimcert.groups import GroupPresentation, Word, dedupe_relators, quotient
 from rimcert.invariants import wirtinger
@@ -178,7 +179,7 @@ def unbranched_cover_group(
     """
     if spec.kind != RIM:
         raise ValueError("covers are built for rim specs")
-    base = wirtinger(spec.diagram)
+    base = wirtinger(braid_closure_diagram(spec.braid))
     assert base.meridian == Word.gen(0)
     sub = reidemeister_schreier(
         base, meridian_kernel_words(0, base.ngens, spec.d), max_cosets

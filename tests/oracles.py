@@ -677,12 +677,13 @@ def _crossing_json(x):
             "sign": x.sign}
 
 
-def knot_diagram_json(d):
+def knot_diagram_json(d, braid):
+    """The closure diagram `d` of `braid`."""
     return {
         "crossings": [_crossing_json(x) for x in d.crossings],
         "arcs": d.n_arcs,
-        "writhe": d.writhe,
-        "braid": str(d.braid) if d.braid is not None else None,
+        "writhe": braid.writhe(),
+        "braid": str(braid),
     }
 
 

@@ -41,7 +41,6 @@ from rimcert import (
 )
 from rimcert.abelian import smith_normal_form
 from rimcert.braids import BraidWord
-from rimcert.diagrams import braid_closure_diagram
 from rimcert.invariants import alexander_polynomial, arf_invariant
 from rimcert.laurent import LaurentPolynomial
 
@@ -316,8 +315,8 @@ def test_criterion_7_invariants_match_independent_oracles():
     frozen_arf = {"unknot": 0, "3_1": 1, "4_1": 1, "5_1": 1, "5_2": 0}
     mismatches = []
     for name, seifert in SEIFERT.items():
-        d = spec_from_json({"knot": name, "d": 1}).diagram
-        delta = alexander_polynomial(d)
+        braid = spec_from_json({"knot": name, "d": 1}).braid
+        delta = alexander_polynomial(braid)
         if str(delta) != frozen_delta[name]:
             mismatches.append((name, "frozen", str(delta)))
         oracle = LaurentPolynomial(tuple(alexander_from_seifert(seifert)), 0)
@@ -341,7 +340,7 @@ def test_criterion_7_invariants_match_independent_oracles():
         if not braid.is_knot():
             continue
         checked += 1
-        delta = alexander_polynomial(braid_closure_diagram(braid))
+        delta = alexander_polynomial(braid)
         if abs(delta.evaluate(1)) != 1 or not is_palindrome(delta.coeffs):
             mismatches.append(("random", str(braid), str(delta)))
     ok = not mismatches

@@ -147,9 +147,9 @@ def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
 
-_TREFOIL = braid_closure_diagram(resolve_knot("3_1"))
-_KNOT = knot_diagram_json(_TREFOIL)
-_TANGLE = tangle_diagram_json(band_double(_TREFOIL, 0), _TREFOIL.writhe)
+_TREFOIL = resolve_knot("3_1")
+_KNOT = knot_diagram_json(braid_closure_diagram(_TREFOIL), _TREFOIL)
+_TANGLE = tangle_diagram_json(band_double(_TREFOIL, 0), _TREFOIL.writhe())
 # A 4-crossing Gauss diagram with Alexander polynomial 2t - 1, which is
 # not symmetric, so it is no classical knot; it was certified cyclic.
 PROBE_2T_MINUS_1 = {
@@ -305,6 +305,34 @@ def test_parallelism_does_not_change_the_bytes():
     serial = batch_json(run_batch({**config, "parallelism": 1}))
     parallel = batch_json(run_batch({**config, "parallelism": 4}))
     assert serial == parallel
+
+
+def test_the_pool_gets_no_more_workers_than_rows(monkeypatch):
+    # Under fork a pool starts all its workers at the first submit, so a
+    # wide parallelism on a short config would fork idle processes.  The
+    # recording pool maps in this process and starts none.
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    config = {"specs": [{"knot": "unknot", "d": 2}, {"knot": "3_1", "d": 2, "m": 1}]}
+    doc = run_batch({**config, "parallelism": 64})
+    assert sizes == [2]
+    assert doc == run_batch(config)
 
 
 def test_a_dying_worker_costs_only_its_own_row(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -75,6 +76,20 @@ def test_closure_components_counts_the_strand_cycles():
         counts.add(expected)
     # Knots, links and split unions of up to five components all occur.
     assert counts == {1, 2, 3, 4, 5}
+
+
+def test_closure_components_cost_follows_the_letters_not_the_strands():
+    # Strands no letter touches are counted, not listed: a million-strand
+    # literal with one letter is refused without a list of its length.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            parse_braid("B1000000: 1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert str(err.value) == "closure of 'B1000000: 1' has 999999 components; need a knot"
 
 
 def test_table_entries_close_to_knots():

@@ -1,10 +1,8 @@
 import random
 
-import pytest
-
 from rimcert.abelian import abelian_invariants
 from rimcert.braids import BraidWord, KNOT_TABLE, resolve_knot
-from rimcert.diagrams import KnotDiagram, braid_closure_diagram
+from rimcert.diagrams import band_double, braid_closure_diagram
 from rimcert.enumeration import todd_coxeter
 from rimcert.groups import GroupPresentation, Word, commutator, quotient
 from rimcert.invariants import (
@@ -31,25 +29,29 @@ def _diagram(name):
     return braid_closure_diagram(resolve_knot(name))
 
 
+def _alexander(name):
+    return alexander_polynomial(resolve_knot(name))
+
+
 # -- Alexander polynomials and Arf against the Seifert oracle -----------------
 
 
 def test_alexander_matches_seifert_oracle():
     for name, v in SEIFERT.items():
-        mine = alexander_polynomial(_diagram(name))
+        mine = _alexander(name)
         assert mine == LaurentPolynomial(tuple(alexander_from_seifert(v)), 0)
 
 
 def test_arf_matches_seifert_oracle():
     for name, v in SEIFERT.items():
-        arf = arf_invariant(alexander_polynomial(_diagram(name)))
+        arf = arf_invariant(_alexander(name))
         assert arf == arf_from_seifert(v)
 
 
 def test_determinants():
     expected = {"unknot": 1, "3_1": 3, "4_1": 5, "5_1": 5, "5_2": 7}
     for name, det in expected.items():
-        assert knot_determinant(alexander_polynomial(_diagram(name))) == det
+        assert knot_determinant(_alexander(name)) == det
 
 
 def _braid_connected_sum(a: BraidWord, b: BraidWord) -> BraidWord:
@@ -63,10 +65,8 @@ def test_alexander_multiplies_under_connected_sum():
     a = resolve_knot("3_1")
     b = resolve_knot("4_1")
     joined = _braid_connected_sum(a, b)
-    product = alexander_polynomial(_diagram("3_1")) * alexander_polynomial(
-        _diagram("4_1")
-    )
-    assert alexander_polynomial(braid_closure_diagram(joined)) == product.normalized()
+    product = _alexander("3_1") * _alexander("4_1")
+    assert alexander_polynomial(joined) == product.normalized()
 
 
 def _random_knot_braids(count, seed, max_strands=4, min_letters=1, max_letters=8):
@@ -87,25 +87,24 @@ def _random_knot_braids(count, seed, max_strands=4, min_letters=1, max_letters=8
 def test_alexander_properties_on_random_braids():
     # unit value at 1 and palindromic coefficients, two hundred samples
     for braid in _random_knot_braids(200, seed=61):
-        delta = alexander_polynomial(braid_closure_diagram(braid))
+        delta = alexander_polynomial(braid)
         assert abs(delta.evaluate(1)) == 1
         assert is_palindrome(delta.coeffs)
         assert knot_determinant(delta) % 2 == 1
 
 
 def test_cached_alexander_polynomial_equals_a_fresh_computation():
-    # The polynomial is cached per diagram for the life of the process; a
+    # The polynomial is cached per braid for the life of the process; a
     # hit must give what computing it again gives, on the table knots and
-    # on random closures, the second lookup of each a hit.
+    # on random braids, the second lookup of each a hit.
     fresh = alexander_polynomial.__wrapped__
-    diagrams = [_diagram(name) for name in KNOT_TABLE]
-    diagrams += [braid_closure_diagram(b) for b in _random_knot_braids(200, seed=62)]
+    braids = list(KNOT_TABLE.values()) + _random_knot_braids(200, seed=62)
     assert len(KNOT_TABLE) == 5
-    for d in diagrams:
-        assert alexander_polynomial(d) == fresh(d)
-        assert alexander_polynomial(d) == fresh(d)
-    # An equal diagram built again is a hit on the same entry.
-    assert alexander_polynomial(_diagram("4_1")) is alexander_polynomial(_diagram("4_1"))
+    for b in braids:
+        assert alexander_polynomial(b) == fresh(b)
+        assert alexander_polynomial(b) == fresh(b)
+    # An equal braid built again is a hit on the same entry.
+    assert alexander_polynomial(BraidWord(3, (1, -2, 1, -2))) is _alexander("4_1")
 
 
 def test_burau_matches_the_fox_oracle_on_random_braids():
@@ -115,18 +114,23 @@ def test_burau_matches_the_fox_oracle_on_random_braids():
     for braid in braids:
         d = braid_closure_diagram(braid)
         oracle = LaurentPolynomial(tuple(alexander_from_fox(d.crossings)), 0)
-        assert alexander_polynomial(d) == oracle, str(braid)
+        assert alexander_polynomial(braid) == oracle, str(braid)
 
 
-def test_alexander_polynomial_needs_the_closure_of_the_diagrams_braid():
-    trefoil, figure8 = _diagram("3_1"), _diagram("4_1")
-    with pytest.raises(ValueError, match="needs a diagram built from a braid word"):
-        alexander_polynomial(KnotDiagram(trefoil.crossings, trefoil.n_arcs, trefoil.writhe))
-    # The figure-eight's crossings under the trefoil's braid: the Burau
-    # matrix would give the trefoil's polynomial for them.
-    relabelled = KnotDiagram(figure8.crossings, figure8.n_arcs, figure8.writhe, trefoil.braid)
-    with pytest.raises(ValueError, match="not the closure of its braid word"):
-        alexander_polynomial(relabelled)
+def test_alexander_polynomial_is_kept_by_markov_moves():
+    # Closures of braids related by Markov moves are the same knot, so the
+    # polynomial read off the braid itself must not move: conjugation by
+    # sigma_i and stabilization by sigma_s^(+-1) onto a new strand.
+    rng = random.Random(97)
+    for braid in _random_knot_braids(100, seed=83):
+        delta = alexander_polynomial(braid)
+        s = braid.strands
+        i = rng.choice((1, -1)) * rng.randint(1, s - 1)
+        conjugate = BraidWord(s, (i, *braid.letters, -i))
+        assert alexander_polynomial(conjugate) == delta, (str(braid), i)
+        for sign in (1, -1):
+            stabilized = BraidWord(s + 1, (*braid.letters, sign * s))
+            assert alexander_polynomial(stabilized) == delta, (str(braid), sign)
 
 
 def _fox_shifted_sum(a, b, shift):
@@ -218,10 +222,8 @@ def test_unknot_wirtinger_group_is_z():
 
 
 def test_tangle_group_h1_is_rank_two():
-    from rimcert.diagrams import band_double
-
     for name in ("3_1", "4_1"):
-        t = band_double(_diagram(name), 0)
+        t = band_double(resolve_knot(name), 0)
         p = tangle_wirtinger(t)
         assert len(p.relators) == len(t.crossings)
         inv = abelian_invariants(p)
@@ -229,9 +231,7 @@ def test_tangle_group_h1_is_rank_two():
 
 
 def test_tangle_marked_words():
-    from rimcert.diagrams import band_double
-
-    t = band_double(_diagram("3_1"), 0)
+    t = band_double(resolve_knot("3_1"), 0)
     p = tangle_wirtinger(t)
     a1, a2, a3 = Word(t.a1), Word(t.a2), Word(t.a3)
     # The loops sit at the band's shared end: where strand 1 starts and
@@ -245,10 +245,8 @@ def test_tangle_marked_words():
 
 
 def test_tangle_longitude_owns_no_self_linking():
-    from rimcert.diagrams import band_double
-
     for name in ("3_1", "4_1"):
-        t = band_double(_diagram(name), 0)
+        t = band_double(resolve_knot(name), 0)
         p = tangle_wirtinger(t)
         strand2 = set(t.strand2)
         own = sum(s for g, s in p.longitude.letters() if g in strand2)
@@ -257,7 +255,7 @@ def test_tangle_longitude_owns_no_self_linking():
 
 def test_normal_invariant_labels():
     def report(name):
-        return normal_invariant_report(alexander_polynomial(_diagram(name)))
+        return normal_invariant_report(_alexander(name))
 
     assert report("3_1").label == "1*PD(T')"
     assert report("5_2").label == "0*PD(T')"
@@ -268,4 +266,4 @@ def test_arf_requires_odd_determinant():
     # all genuine knots have odd determinant; the assertion is a guard on
     # the diagram bookkeeping, not reachable through the public builders
     for name in ("3_1", "4_1", "5_1", "5_2"):
-        assert arf_invariant(alexander_polynomial(_diagram(name))) in (0, 1)
+        assert arf_invariant(_alexander(name)) in (0, 1)

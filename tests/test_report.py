@@ -15,16 +15,14 @@ from rimcert import (
     spec_from_json,
 )
 from rimcert.braids import resolve_knot
-from rimcert.diagrams import braid_closure_diagram
 from rimcert.report import REPORT_SCHEMA, SMOOTHNESS_CAVEAT, TOPOLOGICAL_TEXT
-from rimcert.surgery import named_diagram
 
 STATUSES = ("cyclic", "non_cyclic", "inconclusive")
 
 
 def _invariant_samples():
     for name in ("unknot", "3_1", "4_1"):
-        yield invariant_block(braid_closure_diagram(resolve_knot(name)))
+        yield invariant_block(resolve_knot(name))
 
 
 def test_conclusions_pure_and_total():
@@ -111,14 +109,13 @@ def test_timing_block_is_optional():
 
 def test_companion_of_rim_spec_is_its_own_diagram():
     spec = spec_from_json({"knot": "5_2", "d": 2})
-    assert spec.diagram is named_diagram("5_2", "rim")
-    assert certify(spec).invariants == invariant_block(spec.diagram)
+    assert spec.braid is resolve_knot("5_2")
+    assert certify(spec).invariants == invariant_block(spec.braid)
 
 
 def test_companion_of_named_annulus_spec_is_the_closure():
     spec = spec_from_json({"knot": "3_1", "d": 2, "kind": "annulus"})
-    expected = braid_closure_diagram(resolve_knot("3_1"))
-    assert certify(spec).invariants == invariant_block(expected)
+    assert certify(spec).invariants == invariant_block(resolve_knot("3_1"))
 
 
 def test_render_text_mentions_the_load_bearing_facts():

@@ -14,7 +14,7 @@ from rimcert.groups import GroupPresentation, Word
 from rimcert.invariants import tangle_wirtinger, wirtinger
 from rimcert.surgery import (
     SurgerySpec,
-    named_diagram,
+    surgery_diagram,
     plotnick_matrix,
     spec_from_json,
     surgered_group,
@@ -104,15 +104,17 @@ def test_spec_validation():
 def test_named_companions_are_built_once_per_process():
     rim = [_rim_spec("5_2", d, m=1, n=n) for d, n in ((3, 1), (5, 2))]
     annulus = [spec_from_json({"knot": "5_2", "d": d, "kind": "annulus"}) for d in (3, 4)]
-    assert rim[0].diagram is rim[1].diagram
-    assert annulus[0].diagram is annulus[1].diagram
-    assert annulus[0].diagram == band_double(rim[0].diagram, 0)
-    # The report's closed companion of an annulus spec is the rim diagram.
-    assert named_diagram(annulus[0].knot, "rim") is rim[0].diagram
-    # A braid literal is keyed by its text, and builds the same diagram.
+    # Every spec holds its companion's braid, whatever its kind; the
+    # diagram a kind cuts along is built from it once per process.
+    assert all(spec.braid is resolve_knot("5_2") for spec in rim + annulus)
+    assert surgery_diagram(rim[0].braid, "rim") is surgery_diagram(rim[1].braid, "rim")
+    band = surgery_diagram(annulus[0].braid, "annulus")
+    assert band is surgery_diagram(annulus[1].braid, "annulus")
+    assert band == band_double(rim[0].braid, 0)
+    # A braid literal resolves to an equal braid, so it hits the same entry.
     literal = _rim_spec("B3: 1 1 1 2 -1 2", 3)
-    assert literal.diagram == rim[0].diagram
-    assert literal.diagram is named_diagram("B3: 1 1 1 2 -1 2", "rim")
+    assert literal.braid == rim[0].braid
+    assert surgery_diagram(literal.braid, "rim") is surgery_diagram(rim[0].braid, "rim")
     # A name that does not resolve is never cached: it raises every time.
     for _ in range(2):
         with pytest.raises(ValueError, match="no_such_knot"):
@@ -132,7 +134,7 @@ def test_conjugator_word():
     assert surgery_recipe(_rim_spec("3_1", 2, n=3))[1] == p.longitude**3
     # The annulus twist runs around the band's core circle, whose meridian
     # is the difference loop a3, not the surface meridian a1.
-    t = band_double(braid_closure_diagram(resolve_knot("3_1")), 0)
+    t = band_double(resolve_knot("3_1"), 0)
     spec = spec_from_json({"knot": "3_1", "d": 2, "m": 2, "n": 1, "kind": "annulus"})
     base, w, boundary = surgery_recipe(spec)
     a1, a2, a3 = Word(t.a1), Word(t.a2), Word(t.a3)
@@ -179,7 +181,7 @@ def test_annulus_meridian_is_rebadged():
     # The surgered group keeps the tangle group's mark, the surface
     # meridian a1, not the a3 difference loop that the twist runs around.
     spec = spec_from_json({"knot": "3_1", "d": 2, "m": 1, "kind": "annulus"})
-    t = band_double(braid_closure_diagram(resolve_knot("3_1")), 0)
+    t = band_double(resolve_knot("3_1"), 0)
     g = surgered_group(spec)
     assert g.meridian == Word(t.a1) == tangle_wirtinger(t).meridian
     assert g.meridian.length() == 1
