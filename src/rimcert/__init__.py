@@ -4,13 +4,7 @@ from .abelian import AbelianInvariants, abelian_invariants, smith_normal_form
 from .batch import batch_json, expand_config, run_batch
 from .braids import BraidWord, KNOT_TABLE, parse_braid, resolve_knot
 from .certify import CyclicityVerdict, certify_cyclic
-from .diagrams import (
-    Crossing,
-    KnotDiagram,
-    TangleDiagram,
-    band_double,
-    braid_closure_diagram,
-)
+from .diagrams import Crossing, Diagram, band_double, braid_closure_diagram
 from .enumeration import (
     DEFAULT_MAX_COSETS,
     EnumerationResult,
@@ -31,7 +25,6 @@ from .invariants import (
     arf_invariant,
     knot_determinant,
     normal_invariant_report,
-    tangle_wirtinger,
     wirtinger,
 )
 from .laurent import LaurentPolynomial, poly_determinant
@@ -58,15 +51,14 @@ __all__ = [
     "Crossing",
     "CyclicityVerdict",
     "DEFAULT_MAX_COSETS",
+    "Diagram",
     "EnumerationResult",
     "GroupPresentation",
     "KNOT_TABLE",
-    "KnotDiagram",
     "LaurentPolynomial",
     "NormalInvariantReport",
     "PlotnickMatrix",
     "SurgerySpec",
-    "TangleDiagram",
     "Word",
     "abelian_invariants",
     "alexander_polynomial",
@@ -96,7 +88,6 @@ __all__ = [
     "smith_normal_form",
     "spec_from_json",
     "surgered_group",
-    "tangle_wirtinger",
     "todd_coxeter",
     "wirtinger",
     "__version__",

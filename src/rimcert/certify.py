@@ -105,8 +105,8 @@ def certify_cyclic(
     meridian enumeration that overflows ends the run inconclusive.
     """
     check_limits(max_cosets, timeout)
-    if d < 1:
-        raise ValueError("expected order must be positive")
+    if not (is_integer(d) and d >= 1):
+        raise ValueError("expected order must be an integer >= 1")
     if p.meridian is None:
         raise ValueError("presentation has no marked meridian")
     deadline = time.monotonic() + timeout if timeout is not None else None

@@ -32,45 +32,19 @@ class Crossing:
 
 
 @dataclass(frozen=True, slots=True)
-class KnotDiagram:
-    """The closure of a braid word, as `braid_closure_diagram` builds it.
+class Diagram:
+    """Crossings over `n_arcs` arcs, and the arcs of each strand in order.
 
-    Arcs are numbered in traversal order: arc k dives under into arc k+1,
-    and the last arc closes up into arc 0.  The longitude reads the
-    underpasses in this order.
+    A closure has one strand, whose arcs are numbered in traversal order:
+    arc k dives under into arc k+1, and the last arc closes up into arc 0,
+    which the strand lists again at its end.  A band tangle has two open
+    strands, anti-parallel copies of the source knot, so strand 1 starts
+    where strand 2 ends.  Arc 0 starts the first strand in both.
     """
 
     crossings: tuple[Crossing, ...]
     n_arcs: int
-
-
-@dataclass(frozen=True, slots=True)
-class TangleDiagram:
-    """Two open strands in a ball, with the three marked boundary loops.
-
-    `strand1` and `strand2` list each strand's arcs in order along its own
-    orientation; the strands are anti-parallel copies of the source knot,
-    so strand 1 starts where strand 2 ends.  The boundary loops are signed
-    arc sequences at that shared end, derived from the strands: a1 and a2
-    each encircle one arc, a3 = a1 * a2^-1 encircles both.
-    """
-
-    crossings: tuple[Crossing, ...]
-    n_arcs: int
-    strand1: tuple[int, ...]
-    strand2: tuple[int, ...]
-
-    @property
-    def a1(self) -> tuple[tuple[int, int], ...]:
-        return ((self.strand1[0], 1),)
-
-    @property
-    def a2(self) -> tuple[tuple[int, int], ...]:
-        return ((self.strand2[-1], 1),)
-
-    @property
-    def a3(self) -> tuple[tuple[int, int], ...]:
-        return self.a1 + ((self.strand2[-1], -1),)
+    strands: tuple[tuple[int, ...], ...]
 
 
 def _walk(
@@ -120,13 +94,13 @@ def _number_arcs(
     return list(zip(over, under_in, under_out)), strands
 
 
-def braid_closure_diagram(braid: BraidWord) -> KnotDiagram:
+def braid_closure_diagram(braid: BraidWord) -> Diagram:
     """Diagram of the braid closure; requires a one-component closure."""
     if not braid.is_knot():
         raise ValueError("braid closure is a link, not a knot")
     k = len(braid.letters)
     if k == 0:
-        return KnotDiagram(crossings=(), n_arcs=1)
+        return Diagram(crossings=(), n_arcs=1, strands=((0,),))
 
     # Walk the whole knot from the top of position 0; each crossing is met
     # twice, once over and once under.  The arc after the last underpass is
@@ -139,7 +113,7 @@ def braid_closure_diagram(braid: BraidWord) -> KnotDiagram:
         Crossing(o % k, i, u % k, 1 if l > 0 else -1)
         for (o, i, u), l in zip(arcs, braid.letters)
     )
-    return KnotDiagram(crossings, n_arcs=k)
+    return Diagram(crossings, n_arcs=k, strands=((*range(k), 0),))
 
 
 def _double_letters(braid: BraidWord, framing: int) -> tuple[list[int], int]:
@@ -157,7 +131,7 @@ def _double_letters(braid: BraidWord, framing: int) -> tuple[list[int], int]:
     return doubled, abs(twists)
 
 
-def band_double(braid: BraidWord, framing: int) -> TangleDiagram:
+def band_double(braid: BraidWord, framing: int) -> Diagram:
     """Double the braid's closure into the two boundary arcs of a band with
     `framing`; requires a one-component closure.
 
@@ -190,4 +164,4 @@ def band_double(braid: BraidWord, framing: int) -> TangleDiagram:
     )
     if len(crossings) != 4 * len(braid.letters) + 2 * clasp_pairs:
         raise AssertionError("doubling must yield 4c + 2|framing - writhe| crossings")
-    return TangleDiagram(crossings, n_arcs=s2[-1] + 1, strand1=s1, strand2=s2)
+    return Diagram(crossings, n_arcs=s2[-1] + 1, strands=(s1, s2))

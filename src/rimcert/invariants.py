@@ -7,7 +7,7 @@ diagram.  Relator convention at a crossing with sign s:
 
 so the outgoing under-arc is the over-conjugate of the incoming one.  The
 meridian is the generator of arc 0 and the longitude is the product of
-over-arc letters along the traversal, compensated to exponent sum zero.
+over-arc letters along a strand, compensated to exponent sum zero.
 The Alexander polynomial comes from the Burau matrix of the braid word
 that the closure diagram is built from.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .braids import BraidWord
-from .diagrams import Crossing, KnotDiagram, TangleDiagram
+from .diagrams import Crossing, Diagram
 from .groups import GroupPresentation, Word
 from .laurent import LaurentPolynomial, poly_determinant
 
@@ -34,48 +34,31 @@ def _crossing_relator(c: Crossing) -> Word:
     )
 
 
-def _marked_group(
-    crossings: tuple[Crossing, ...], n_arcs: int, meridian: Word, arcs: tuple[int, ...]
-) -> GroupPresentation:
-    """Crossing relators, marked by `meridian` and by the longitude of the
-    strand that runs along `arcs`.
+def wirtinger(diagram: Diagram) -> GroupPresentation:
+    """Group of the diagram, marked by the generator of the first strand's
+    first arc and by the longitude of its last strand.
 
-    With the out = over^s * in * over^-s relator convention, the framed
-    push-off picks up the inverse over-meridian at each underpass; a power
-    of the last arc then cancels the strand's linking with itself.  The
-    sign pairing is forced: the wrong pairing fails [longitude, meridian]
-    = 1, checked in finite quotients by the tests.
+    For a closure that is the knot group with its meridian and longitude;
+    for a band tangle, the mark is the boundary loop a1 and the longitude
+    runs along the second strand.  With the out = over^s * in * over^-s
+    relator convention, the framed push-off picks up the inverse
+    over-meridian at each underpass; a power of the strand's last arc then
+    cancels its linking with itself, so at framing zero the tangle's
+    longitude also links the first strand zero times.  The sign pairing is
+    forced: the wrong pairing fails [longitude, meridian] = 1, checked in
+    finite quotients by the tests.
     """
-    by_in = {c.under_in: c for c in crossings}
+    arcs = diagram.strands[-1]
+    by_in = {c.under_in: c for c in diagram.crossings}
     letters = [(by_in[a].over, -by_in[a].sign) for a in arcs[:-1]]
     strand = set(arcs)
     letters.append((arcs[-1], -sum(s for g, s in letters if g in strand)))
     return GroupPresentation(
-        ngens=n_arcs,
-        relators=tuple(_crossing_relator(c) for c in crossings),
-        meridian=meridian,
+        ngens=diagram.n_arcs,
+        relators=tuple(_crossing_relator(c) for c in diagram.crossings),
+        meridian=Word.gen(diagram.strands[0][0]),
         longitude=Word(letters),
     )
-
-
-def wirtinger(diagram: KnotDiagram) -> GroupPresentation:
-    """Knot group of the diagram with meridian and longitude marked.
-
-    Arcs are numbered in traversal order, so the longitude walks them in
-    order and closes up on arc 0.
-    """
-    arcs = (*range(len(diagram.crossings)), 0)
-    return _marked_group(diagram.crossings, diagram.n_arcs, Word.gen(0), arcs)
-
-
-def tangle_wirtinger(tangle: TangleDiagram) -> GroupPresentation:
-    """Group of the doubled-band tangle, marked by the boundary loop a1.
-
-    The longitude runs along the second strand with its own linking
-    cancelled, so at framing zero it also links the first strand zero
-    times.
-    """
-    return _marked_group(tangle.crossings, tangle.n_arcs, Word(tangle.a1), tangle.strand2)
 
 
 # -- Alexander polynomial -------------------------------------------------

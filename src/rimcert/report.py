@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .certify import CYCLIC, INCONCLUSIVE, NON_CYCLIC, CyclicityVerdict, certify_cyclic
 # braid_closure_diagram is not called here: diagrams are built by
-# surgery.surgery_diagram.  It stays bound because perfbench/spans.py's
+# surgery.base_group.  It stays bound because perfbench/spans.py's
 # PROBES rebinds this name in this module and fails if it is missing;
 # ROADMAP item 7 (in-package spans) ends that.
 from .braids import BraidWord

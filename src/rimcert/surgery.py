@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .braids import BraidWord, resolve_knot
-from .diagrams import KnotDiagram, TangleDiagram, band_double, braid_closure_diagram
+from .diagrams import band_double, braid_closure_diagram
 from .groups import GroupPresentation, Word, commutator, quotient
-from .invariants import tangle_wirtinger, wirtinger
+from .invariants import wirtinger
 
 RIM = "rim"
 ANNULUS = "annulus"
@@ -125,16 +125,23 @@ class SurgerySpec:
 
 
 @lru_cache(maxsize=64)
-def surgery_diagram(braid: BraidWord, kind: str) -> KnotDiagram | TangleDiagram:
-    """The diagram a `kind` spec cuts along: the braid's closure for rim,
-    and its band double at framing 0 for annulus.
+def base_group(braid: BraidWord, kind: str) -> tuple[GroupPresentation, Word]:
+    """The marked group a `kind` spec cuts along, and its core loop.
 
-    A sweep certifies many specs on a few companions, so each (braid, kind)
-    is built once per process; diagrams are frozen, so the specs share them.
+    Rim: the group of the braid's closure, whose core loop is the meridian.
+    Annulus: the group of its band double at framing 0, marked by the
+    boundary loop a1 on strand 1's first arc; the core loop is the
+    difference loop a1 * a2^-1, with a2 on strand 2's last arc, where
+    strand 1 starts.  A sweep certifies many specs on a few companions, so
+    each (braid, kind) is built once per process; groups and words are
+    frozen, so the specs share them.
     """
     if kind == ANNULUS:
-        return band_double(braid, 0)
-    return braid_closure_diagram(braid)
+        diagram = band_double(braid, 0)
+        base = wirtinger(diagram)
+        return base, base.meridian * Word.gen(diagram.strands[1][-1], -1)
+    base = wirtinger(braid_closure_diagram(braid))
+    return base, base.meridian
 
 
 def is_integer(value) -> bool:
@@ -181,22 +188,19 @@ def surgery_recipe(spec: SurgerySpec) -> tuple[GroupPresentation, Word, list[Wor
 
     Rim: the knot group; the regluing kills meridian^d.  Annulus: the band
     tangle's group, marked by the first boundary loop a1; the regluing
-    kills a1^d and the difference loop a3, and identifies the two strand
-    meridians.  The conjugator is longitude^n * core^m, where the core
-    loop is the meridian (rim) or a3, the meridian of the band's core
-    circle (annulus).  The two factors commute in the group but not
-    freely; the order is fixed once here.
+    kills a1^d and the difference loop a1 * a2^-1, and identifies the two
+    strand meridians.  The conjugator is longitude^n * core^m, where the
+    core loop is the meridian (rim) or the difference loop, the meridian
+    of the band's core circle (annulus).  The two factors commute in the
+    group but not freely; the order is fixed once here.
     """
-    diagram = surgery_diagram(spec.braid, spec.kind)
-    if spec.kind == RIM:
-        base = wirtinger(diagram)
-        core = base.meridian
-        boundary = [core ** spec.d]
-    else:
-        base = tangle_wirtinger(diagram)
-        core = Word(diagram.a3)
-        a1, a2 = base.meridian, Word(diagram.a2)
-        boundary = [a1 ** spec.d, core, a1 * a2.inverse()]
+    base, core = base_group(spec.braid, spec.kind)
+    boundary = [base.meridian ** spec.d]
+    if spec.kind == ANNULUS:
+        # The difference loop dies and the strand meridians agree: one word,
+        # a1 * a2^-1, entered twice.  ROADMAP decision 9c owns dropping the
+        # duplicate, which changes the reports' relator counts.
+        boundary += [core, core]
     return base, (base.longitude ** spec.n) * (core ** spec.m), boundary
 
 

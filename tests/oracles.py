@@ -688,14 +688,19 @@ def knot_diagram_json(d, braid):
 
 
 def tangle_diagram_json(t, source_writhe):
-    """The band tangle `t` of a knot whose diagram has `source_writhe`."""
+    """The band tangle `t` of a knot whose diagram has `source_writhe`.
+
+    The boundary loops are signed arc sequences at the strands' shared
+    end: a1 on strand 1's first arc, a2 on strand 2's last, a3 = a1 a2^-1.
+    """
+    strand1, strand2 = t.strands
     return {
         "crossings": [_crossing_json(x) for x in t.crossings],
         "arcs": t.n_arcs,
-        "strand1": list(t.strand1),
-        "strand2": list(t.strand2),
-        "a1": [list(p) for p in t.a1],
-        "a2": [list(p) for p in t.a2],
-        "a3": [list(p) for p in t.a3],
+        "strand1": list(strand1),
+        "strand2": list(strand2),
+        "a1": [[strand1[0], 1]],
+        "a2": [[strand2[-1], 1]],
+        "a3": [[strand1[0], 1], [strand2[-1], -1]],
         "source_writhe": source_writhe,
     }

@@ -280,3 +280,19 @@ def test_bad_inputs_raise():
     unmarked = GroupPresentation(ngens=1, relators=(parse_word("a a", "a"),))
     with pytest.raises(ValueError):
         certify_cyclic(unmarked, 2)
+
+
+@pytest.mark.parametrize("d", [2.0, True, "2"], ids=["float", "bool", "str"])
+def test_expected_order_must_be_an_int(d):
+    # The order is a JSON integer: a float would reach the report as
+    # "order": 2.0 or fail in a word power, and a bool would be read as 1.
+    z2 = GroupPresentation(ngens=1, relators=(parse_word("a a", "a"),),
+                           meridian=Word.gen(0))
+    s3 = GroupPresentation(
+        ngens=2,
+        relators=tuple(parse_word(r, AB) for r in ("a a", "b b", "a b a b a b")),
+        meridian=Word.gen(0),
+    )
+    for p in (z2, s3):
+        with pytest.raises(ValueError, match="expected order"):
+            certify_cyclic(p, d)

@@ -6,8 +6,9 @@ from dataclasses import fields
 import pytest
 
 from rimcert.braids import BraidWord, parse_braid, resolve_knot
-from rimcert.diagrams import KnotDiagram, band_double, braid_closure_diagram
-from rimcert.invariants import alexander_polynomial, tangle_wirtinger, wirtinger
+from rimcert.diagrams import Diagram, band_double, braid_closure_diagram
+from rimcert.groups import Word
+from rimcert.invariants import alexander_polynomial, wirtinger
 
 from oracles import knot_diagram_json, tangle_diagram_json
 
@@ -33,6 +34,7 @@ def _check_knot(d):
     assert d.n_arcs == max(1, c)
     assert sorted(x.under_in for x in d.crossings) == list(range(c))
     assert all(x.under_out == (x.under_in + 1) % c for x in d.crossings)
+    assert d.strands == ((*range(c), 0),)
 
 
 def _check_tangle(t):
@@ -40,12 +42,13 @@ def _check_tangle(t):
     # crossing sits on the strands: one off them would add a relator that
     # no arc of the band accounts for.
     _check_crossings(t)
-    assert t.strand1 and t.strand2
-    assert sorted(t.strand1 + t.strand2) == list(range(t.n_arcs))
+    strand1, strand2 = t.strands
+    assert strand1 and strand2
+    assert sorted(strand1 + strand2) == list(range(t.n_arcs))
     assert len(t.crossings) == t.n_arcs - 2
     by_in = {x.under_in: x for x in t.crossings}
     assert len(by_in) == len(t.crossings)
-    for strand in (t.strand1, t.strand2):
+    for strand in t.strands:
         for a, b in zip(strand, strand[1:]):
             assert by_in[a].under_out == b
 
@@ -53,7 +56,7 @@ def _check_tangle(t):
 def test_unknot_closure_has_no_crossings():
     d = braid_closure_diagram(parse_braid("B1:"))
     _check_knot(d)
-    assert d == KnotDiagram((), 1)
+    assert d == Diagram((), 1, ((0,),))
 
 
 def test_closure_rejects_links():
@@ -87,7 +90,7 @@ def test_diagrams_given_lists_store_tuples_and_certify():
         assert all(type(v) is tuple for v in stored)
         hash(d)
     assert wirtinger(knot).ngens == 3
-    assert tangle_wirtinger(band).ngens == band.n_arcs
+    assert wirtinger(band).ngens == band.n_arcs
 
 
 def test_band_double_counts():
@@ -97,7 +100,7 @@ def test_band_double_counts():
     # four crossings per source crossing plus two per clasp twist
     clasps = abs(0 - braid.writhe())
     assert len(t.crossings) == 4 * len(braid.letters) + 2 * clasps
-    assert len(t.strand1) + len(t.strand2) == t.n_arcs
+    assert sum(map(len, t.strands)) == t.n_arcs
 
 
 def test_band_double_framing_changes_clasps():
@@ -112,16 +115,23 @@ def test_band_double_of_unknot():
 
 
 def test_tangle_boundary_loops_shape():
+    # A band tangle has exactly two strands; each boundary loop a1, a2
+    # encircles one arc, so the difference loop a1 * a2^-1 has two letters.
     t = band_double(resolve_knot("5_2"), 0)
-    assert len(t.a1) == 1 and len(t.a2) == 1 and len(t.a3) == 2
+    assert len(t.strands) == 2
+    a1, a2 = Word.gen(t.strands[0][0]), Word.gen(t.strands[1][-1])
+    assert (a1 * a2.inverse()).length() == 2
 
 
 def test_tangle_boundary_loops_sit_at_the_shared_end():
-    # The loops are derived from the strands: a1 on strand 1's first arc,
-    # a2 on strand 2's last, where strand 1 starts, and a3 = a1 * a2^-1.
+    # The loops are read off the strands: a1 on strand 1's first arc and a2
+    # on strand 2's last, where strand 1 starts.  Arc 0 starts strand 1.
     t = band_double(resolve_knot("3_1"), 0)
-    assert (t.strand1[0], t.strand2[0], t.strand2[-1]) == (0, 10, 19)
-    assert (t.a1, t.a2, t.a3) == (((0, 1),), ((19, 1),), ((0, 1), (19, -1)))
+    strand1, strand2 = t.strands
+    assert (strand1[0], strand2[0], strand2[-1]) == (0, 10, 19)
+    a1, a2 = Word.gen(strand1[0]), Word.gen(strand2[-1])
+    assert a1 == wirtinger(t).meridian
+    assert a1 * a2.inverse() == Word(((0, 1), (19, -1)))
 
 
 def test_knot_diagram_arcs_must_follow_the_traversal():

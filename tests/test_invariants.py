@@ -10,7 +10,6 @@ from rimcert.invariants import (
     arf_invariant,
     knot_determinant,
     normal_invariant_report,
-    tangle_wirtinger,
     wirtinger,
 )
 from rimcert.laurent import LaurentPolynomial
@@ -224,7 +223,7 @@ def test_unknot_wirtinger_group_is_z():
 def test_tangle_group_h1_is_rank_two():
     for name in ("3_1", "4_1"):
         t = band_double(resolve_knot(name), 0)
-        p = tangle_wirtinger(t)
+        p = wirtinger(t)
         assert len(p.relators) == len(t.crossings)
         inv = abelian_invariants(p)
         assert (inv.free_rank, inv.torsion) == (2, ())
@@ -232,13 +231,13 @@ def test_tangle_group_h1_is_rank_two():
 
 def test_tangle_marked_words():
     t = band_double(resolve_knot("3_1"), 0)
-    p = tangle_wirtinger(t)
-    a1, a2, a3 = Word(t.a1), Word(t.a2), Word(t.a3)
+    p = wirtinger(t)
+    strand1, strand2 = t.strands
     # The loops sit at the band's shared end: where strand 1 starts and
     # strand 2, which runs against it, ends.
-    assert a1 == Word.gen(t.strand1[0]) == p.meridian
-    assert a2 == Word.gen(t.strand2[-1])
-    assert a3 == a1 * a2.inverse()
+    a1, a2 = Word.gen(strand1[0]), Word.gen(strand2[-1])
+    a3 = a1 * a2.inverse()
+    assert a1 == p.meridian
     # the doubled strands are anti-parallel: their meridians abelianize
     # with opposite signs, so a3 dies in homology
     assert a3.exponent_sum() == 0 and a1 != a2
@@ -247,8 +246,8 @@ def test_tangle_marked_words():
 def test_tangle_longitude_owns_no_self_linking():
     for name in ("3_1", "4_1"):
         t = band_double(resolve_knot(name), 0)
-        p = tangle_wirtinger(t)
-        strand2 = set(t.strand2)
+        p = wirtinger(t)
+        strand2 = set(t.strands[1])
         own = sum(s for g, s in p.longitude.letters() if g in strand2)
         assert own == 0
 

@@ -11,10 +11,11 @@ from rimcert.braids import resolve_knot
 from rimcert.diagrams import band_double, braid_closure_diagram
 from rimcert.enumeration import todd_coxeter
 from rimcert.groups import GroupPresentation, Word
-from rimcert.invariants import tangle_wirtinger, wirtinger
+from rimcert.invariants import wirtinger
+from rimcert.report import certify
 from rimcert.surgery import (
     SurgerySpec,
-    surgery_diagram,
+    base_group,
     plotnick_matrix,
     spec_from_json,
     surgered_group,
@@ -104,17 +105,17 @@ def test_spec_validation():
 def test_named_companions_are_built_once_per_process():
     rim = [_rim_spec("5_2", d, m=1, n=n) for d, n in ((3, 1), (5, 2))]
     annulus = [spec_from_json({"knot": "5_2", "d": d, "kind": "annulus"}) for d in (3, 4)]
-    # Every spec holds its companion's braid, whatever its kind; the
-    # diagram a kind cuts along is built from it once per process.
+    # Every spec holds its companion's braid, whatever its kind; the group
+    # a kind cuts along is built from it once per process.
     assert all(spec.braid is resolve_knot("5_2") for spec in rim + annulus)
-    assert surgery_diagram(rim[0].braid, "rim") is surgery_diagram(rim[1].braid, "rim")
-    band = surgery_diagram(annulus[0].braid, "annulus")
-    assert band is surgery_diagram(annulus[1].braid, "annulus")
-    assert band == band_double(rim[0].braid, 0)
+    assert base_group(rim[0].braid, "rim") is base_group(rim[1].braid, "rim")
+    band = base_group(annulus[0].braid, "annulus")
+    assert band is base_group(annulus[1].braid, "annulus")
+    assert band[0] == wirtinger(band_double(rim[0].braid, 0))
     # A braid literal resolves to an equal braid, so it hits the same entry.
     literal = _rim_spec("B3: 1 1 1 2 -1 2", 3)
     assert literal.braid == rim[0].braid
-    assert surgery_diagram(literal.braid, "rim") is surgery_diagram(rim[0].braid, "rim")
+    assert base_group(literal.braid, "rim") is base_group(rim[0].braid, "rim")
     # A name that does not resolve is never cached: it raises every time.
     for _ in range(2):
         with pytest.raises(ValueError, match="no_such_knot"):
@@ -122,6 +123,33 @@ def test_named_companions_are_built_once_per_process():
     # An unknown kind is rejected by the spec, not keyed.
     with pytest.raises(ValueError, match="kind must be one of"):
         spec_from_json({"knot": "5_2", "d": 2, "kind": ["annulus"]})
+
+
+def test_shared_base_group_is_never_altered():
+    # Specs on one companion and kind share one cached base group: certifying
+    # another spec on it must leave the first spec's report as it was.
+    for kind in ("rim", "annulus"):
+        a = spec_from_json({"knot": "3_1", "d": 2, "m": 1, "kind": kind})
+        b = spec_from_json({"knot": "3_1", "d": 3, "m": 2, "n": 1, "kind": kind})
+
+        def report_bytes(spec):
+            return json.dumps(certify(spec).to_json(timing=False), sort_keys=True)
+
+        first = report_bytes(a)
+        report_bytes(b)
+        assert report_bytes(a) == first
+        assert base_group(a.braid, kind) == base_group.__wrapped__(a.braid, kind)
+
+
+def test_annulus_core_is_the_difference_loop_of_the_strands():
+    # The core loop is a1 * a2^-1: a1 on strand 1's first arc, a2 on strand
+    # 2's last, read off the band double at framing 0.
+    for name in ("unknot", "3_1", "4_1", "5_2"):
+        braid = resolve_knot(name)
+        strand1, strand2 = band_double(braid, 0).strands
+        base, core = base_group(braid, "annulus")
+        assert base.meridian == Word.gen(strand1[0])
+        assert core == Word.gen(strand1[0]) * Word.gen(strand2[-1]).inverse()
 
 
 def test_conjugator_word():
@@ -137,8 +165,10 @@ def test_conjugator_word():
     t = band_double(resolve_knot("3_1"), 0)
     spec = spec_from_json({"knot": "3_1", "d": 2, "m": 2, "n": 1, "kind": "annulus"})
     base, w, boundary = surgery_recipe(spec)
-    a1, a2, a3 = Word(t.a1), Word(t.a2), Word(t.a3)
-    assert base == tangle_wirtinger(t)
+    strand1, strand2 = t.strands
+    a1, a2 = Word.gen(strand1[0]), Word.gen(strand2[-1])
+    a3 = a1 * a2.inverse()
+    assert base == wirtinger(t)
     assert w == base.longitude * a3**2
     assert boundary == [a1**2, a3, a1 * a2.inverse()]
 
@@ -183,7 +213,7 @@ def test_annulus_meridian_is_rebadged():
     spec = spec_from_json({"knot": "3_1", "d": 2, "m": 1, "kind": "annulus"})
     t = band_double(resolve_knot("3_1"), 0)
     g = surgered_group(spec)
-    assert g.meridian == Word(t.a1) == tangle_wirtinger(t).meridian
+    assert g.meridian == Word.gen(t.strands[0][0]) == wirtinger(t).meridian
     assert g.meridian.length() == 1
     assert g.ngens == t.n_arcs
 
