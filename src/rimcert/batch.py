@@ -14,8 +14,9 @@ import math
 
 from .certify import check_limits
 from .enumeration import DEFAULT_MAX_COSETS
+from .groups import is_integer
 from .report import DEFAULT_TIMEOUT, certify
-from .surgery import KINDS, check_keys, is_integer, spec_from_json
+from .surgery import KINDS, check_keys, spec_from_json
 
 BATCH_SCHEMA = "rimcert.batch/1"
 

@@ -22,9 +22,9 @@ from .groups import (
     Word,
     collapse_presentation,
     cyclic_normal_form,
+    is_integer,
     quotient,
 )
-from .surgery import is_integer
 
 CYCLIC = "cyclic"
 NON_CYCLIC = "non_cyclic"
@@ -103,6 +103,11 @@ def certify_cyclic(
     "premise": the whole group is not enumerated.  A surgered group always
     meets the premise, since its meridian normally generates it.  A
     meridian enumeration that overflows ends the run inconclusive.
+
+    Every verdict has order d.  Its certificate holds the stage, that
+    stage's records and the limits, and, on every stage after the
+    abelianization, a collapsed_presentation record when the input was
+    collapsed.
     """
     check_limits(max_cosets, timeout)
     if not (is_integer(d) and d >= 1):
@@ -131,62 +136,57 @@ def certify_cyclic(
                 "total_relator_length": small.total_relator_length(),
             }
 
-    inv = abelian_invariants(work)
-    if not inv.is_cyclic_of_order(d):
-        return CyclicityVerdict(
-            status=NON_CYCLIC,
-            order=d,
-            justification=(
-                f"first homology is {inv}, not that of the cyclic group "
-                f"of order {d}"
-            ),
-            witness={"abelian_invariants": _invariants_json(inv)},
-            certificate={"stage": "abelianization", "limits": limits},
-        )
+    def verdict(status, justification, witness, stage, **records):
+        certificate = {"stage": stage, **records, "limits": limits}
+        if collapsed is not None and stage != "abelianization":
+            certificate["collapsed_presentation"] = collapsed
+        return CyclicityVerdict(status, d, justification, witness, certificate)
 
-    def cert(stage: str, **extra) -> dict:
-        doc = {"stage": stage, **extra, "limits": limits}
-        if collapsed is not None:
-            doc["collapsed_presentation"] = collapsed
-        return doc
+    inv = abelian_invariants(work)
+    inv_json = _invariants_json(inv)
+    if not inv.is_cyclic_of_order(d):
+        return verdict(
+            NON_CYCLIC,
+            f"first homology is {inv}, not that of the cyclic group of "
+            f"order {d}",
+            {"abelian_invariants": inv_json},
+            "abelianization",
+        )
 
     merid = todd_coxeter(work, [work.meridian], max_cosets, deadline)
     if not merid.complete:
-        return _inconclusive(d, cert("overflow", meridian_enumeration=merid.stats()))
+        return verdict(
+            INCONCLUSIVE,
+            "coset enumeration hit its limits before completing; raising "
+            "max_cosets or the timeout may settle the question",
+            {},
+            "overflow",
+            meridian_enumeration=merid.stats(),
+        )
     if merid.index == 1:
-        return CyclicityVerdict(
-            status=CYCLIC,
-            order=d,
-            justification=(
-                "the meridian generates: its subgroup has index 1, and "
-                f"the abelianization is already cyclic of order {d}, so "
-                "the group is cyclic of that order"
-            ),
-            witness={"meridian_subgroup_index": 1},
-            certificate=cert(
-                "meridian_index",
-                enumeration=merid.stats(),
-                abelian_invariants=_invariants_json(inv),
-            ),
+        return verdict(
+            CYCLIC,
+            "the meridian generates: its subgroup has index 1, and the "
+            f"abelianization is already cyclic of order {d}, so the group is "
+            "cyclic of that order",
+            {"meridian_subgroup_index": 1},
+            "meridian_index",
+            enumeration=merid.stats(),
+            abelian_invariants=inv_json,
         )
 
     premise = abelian_invariants(quotient(work, [work.meridian]))
+    premise_json = _invariants_json(premise)
     if not premise.is_cyclic_of_order(1):
-        return CyclicityVerdict(
-            status=INCONCLUSIVE,
-            order=d,
-            justification=(
-                f"the meridian subgroup has index {merid.index} > 1, but the "
-                "meridian does not generate the abelianization, so the index "
-                "proves nothing; the certifier does not enumerate the whole "
-                "group"
-            ),
-            witness={},
-            certificate=cert(
-                "premise",
-                meridian_enumeration=merid.stats(),
-                meridian_quotient_invariants=_invariants_json(premise),
-            ),
+        return verdict(
+            INCONCLUSIVE,
+            f"the meridian subgroup has index {merid.index} > 1, but the "
+            "meridian does not generate the abelianization, so the index "
+            "proves nothing; the certifier does not enumerate the whole group",
+            {},
+            "premise",
+            meridian_enumeration=merid.stats(),
+            meridian_quotient_invariants=premise_json,
         )
     # The index witness stands on its own; a group order strengthens the
     # certificate.  The meridian generates H1 = Z/d, so its order is a
@@ -199,23 +199,18 @@ def certify_cyclic(
         extra["order_derivation"] = {
             "meridian_order": d,
             "meridian_power_relator": power,
-            "meridian_quotient_invariants": _invariants_json(premise),
+            "meridian_quotient_invariants": premise_json,
         }
-    return CyclicityVerdict(
-        status=NON_CYCLIC,
-        order=d,
-        justification=(
-            "the meridian normally generates but its cyclic subgroup "
-            f"has finite index {merid.index} > 1; in a cyclic group an "
-            "element generating the abelianization generates everything"
-        ),
-        witness=witness,
-        certificate=cert(
-            "meridian_index",
-            enumeration=merid.stats(),
-            abelian_invariants=_invariants_json(inv),
-            **extra,
-        ),
+    return verdict(
+        NON_CYCLIC,
+        "the meridian normally generates but its cyclic subgroup has finite "
+        f"index {merid.index} > 1; in a cyclic group an element generating "
+        "the abelianization generates everything",
+        witness,
+        "meridian_index",
+        enumeration=merid.stats(),
+        abelian_invariants=inv_json,
+        **extra,
     )
 
 
@@ -229,15 +224,3 @@ def _relator_position(p: GroupPresentation, w: Word) -> int | None:
             return i
     return None
 
-
-def _inconclusive(d: int, certificate: dict) -> CyclicityVerdict:
-    return CyclicityVerdict(
-        status=INCONCLUSIVE,
-        order=d,
-        justification=(
-            "coset enumeration hit its limits before completing; raising "
-            "max_cosets or the timeout may settle the question"
-        ),
-        witness={},
-        certificate=certificate,
-    )

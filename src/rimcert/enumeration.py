@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import eq
 
-from .groups import GroupPresentation, Word
+from .groups import GroupPresentation, Word, is_integer
 
 DEFAULT_MAX_COSETS = 100_000
 
@@ -486,8 +486,8 @@ def todd_coxeter(
     the previous round's yield (max_cosets at first), predicting a next
     round under 5%.
     """
-    if max_cosets < 1:
-        raise ValueError("max_cosets must be positive")
+    if not (is_integer(max_cosets) and max_cosets >= 1):
+        raise ValueError("max_cosets must be an integer >= 1")
     for w in subgroup:
         if w.max_generator() >= p.ngens:
             raise ValueError("subgroup word uses an undefined generator")

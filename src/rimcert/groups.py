@@ -21,6 +21,11 @@ from typing import Iterable, Iterator, Sequence
 Syllable = tuple[int, int]
 
 
+def is_integer(value) -> bool:
+    """A JSON integer: an int that is not a bool (floats and strings fail)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # --- letter tuples ------------------------------------------------------------
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .braids import BraidWord, resolve_knot
 from .diagrams import band_double, braid_closure_diagram
-from .groups import GroupPresentation, Word, commutator, quotient
+from .groups import GroupPresentation, Word, commutator, is_integer, quotient
 from .invariants import wirtinger
 
 RIM = "rim"
@@ -142,11 +142,6 @@ def base_group(braid: BraidWord, kind: str) -> tuple[GroupPresentation, Word]:
         return base, base.meridian * Word.gen(diagram.strands[1][-1], -1)
     base = wirtinger(braid_closure_diagram(braid))
     return base, base.meridian
-
-
-def is_integer(value) -> bool:
-    """A JSON integer: an int that is not a bool (floats and strings fail)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def check_keys(doc, allowed: tuple[str, ...], what: str) -> None:

@@ -140,19 +140,19 @@ def test_non_cyclic_meridian_index_with_order():
     assert order.complete and order.index == 6
 
 
+# S3 again, with a^2 = 1 only as a consequence of "a a b b" and "b b".
+S3_WITHOUT_MERIDIAN_POWER = GroupPresentation(
+    ngens=2,
+    relators=tuple(parse_word(r, AB) for r in ("a a b b", "b b", "a b a b a b")),
+    meridian=Word.gen(0),
+)
+
+
 def test_index_alone_refutes_when_meridian_power_is_no_relator():
-    # S3 again, with a^2 = 1 only as a consequence of "a a b b" and "b b".
     # The premise holds, so the index refutes cyclicity; no relator word
     # says the meridian has order d, so no group order is derived, and the
     # whole group is not enumerated.
-    p = GroupPresentation(
-        ngens=2,
-        relators=tuple(
-            parse_word(r, AB) for r in ("a a b b", "b b", "a b a b a b")
-        ),
-        meridian=Word.gen(0),
-    )
-    v = certify_cyclic(p, 2)
+    v = certify_cyclic(S3_WITHOUT_MERIDIAN_POWER, 2)
     assert v.status == NON_CYCLIC
     assert v.certified
     assert v.witness == {"meridian_subgroup_index": 3}
@@ -264,6 +264,47 @@ def test_wide_presentation_notes_collapse():
 def test_narrow_presentation_runs_as_is():
     v = certify_cyclic(S3_MOD_MERIDIAN, 2)
     assert "collapsed_presentation" not in v.certificate
+
+
+def _widen(p):
+    """p with three more generators, each equal to the one before it."""
+    extra = tuple(
+        Word.gen(g) * Word.gen(g - 1).inverse()
+        for g in range(p.ngens, p.ngens + 3)
+    )
+    return GroupPresentation(
+        ngens=p.ngens + 3, relators=p.relators + extra, meridian=p.meridian
+    )
+
+
+# Every certificate past the abelianization of a collapsed presentation.
+COLLAPSED = {"stage", "limits", "collapsed_presentation"}
+INDEX = COLLAPSED | {"enumeration", "abelian_invariants"}
+
+
+@pytest.mark.parametrize(
+    "build, d, status, stage, keys",
+    [
+        (lambda: _rim("4_1", 3, 1, 20), 3, INCONCLUSIVE, "overflow",
+         COLLAPSED | {"meridian_enumeration"}),
+        (lambda: _rim("4_1", 2), 2, CYCLIC, "meridian_index", INDEX),
+        (lambda: _widen(S3_MOD_MERIDIAN), 2, NON_CYCLIC, "meridian_index",
+         INDEX | {"order_derivation"}),
+        (lambda: _widen(S3_WITHOUT_MERIDIAN_POWER), 2, NON_CYCLIC,
+         "meridian_index", INDEX),
+        (lambda: _widen(Z4_MARKED_BY_A2), 4, INCONCLUSIVE, "premise",
+         COLLAPSED | {"meridian_enumeration", "meridian_quotient_invariants"}),
+    ],
+    ids=["overflow", "cyclic", "non_cyclic-derived", "non_cyclic-index", "premise"],
+)
+def test_certificate_keys_of_each_verdict_kind(build, d, status, stage, keys):
+    # The abelianization kind, which has no collapse record, is pinned whole
+    # by test_abelianization_refutation_of_a_collapsed_presentation.
+    p = build()
+    assert p.ngens > 3
+    v = certify_cyclic(p, d, max_cosets=500)
+    assert (v.status, v.order, v.certificate["stage"]) == (status, d, stage)
+    assert set(v.certificate) == keys
 
 
 def test_verdict_json_deterministic():

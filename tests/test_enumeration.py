@@ -98,6 +98,15 @@ def test_invalid_arguments():
         todd_coxeter(S3, [Word.gen(7)])
 
 
+@pytest.mark.parametrize("max_cosets", [2.5, 1e5, True], ids=["frac", "float", "bool"])
+def test_max_cosets_must_be_an_int(max_cosets):
+    # The limit is a JSON integer, as certify_cyclic's check_limits has it:
+    # 2.5 would fail later inside range, 1e5 would run and echo 100000.0 in
+    # the stats, and True would run as a limit of 1.
+    with pytest.raises(ValueError, match="max_cosets"):
+        todd_coxeter(S3, [A], max_cosets=max_cosets)
+
+
 def test_results_are_deterministic():
     first = todd_coxeter(S3, [A]).stats()
     second = todd_coxeter(S3, [A]).stats()

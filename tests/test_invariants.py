@@ -2,6 +2,7 @@ import random
 
 from rimcert.abelian import abelian_invariants
 from rimcert.braids import BraidWord, KNOT_TABLE, resolve_knot
+from rimcert.certify import CYCLIC, certify_cyclic
 from rimcert.diagrams import band_double, braid_closure_diagram
 from rimcert.enumeration import todd_coxeter
 from rimcert.groups import GroupPresentation, Word, commutator, quotient
@@ -230,17 +231,29 @@ def test_tangle_group_h1_is_rank_two():
 
 
 def test_tangle_marked_words():
-    t = band_double(resolve_knot("3_1"), 0)
-    p = wirtinger(t)
-    strand1, strand2 = t.strands
     # The loops sit at the band's shared end: where strand 1 starts and
-    # strand 2, which runs against it, ends.
-    a1, a2 = Word.gen(strand1[0]), Word.gen(strand2[-1])
-    a3 = a1 * a2.inverse()
-    assert a1 == p.meridian
-    # the doubled strands are anti-parallel: their meridians abelianize
-    # with opposite signs, so a3 dies in homology
-    assert a3.exponent_sum() == 0 and a1 != a2
+    # strand 2, which runs against it, ends.  The band is a disk, so capping
+    # both its ends closes the two strands into its boundary, an unknot.
+    # Anti-parallel strands meet head to tail at each cap, which then
+    # identifies the meridians of the two arcs it joins: strand 2's last
+    # with strand 1's first, strand 1's last with strand 2's first.  The
+    # capped group is Z, and Z/2 with a1^2 killed.  Strands drawn with a
+    # wrong orientation make some cap identify a meridian with an inverse.
+    braids = [resolve_knot(name) for name in KNOT_TABLE]
+    braids += _random_knot_braids(50, seed=232)
+    for braid in braids:
+        for framing in (-2, 0, 3):
+            t = band_double(braid, framing)
+            p = wirtinger(t)
+            strand1, strand2 = t.strands
+            a1, a2 = Word.gen(strand1[0]), Word.gen(strand2[-1])
+            assert a1 == p.meridian and a1 != a2
+            caps = (
+                a2 * a1.inverse(),
+                Word.gen(strand1[-1]) * Word.gen(strand2[0]).inverse(),
+            )
+            capped = quotient(p, caps + (a1**2,))
+            assert certify_cyclic(capped, 2).status == CYCLIC, (braid, framing)
 
 
 def test_tangle_longitude_owns_no_self_linking():
