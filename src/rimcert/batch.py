@@ -75,29 +75,36 @@ def expand_config(config: dict) -> list[dict]:
     return rows
 
 
-def _run_row(args: tuple[dict, int, float | None]) -> dict:
+def _run_row(job: tuple[dict, dict]) -> dict:
     """Module-level so process pools can pickle it; errors stay in the row."""
-    doc, max_cosets, timeout = args
+    doc, limits = job
     try:
-        spec = spec_from_json(doc)
-        return certify(spec, max_cosets=max_cosets, timeout=timeout).to_json(
-            timing=False
-        )
+        return certify(spec_from_json(doc), **limits).to_json(timing=False)
     except Exception as exc:
         return {"schema": BATCH_SCHEMA, "spec": doc, "error": str(exc)}
 
 
-def _run_isolated(job: tuple[dict, int, float | None]) -> dict:
-    """Run one row in a pool of its own; a dead worker becomes a row error."""
+def _pool_rows(jobs: list[tuple[dict, dict]], workers: int) -> list[dict]:
+    """The rows a process pool delivers, in job order, up to a dead worker.
+
+    map() preserves submission order, which is the config order.  A worker
+    that dies (out of memory, a signal) breaks the whole pool, so the rows
+    it had not delivered are missing from the list.  The pool modules load
+    only here, so library imports and serial batches do not pay for them.
+    """
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        try:
-            return pool.submit(_run_row, job).result()
-        except BrokenProcessPool:
-            return {"schema": BATCH_SCHEMA, "spec": job[0],
-                    "error": "worker process died"}
+    rows = []
+    try:
+        # Under fork the pool starts all its workers at the first submit,
+        # so it gets no more of them than there are jobs.
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            for row in pool.map(_run_row, jobs):
+                rows.append(row)
+    except BrokenProcessPool:
+        pass
+    return rows
 
 
 def run_batch(config: dict) -> dict:
@@ -112,33 +119,24 @@ def run_batch(config: dict) -> dict:
     if type(timeout) in (int, float) and timeout == 0:
         timeout = None
     check_limits(max_cosets, timeout)
-    timeout = None if timeout is None else float(timeout)
+    limits = {"max_cosets": max_cosets,
+              "timeout": None if timeout is None else float(timeout)}
     parallelism = config.get("parallelism", 1)
     if not (is_integer(parallelism) and parallelism >= 1):
         raise ValueError("parallelism must be an integer >= 1")
 
-    jobs = [(doc, max_cosets, timeout) for doc in docs]
+    jobs = [(doc, limits) for doc in docs]
     if parallelism == 1 or len(jobs) <= 1:
         rows = [_run_row(job) for job in jobs]
     else:
-        # The pool modules load only here and in _run_isolated, so library
-        # imports and serial batches do not pay for them.
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        # map() preserves submission order, which is the config order.  A
-        # worker that dies (out of memory, a signal) breaks the whole pool:
-        # the rows with no result yet then run one by one, each in its own
-        # pool, so only the row that kills its worker is lost.
-        rows = []
-        try:
-            # Under fork the pool starts all its workers at the first
-            # submit, so it gets no more of them than there are rows.
-            with ProcessPoolExecutor(max_workers=min(parallelism, len(jobs))) as pool:
-                for row in pool.map(_run_row, jobs):
-                    rows.append(row)
-        except BrokenProcessPool:
-            rows += [_run_isolated(job) for job in jobs[len(rows):]]
+        # After a dead worker the rows with no result yet run one by one,
+        # each in a pool of its own, so only the row that kills its worker
+        # is lost.
+        rows = _pool_rows(jobs, parallelism)
+        for job in jobs[len(rows):]:
+            rows += _pool_rows([job], 1) or [
+                {"schema": BATCH_SCHEMA, "spec": job[0], "error": "worker process died"}
+            ]
 
     summary = {"total": len(rows), "cyclic": 0, "non_cyclic": 0,
                "inconclusive": 0, "error": 0}
@@ -150,7 +148,7 @@ def run_batch(config: dict) -> dict:
 
     return {
         "schema": BATCH_SCHEMA,
-        "limits": {"max_cosets": max_cosets, "timeout": timeout},
+        "limits": limits,
         "rows": rows,
         "summary": summary,
     }

@@ -36,6 +36,7 @@ order, so each pass leaves the same rows and parents.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -258,8 +259,17 @@ class CosetTable:
         relator of four or more letters each way before it walks: a scan
         whose walks take at most one step each leaves a gap of two or more
         letters, which neither deduces nor merges, so it is skipped exactly.
+        The garbage collector is paused for the pass: binding the walks
+        builds a tuple per relator letter, which would start hundreds of
+        collections on long relators, and the pass makes no cycles.
         """
-        _lookahead_pass(tuple(len(fw) >= 4 for fw, _ in views))(self, views, start)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            _lookahead_pass(tuple(len(fw) >= 4 for fw, _ in views))(self, views, start)
+        finally:
+            if enabled:
+                gc.enable()
 
     def standardize(self) -> int:
         """Renumber breadth-first from coset 0; return how many cosets remain.

@@ -214,12 +214,20 @@ def test_spec_from_json_rejects_a_diagram_object_knot(knot, kind):
         spec_from_json({"knot": knot, "d": 3, "m": 1, "n": 1, "kind": kind})
 
 
-def test_the_process_pool_loads_only_for_a_parallel_batch(tmp_path):
-    # Importing the package and its CLI, and a serial batch, leave the
-    # multiprocessing modules unloaded; a fresh interpreter shows it.
+def _fresh_python(code: str, cwd: Path) -> list[str]:
+    """The lines code prints in a fresh interpreter that imports this rimcert."""
     src = str(Path(rimcert.__file__).parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=env, cwd=cwd, timeout=120)
+    assert r.returncode == 0, r.stderr
+    return r.stdout.splitlines()
+
+
+def test_the_process_pool_loads_only_for_a_parallel_batch(tmp_path):
+    # Importing the package and its CLI, and a serial batch, leave the
+    # multiprocessing modules unloaded; a fresh interpreter shows it.
     code = (
         "import sys, rimcert, rimcert.cli\n"
         "pool = ('multiprocessing', 'concurrent.futures.process')\n"
@@ -229,10 +237,7 @@ def test_the_process_pool_loads_only_for_a_parallel_batch(tmp_path):
         "rimcert.run_batch({'specs': [{'knot': '3_1', 'd': 2}] * 2, 'parallelism': 2})\n"
         "print([m for m in pool if m in sys.modules])\n"
     )
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                       env=env, cwd=tmp_path, timeout=120)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines() == [
+    assert _fresh_python(code, tmp_path) == [
         "[]", "[]", "['multiprocessing', 'concurrent.futures.process']",
     ]
 
@@ -296,15 +301,36 @@ def test_run_batch_echoes_valid_limits():
         assert doc["rows"][0]["verdict"]["status"] == "cyclic"
 
 
+SMALL_SWEEP = {
+    "sweeps": [{"knots": ["unknot", "3_1", "4_1"], "d": [2, 3], "m": 1, "n": [0, 1]}],
+    "max_cosets": 50_000,
+}
+
+
 def test_parallelism_does_not_change_the_bytes():
-    config = {
-        "sweeps": [{"knots": ["unknot", "3_1", "4_1"], "d": [2, 3],
-                    "m": 1, "n": [0, 1]}],
-        "max_cosets": 50_000,
-    }
-    serial = batch_json(run_batch({**config, "parallelism": 1}))
-    parallel = batch_json(run_batch({**config, "parallelism": 4}))
+    serial = batch_json(run_batch({**SMALL_SWEEP, "parallelism": 1}))
+    parallel = batch_json(run_batch({**SMALL_SWEEP, "parallelism": 4}))
     assert serial == parallel
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_the_pool_gives_the_serial_bytes_under_each_start_method(tmp_path, method):
+    # On Linux the pool forks by default; macOS spawns, and Python 3.14
+    # makes forkserver the Linux default.  Workers started either way
+    # import rimcert afresh, so they must rebuild each row from the job
+    # alone.  A fresh interpreter sets the method before any pool starts.
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    code = (
+        "import multiprocessing, rimcert\n"
+        f"multiprocessing.set_start_method({method!r})\n"
+        f"config = {SMALL_SWEEP!r}\n"
+        "serial = rimcert.batch_json(rimcert.run_batch(config))\n"
+        "pooled = rimcert.run_batch({**config, 'parallelism': 3})\n"
+        "print(multiprocessing.get_start_method(), pooled['summary']['total'])\n"
+        "print(rimcert.batch_json(pooled) == serial)\n"
+    )
+    assert _fresh_python(code, tmp_path) == [f"{method} 12", "True"]
 
 
 def test_the_pool_gets_no_more_workers_than_rows(monkeypatch):

@@ -1,4 +1,5 @@
 import functools
+import gc
 import random
 import time
 from dataclasses import replace
@@ -245,6 +246,48 @@ def test_the_compiled_lookahead_pass_polls_the_deadline_once_per_1024_rows():
     _lookahead(table, relators, 2048)
     with pytest.raises(enumeration._Deadline):
         _lookahead(table, relators, 1)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_lookahead_pauses_the_garbage_collector_and_restores_it(enabled):
+    # Binding the walks of (a b)^50000 and (a^2 b^-1)^30000 builds a tuple
+    # per letter; with the collector running, that started 542 collections.
+    # The pass runs none, and leaves the collector as it found it, whether
+    # the pass returns or the deadline ends it.  The tables are built and
+    # the young generation emptied first, so nothing else starts one.
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    def set_collector(on):
+        if on:
+            gc.enable()
+        else:
+            gc.disable()
+
+    table = CosetTable(2, 10)
+    views = [table.views(r) for r in ((0, 2) * 50_000, (0, 0, 3) * 30_000)]
+    # The a^3000 cycle, whose pass from row 1 polls a passed deadline.
+    late = CosetTable(2, 10_000)
+    late.scan(0, late.views((0,) * 3000))
+    late.deadline = time.monotonic() - 1.0
+    late_views = [late.views((2, 2, 2, 2))]
+    was = gc.isenabled()
+    set_collector(enabled)
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        table.lookahead(views, 0)
+        assert started == []
+        assert gc.isenabled() is enabled
+        with pytest.raises(enumeration._Deadline):
+            late.lookahead(late_views, 1)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(record)
+        set_collector(was)
 
 
 # -- a gap filled by one chain defines what single definitions define ---------
