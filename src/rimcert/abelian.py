@@ -11,9 +11,9 @@ them, and on dense matrices their products grow far past D's entries.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .groups import GroupPresentation
+from .record import Record
 
 Matrix = list[list[int]]
 
@@ -79,19 +79,18 @@ def smith_normal_form(a: Matrix) -> Matrix:
     return m
 
 
-@dataclass(frozen=True, slots=True)
-class AbelianInvariants:
+class AbelianInvariants(Record):
     """H_1 of a presentation: free rank plus the torsion divisor chain."""
 
-    free_rank: int
-    torsion: tuple[int, ...]
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self) -> None:
-        for i, d in enumerate(self.torsion):
+    def __init__(self, free_rank: int, torsion: tuple[int, ...]) -> None:
+        for i, d in enumerate(torsion):
             if d <= 1:
                 raise ValueError("torsion divisors must exceed 1")
-            if i and d % self.torsion[i - 1] != 0:
+            if i and d % torsion[i - 1] != 0:
                 raise ValueError("torsion divisors must form a chain")
+        self._set(free_rank, torsion)
 
     def is_cyclic_of_order(self, d: int) -> bool:
         if d == 1:

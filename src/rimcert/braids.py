@@ -10,25 +10,25 @@ single component.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from .record import Record
 
 _HEADER_RE = re.compile(r"^\s*B\s*(\d+)\s*:\s*(.*?)\s*$")
 
 
-@dataclass(frozen=True, slots=True)
-class BraidWord:
-    strands: int
-    letters: tuple[int, ...] = ()
+class BraidWord(Record):
+    __slots__ = ("strands", "letters")
 
-    def __post_init__(self) -> None:
-        if self.strands < 1:
+    def __init__(self, strands: int, letters: tuple[int, ...] = ()) -> None:
+        if strands < 1:
             raise ValueError("a braid needs at least one strand")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for l in self.letters:
-            if l == 0 or abs(l) >= self.strands:
+        letters = tuple(letters)
+        for l in letters:
+            if l == 0 or abs(l) >= strands:
                 raise ValueError(
-                    f"letter {l} is out of range for a {self.strands}-strand braid"
+                    f"letter {l} is out of range for a {strands}-strand braid"
                 )
+        self._set(strands, letters)
 
     def writhe(self) -> int:
         return sum(1 if l > 0 else -1 for l in self.letters)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 
 from .abelian import AbelianInvariants, abelian_invariants
 from .enumeration import DEFAULT_MAX_COSETS, todd_coxeter
@@ -25,14 +24,14 @@ from .groups import (
     is_integer,
     quotient,
 )
+from .record import Record
 
 CYCLIC = "cyclic"
 NON_CYCLIC = "non_cyclic"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True, slots=True)
-class CyclicityVerdict:
+class CyclicityVerdict(Record):
     """A three-valued answer with its witness and replayable certificate.
 
     ``order`` is the order d that was asked about, on every status; it is
@@ -40,11 +39,12 @@ class CyclicityVerdict:
     one, is ``witness["group_order"]``.
     """
 
-    status: str
-    order: int
-    justification: str
-    witness: dict = field(default_factory=dict)
-    certificate: dict = field(default_factory=dict)
+    __slots__ = ("status", "order", "justification", "witness", "certificate")
+
+    def __init__(self, status: str, order: int, justification: str,
+                 witness: dict | None = None, certificate: dict | None = None) -> None:
+        self._set(status, order, justification, {} if witness is None else witness,
+                  {} if certificate is None else certificate)
 
     @property
     def certified(self) -> bool:

@@ -18,21 +18,18 @@ loop around both of them a product x * y^-1 of their meridians.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .braids import BraidWord
+from .record import Record
 
 
-@dataclass(frozen=True, slots=True)
-class Crossing:
-    over: int
-    under_in: int
-    under_out: int
-    sign: int
+class Crossing(Record):
+    __slots__ = ("over", "under_in", "under_out", "sign")
+
+    def __init__(self, over: int, under_in: int, under_out: int, sign: int) -> None:
+        self._set(over, under_in, under_out, sign)
 
 
-@dataclass(frozen=True, slots=True)
-class Diagram:
+class Diagram(Record):
     """Crossings over `n_arcs` arcs, and the arcs of each strand in order.
 
     A closure has one strand, whose arcs are numbered in traversal order:
@@ -42,9 +39,11 @@ class Diagram:
     where strand 2 ends.  Arc 0 starts the first strand in both.
     """
 
-    crossings: tuple[Crossing, ...]
-    n_arcs: int
-    strands: tuple[tuple[int, ...], ...]
+    __slots__ = ("crossings", "n_arcs", "strands")
+
+    def __init__(self, crossings: tuple[Crossing, ...], n_arcs: int,
+                 strands: tuple[tuple[int, ...], ...]) -> None:
+        self._set(crossings, n_arcs, strands)
 
 
 def _walk(

@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import gc
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import eq
 
 from .groups import GroupPresentation, Word, is_integer
+from .record import Record
 
 DEFAULT_MAX_COSETS = 100_000
 
@@ -104,8 +104,9 @@ class CosetTable:
     def _poll(self) -> None:
         """Raise _Deadline once the deadline has passed.
 
-        Callers poll once per 1024 definitions, merges or lookahead rows,
-        which keeps the clock reads off the hot path.
+        Callers poll once per 1024 definitions or merges, and lookahead
+        once per up to 1024 rows, which keeps the clock reads off the hot
+        path.
         """
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Deadline
@@ -254,7 +255,10 @@ class CosetTable:
         backward walk: a gap of one letter is filled as a deduction, and a
         scan whose two ends meet at different cosets merges them; only such
         a merge can kill alpha, which ends alpha's scans.  The deadline is
-        polled once per 1024 rows.  The pass is the one _lookahead_pass
+        polled by work: every 2^(20 - b) rows, b the bit length of the views'
+        total letters, but at least every row and at most every 1024 rows, so
+        short relators keep a poll per 1024 rows and long ones walk no more
+        than about 2^20 letters per poll.  The pass is the one _lookahead_pass
         compiles for the views' pattern.  It reads the first two steps of a
         relator of four or more letters each way before it walks: a scan
         whose walks take at most one step each leaves a gap of two or more
@@ -266,7 +270,10 @@ class CosetTable:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            _lookahead_pass(tuple(len(fw) >= 4 for fw, _ in views))(self, views, start)
+            letters = sum(len(fw) for fw, _ in views)
+            mask = (1 << max(0, min(10, 20 - letters.bit_length()))) - 1
+            pattern = tuple(len(fw) >= 4 for fw, _ in views)
+            _lookahead_pass(pattern)(self, views, start, mask)
         finally:
             if enabled:
                 gc.enable()
@@ -312,7 +319,7 @@ class CosetTable:
 # have met the forward walk, so merge walks to that meeting point again.
 # That is the rare case; the common one saves a test per step.
 _PASS = """\
-def lookahead(table, views, start):
+def lookahead(table, views, start, mask):
     p = table.p
     coincidence = table.coincidence
     poll = table._poll
@@ -327,7 +334,7 @@ def lookahead(table, views, start):
         return p[alpha] != alpha
 {binds}
     for alpha in range(start, len(p)):
-        if alpha & 1023 == 1023:
+        if alpha & mask == mask:
             poll()
         if p[alpha] != alpha:
             continue
@@ -435,13 +442,14 @@ def _lookahead_pass(pattern: tuple[bool, ...]):
     return namespace["lookahead"]
 
 
-@dataclass(frozen=True, slots=True)
-class EnumerationResult:
-    index: int | None  # None when incomplete
-    cosets_defined: int
-    max_cosets: int
-    reason: str | None = None  # "max_cosets" | "timeout" when incomplete
-    table: CosetTable | None = None
+class EnumerationResult(Record):
+    # index is None when incomplete, and reason then names the limit that was
+    # hit: "max_cosets" or "timeout".
+    __slots__ = ("index", "cosets_defined", "max_cosets", "reason", "table")
+
+    def __init__(self, index: int | None, cosets_defined: int, max_cosets: int,
+                 reason: str | None = None, table: CosetTable | None = None) -> None:
+        self._set(index, cosets_defined, max_cosets, reason, table)
 
     @property
     def complete(self) -> bool:

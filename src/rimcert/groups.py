@@ -12,11 +12,12 @@ ordering.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import cmp_to_key
 from itertools import groupby
 from operator import indexOf, ne
 from typing import Iterable, Iterator, Sequence
+
+from .record import Record
 
 Syllable = tuple[int, int]
 
@@ -70,8 +71,7 @@ def _cyclically_reduce(w: tuple[int, ...]) -> tuple[int, ...]:
     return w[i : j + 1]
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Word:
+class Word(Record):
     """A freely reduced word in a free group on indexed generators.
 
     ``Word(syllables)`` reduces the (generator, nonzero exponent) pairs it
@@ -79,7 +79,7 @@ class Word:
     inverse.
     """
 
-    cols: tuple[int, ...]
+    __slots__ = ("cols",)
 
     def __init__(self, syllables: Iterable[Syllable] = ()) -> None:
         out: list[int] = []
@@ -122,11 +122,19 @@ class Word:
         return Word._of(_inverse(self.cols))
 
     def __pow__(self, k: int) -> "Word":
-        base = self.cols if k >= 0 else _inverse(self.cols)
-        out: list[int] = []
-        for _ in range(abs(k)):
-            _append(out, base)
-        return Word._of(tuple(out))
+        """u^k as v c^k v^-1, where u = v c v^-1 and c's ends are not inverse.
+
+        No letters cancel where the copies of c meet, so u^k is built in
+        time linear in its length.
+        """
+        if k == 0:
+            return Word._of(())
+        u = self.cols if k > 0 else _inverse(self.cols)
+        i, j = 0, len(u)
+        while i < j and u[i] ^ u[j - 1] == 1:
+            i += 1
+            j -= 1
+        return Word._of(u[:i] + u[i:j] * abs(k) + u[j:])
 
     def is_identity(self) -> bool:
         return not self.cols
@@ -206,36 +214,33 @@ def default_generator_names(ngens: int) -> tuple[str, ...]:
     return tuple(names)
 
 
-@dataclass(frozen=True, slots=True)
-class GroupPresentation:
+class GroupPresentation(Record):
     """<x0..x{ngens-1} | relators>, optionally with peripheral words.
 
     Relators are cyclically reduced, nonempty, and ordered by length then
     lexicographically so that identical groups enumerate identically.
     """
 
-    ngens: int
-    relators: tuple[Word, ...] = ()
-    meridian: Word | None = None
-    longitude: Word | None = None
+    __slots__ = ("ngens", "relators", "meridian", "longitude")
 
-    def __post_init__(self) -> None:
-        if self.ngens < 0:
+    def __init__(self, ngens: int, relators: tuple[Word, ...] = (),
+                 meridian: Word | None = None, longitude: Word | None = None) -> None:
+        if ngens < 0:
             raise ValueError("generator count must be nonnegative")
         rels = []
-        for r in self.relators:
-            if r.max_generator() >= self.ngens:
+        for r in relators:
+            if r.max_generator() >= ngens:
                 raise ValueError(
-                    f"relator {r} uses a generator outside x0..x{self.ngens - 1}"
+                    f"relator {r} uses a generator outside x0..x{ngens - 1}"
                 )
             r = r.cyclically_reduced()
             if not r.is_identity():
                 rels.append(r)
         rels.sort(key=_relator_sort_key)
-        object.__setattr__(self, "relators", tuple(rels))
-        for name, w in (("meridian", self.meridian), ("longitude", self.longitude)):
-            if w is not None and w.max_generator() >= self.ngens:
+        for name, w in (("meridian", meridian), ("longitude", longitude)):
+            if w is not None and w.max_generator() >= ngens:
                 raise ValueError(f"{name} word uses an undefined generator")
+        self._set(ngens, tuple(rels), meridian, longitude)
 
     def names(self) -> tuple[str, ...]:
         return default_generator_names(self.ngens)
@@ -250,7 +255,9 @@ def quotient(p: GroupPresentation, extra_relators: Iterable[Word]) -> GroupPrese
     The constructor normalizes the relators; its stable sort puts each added
     relator after the old ones with an equal key.
     """
-    return replace(p, relators=p.relators + tuple(extra_relators))
+    return GroupPresentation(
+        p.ngens, p.relators + tuple(extra_relators), p.meridian, p.longitude
+    )
 
 
 # --- relator normal forms, for duplicate detection and relator lookup -----

@@ -14,13 +14,13 @@ that the closure diagram is built from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .braids import BraidWord
 from .diagrams import Crossing, Diagram
 from .groups import GroupPresentation, Word
 from .laurent import LaurentPolynomial, poly_determinant
+from .record import Record
 
 
 def _crossing_relator(c: Crossing) -> Word:
@@ -132,12 +132,13 @@ def arf_invariant(delta: LaurentPolynomial) -> int:
     return 0 if det % 8 in (1, 7) else 1
 
 
-@dataclass(frozen=True, slots=True)
-class NormalInvariantReport:
+class NormalInvariantReport(Record):
     """Degree-one comparison data for the surgered surface exterior."""
 
-    arf: int
-    label: str
+    __slots__ = ("arf", "label")
+
+    def __init__(self, arf: int, label: str) -> None:
+        self._set(arf, label)
 
 
 def normal_invariant_report(delta: LaurentPolynomial) -> NormalInvariantReport:

@@ -7,7 +7,7 @@ and last coefficients are nonzero (the zero polynomial is the empty tuple).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 
 def _trim(coeffs: list[int], base: int) -> tuple[tuple[int, ...], int]:
@@ -22,15 +22,11 @@ def _trim(coeffs: list[int], base: int) -> tuple[tuple[int, ...], int]:
     return tuple(coeffs[lo:hi]), base + lo
 
 
-@dataclass(frozen=True, slots=True)
-class LaurentPolynomial:
-    coeffs: tuple[int, ...] = ()
-    base: int = 0
+class LaurentPolynomial(Record):
+    __slots__ = ("coeffs", "base")
 
-    def __post_init__(self) -> None:
-        c, b = _trim(list(self.coeffs), self.base)
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "base", b)
+    def __init__(self, coeffs: tuple[int, ...] = (), base: int = 0) -> None:
+        self._set(*_trim(list(coeffs), base))
 
     @staticmethod
     def zero() -> "LaurentPolynomial":

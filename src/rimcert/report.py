@@ -10,7 +10,6 @@ property-test and keeps batch output stable across processes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .certify import CYCLIC, INCONCLUSIVE, NON_CYCLIC, CyclicityVerdict, certify_cyclic
 # braid_closure_diagram is not called here: diagrams are built by
@@ -22,6 +21,7 @@ from .diagrams import braid_closure_diagram
 from .enumeration import DEFAULT_MAX_COSETS
 from .invariants import alexander_polynomial, knot_determinant, normal_invariant_report
 from .laurent import LaurentPolynomial
+from .record import Record
 from .surgery import SurgerySpec, surgered_group
 
 REPORT_SCHEMA = "rimcert.report/1"
@@ -78,15 +78,13 @@ def conclusions_for(status: str, invariants: dict) -> dict:
     }
 
 
-@dataclass(frozen=True, slots=True)
-class CertificationReport:
-    spec: SurgerySpec
-    verdict: CyclicityVerdict
-    group: dict
-    invariants: dict
-    conclusions: dict
-    limits: dict
-    elapsed: float
+class CertificationReport(Record):
+    __slots__ = ("spec", "verdict", "group", "invariants", "conclusions", "limits",
+                 "elapsed")
+
+    def __init__(self, spec: SurgerySpec, verdict: CyclicityVerdict, group: dict,
+                 invariants: dict, conclusions: dict, limits: dict, elapsed: float) -> None:
+        self._set(spec, verdict, group, invariants, conclusions, limits, elapsed)
 
     def to_json(self, timing: bool = True) -> dict:
         doc = {

@@ -11,21 +11,20 @@ roll counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .braids import BraidWord, resolve_knot
 from .diagrams import band_double, braid_closure_diagram
 from .groups import GroupPresentation, Word, commutator, is_integer, quotient
 from .invariants import wirtinger
+from .record import Record
 
 RIM = "rim"
 ANNULUS = "annulus"
 KINDS = (RIM, ANNULUS)
 
 
-@dataclass(frozen=True, slots=True)
-class PlotnickMatrix:
+class PlotnickMatrix(Record):
     """Regluing that exhibits the twisted cover complement inside S^4.
 
     ``inverse_residue`` is the least nonnegative inverse of ``twists``
@@ -36,11 +35,11 @@ class PlotnickMatrix:
     standard.
     """
 
-    order: int
-    twists: int
-    inverse_residue: int
-    complement: int
-    rows: tuple[tuple[int, int, int], ...]
+    __slots__ = ("order", "twists", "inverse_residue", "complement", "rows")
+
+    def __init__(self, order: int, twists: int, inverse_residue: int, complement: int,
+                 rows: tuple[tuple[int, int, int], ...]) -> None:
+        self._set(order, twists, inverse_residue, complement, rows)
 
     def determinant(self) -> int:
         r = self.rows
@@ -76,8 +75,7 @@ def plotnick_matrix(d: int, m: int) -> PlotnickMatrix:
 # -- surgery specifications -------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class SurgerySpec:
+class SurgerySpec(Record):
     """One surgery instance: what to cut along and how to reglue.
 
     ``knot`` names the companion: a table name or a braid literal.  Every
@@ -86,30 +84,27 @@ class SurgerySpec:
     word the name resolves to, once, when the spec is made; the spec's
     diagram and its invariants are derived from it.  A name that does not
     resolve fails here, and so do counts that are not ints (a bool is not
-    one).
+    one).  Equality, hashing and the repr leave out ``braid``, which the
+    other fields determine.
     """
 
-    knot: str
-    d: int
-    m: int = 0
-    n: int = 0
-    kind: str = RIM
-    braid: BraidWord = field(init=False, repr=False, compare=False)
+    __slots__ = ("knot", "d", "m", "n", "kind", "braid")
+    _fields = __slots__[:-1]
 
-    def __post_init__(self) -> None:
+    def __init__(self, knot: str, d: int, m: int = 0, n: int = 0, kind: str = RIM) -> None:
         # Counts first: a spec document with several faults names its counts.
-        for key in ("d", "m", "n"):
-            if not is_integer(getattr(self, key)):
+        for key, value in (("d", d), ("m", m), ("n", n)):
+            if not is_integer(value):
                 raise ValueError(f"{key} must be an integer")
-        if not isinstance(self.knot, str):
+        if not isinstance(knot, str):
             raise ValueError("'knot' must be a table name or a braid literal")
-        if self.kind not in KINDS:
+        if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        if self.d < 1:
+        if d < 1:
             raise ValueError("d must be a positive integer")
-        if self.m < 0:
+        if m < 0:
             raise ValueError("twist count m must be nonnegative")
-        object.__setattr__(self, "braid", resolve_knot(self.knot))
+        self._set(knot, d, m, n, kind, resolve_knot(knot))
 
     def label(self) -> str:
         return f"{self.kind}({self.knot}, d={self.d}, m={self.m}, n={self.n})"

@@ -2,7 +2,6 @@ import functools
 import gc
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -244,6 +243,19 @@ def test_the_compiled_lookahead_pass_polls_the_deadline_once_per_1024_rows():
     table.deadline = time.monotonic() - 1.0
     relators = [(2, 2, 2, 2)]
     _lookahead(table, relators, 2048)
+    with pytest.raises(enumeration._Deadline):
+        _lookahead(table, relators, 1)
+
+
+def test_the_compiled_lookahead_pass_polls_long_relators_more_often():
+    # A relator of 2^14 letters makes the pass poll once per 2^(20 - 15)
+    # = 32 rows.  From row 1 of a 40-row table, a poll per 1024 rows would
+    # come at row 1023, past the table's end; this pass polls at row 31.
+    table = CosetTable(2, 100)
+    table.scan(0, table.views((0,) * 40))
+    table.deadline = time.monotonic() - 1.0
+    relators = [(2,) * (1 << 14)]
+    _lookahead(table, [(2, 2, 2, 2)], 1)
     with pytest.raises(enumeration._Deadline):
         _lookahead(table, relators, 1)
 
@@ -719,7 +731,11 @@ def _restarting_hlt(p, subgroup, max_cosets):
         last = freed
         freed_rows += compress(table)
     result = _finish(table, max_cosets)
-    return replace(result, cosets_defined=result.cosets_defined + freed_rows), rounds
+    result = EnumerationResult(
+        result.index, result.cosets_defined + freed_rows, result.max_cosets,
+        result.reason, result.table,
+    )
+    return result, rounds
 
 
 def test_round_loop_matches_the_restarting_loop():

@@ -65,6 +65,22 @@ def test_word_operations_match_the_syllable_oracles(s, t, k):
     assert a.cyclically_reduced().syllables == _cyclic_reduce(ref_a)
 
 
+@given(SYLLABLES, st.integers(-6, 6))
+@example([(0, 1), (1, 2), (0, -1)], 3)
+@example([(0, 1), (1, 1), (0, 1), (1, -1), (0, -1)], -2)
+@example([(1, -2)], 0)
+def test_word_power_matches_repeated_products(s, k):
+    # __pow__ splits off the conjugating ends and repeats the middle; a
+    # product of |k| copies of a or its inverse reduces at every seam.
+    a = Word(s)
+    factor = a if k >= 0 else a.inverse()
+    product = Word.identity()
+    for _ in range(abs(k)):
+        product = product * factor
+    assert a**k == product
+    assert (a**k).cols == product.cols
+
+
 @given(st.lists(SYLLABLES, max_size=5), st.integers(0, 2))
 @example([[(0, 2), (2, -3), (0, 1)], [(1, -1)]], 1)
 def test_relator_matrix_matches_the_exponent_sums(relators, extra):
