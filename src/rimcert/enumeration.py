@@ -104,9 +104,9 @@ class CosetTable:
     def _poll(self) -> None:
         """Raise _Deadline once the deadline has passed.
 
-        Callers poll once per 1024 definitions or merges, and lookahead
-        once per up to 1024 rows, which keeps the clock reads off the hot
-        path.
+        Callers poll once per 1024 definitions or merges, lookahead once
+        per up to 1024 rows and view building once per 2^20 letters, which
+        keeps the clock reads off the hot path.
         """
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Deadline
@@ -511,13 +511,21 @@ def todd_coxeter(
             raise ValueError("subgroup word uses an undefined generator")
     table = CosetTable(p.ngens, max_cosets, deadline)
     parent, cols = table.p, table.cols
-    views = [table.views(r.cols) for r in p.relators]
-    subgroup_views = [table.views(w.cols) for w in subgroup]
-    letter_views = [table.views((x,)) for x in range(table.ncols)]
     alpha = 0
     floor = max(1, max_cosets // 20)
     last = max_cosets
     try:
+        # Building the views of long relators can take seconds, so it polls
+        # once per 2^20 letters, the budget a lookahead poll walks.
+        views, letters = [], 0
+        for r in p.relators:
+            if letters >> 20:
+                table._poll()
+                letters = 0
+            views.append(table.views(r.cols))
+            letters += len(r.cols)
+        subgroup_views = [table.views(w.cols) for w in subgroup]
+        letter_views = [table.views((x,)) for x in range(table.ncols)]
         while True:
             try:
                 for v in subgroup_views:
@@ -554,8 +562,8 @@ def todd_coxeter(
             last = freed
             table.limit = max_cosets + dead
     except _Deadline:
-        # Lookahead and coincidence poll the deadline too, so it can fire
-        # outside a definition.
+        # View building, lookahead and coincidence poll the deadline too,
+        # so it can fire outside a definition.
         return _overflow(table, max_cosets, "timeout")
     # No poll past this point: the table is complete, and a late deadline
     # must not throw it away.

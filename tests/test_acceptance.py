@@ -26,23 +26,15 @@ from oracles import (
     smith_diagonal_by_minors,
 )
 
-from rimcert import (
-    GroupPresentation,
-    Word,
-    batch_json,
-    certify,
-    collapse_presentation,
-    expand_config,
-    parse_word,
-    plotnick_matrix,
-    run_batch,
-    spec_from_json,
-    todd_coxeter,
-)
 from rimcert.abelian import smith_normal_form
+from rimcert.batch import batch_json, expand_config, run_batch
 from rimcert.braids import BraidWord
+from rimcert.enumeration import todd_coxeter
+from rimcert.groups import GroupPresentation, Word, collapse_presentation, parse_word
 from rimcert.invariants import alexander_polynomial, arf_invariant
 from rimcert.laurent import LaurentPolynomial
+from rimcert.report import certify
+from rimcert.surgery import plotnick_matrix, spec_from_json
 
 
 def _spec(knot, d, m=0, n=0, kind="rim"):

@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import rimcert
-from rimcert import batch, batch_json, expand_config, run_batch
+from rimcert import batch
+from rimcert.batch import batch_json, expand_config, expand_sweep, run_batch
 from rimcert.braids import resolve_knot
 from rimcert.diagrams import band_double, braid_closure_diagram
-from rimcert.batch import expand_sweep
 from rimcert.surgery import spec_from_json
 
 from oracles import knot_diagram_json, tangle_diagram_json
@@ -229,12 +229,12 @@ def test_the_process_pool_loads_only_for_a_parallel_batch(tmp_path):
     # Importing the package and its CLI, and a serial batch, leave the
     # multiprocessing modules unloaded; a fresh interpreter shows it.
     code = (
-        "import sys, rimcert, rimcert.cli\n"
+        "import sys, rimcert.batch, rimcert.cli\n"
         "pool = ('multiprocessing', 'concurrent.futures.process')\n"
         "print([m for m in pool if m in sys.modules])\n"
-        "rimcert.run_batch({'specs': [{'knot': '3_1', 'd': 2}] * 2})\n"
+        "rimcert.batch.run_batch({'specs': [{'knot': '3_1', 'd': 2}] * 2})\n"
         "print([m for m in pool if m in sys.modules])\n"
-        "rimcert.run_batch({'specs': [{'knot': '3_1', 'd': 2}] * 2, 'parallelism': 2})\n"
+        "rimcert.batch.run_batch({'specs': [{'knot': '3_1', 'd': 2}] * 2, 'parallelism': 2})\n"
         "print([m for m in pool if m in sys.modules])\n"
     )
     assert _fresh_python(code, tmp_path) == [
@@ -322,13 +322,13 @@ def test_the_pool_gives_the_serial_bytes_under_each_start_method(tmp_path, metho
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method on this platform")
     code = (
-        "import multiprocessing, rimcert\n"
+        "import multiprocessing, rimcert.batch\n"
         f"multiprocessing.set_start_method({method!r})\n"
         f"config = {SMALL_SWEEP!r}\n"
-        "serial = rimcert.batch_json(rimcert.run_batch(config))\n"
-        "pooled = rimcert.run_batch({**config, 'parallelism': 3})\n"
+        "serial = rimcert.batch.batch_json(rimcert.batch.run_batch(config))\n"
+        "pooled = rimcert.batch.run_batch({**config, 'parallelism': 3})\n"
         "print(multiprocessing.get_start_method(), pooled['summary']['total'])\n"
-        "print(rimcert.batch_json(pooled) == serial)\n"
+        "print(rimcert.batch.batch_json(pooled) == serial)\n"
     )
     assert _fresh_python(code, tmp_path) == [f"{method} 12", "True"]
 

@@ -2,17 +2,10 @@
 
 import pytest
 
-from rimcert import (
-    GroupPresentation,
-    Word,
-    certify_cyclic,
-    parse_word,
-    spec_from_json,
-    surgered_group,
-    todd_coxeter,
-)
-from rimcert.certify import CYCLIC, INCONCLUSIVE, NON_CYCLIC
-from rimcert.groups import collapse_presentation
+from rimcert.certify import CYCLIC, INCONCLUSIVE, NON_CYCLIC, certify_cyclic
+from rimcert.enumeration import todd_coxeter
+from rimcert.groups import GroupPresentation, Word, collapse_presentation, parse_word
+from rimcert.surgery import spec_from_json, surgered_group
 
 AB = ("a", "b")
 

@@ -8,11 +8,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from rimcert import GroupPresentation, Word, certify_cyclic, todd_coxeter  # noqa: E402
 from rimcert.abelian import abelian_invariants  # noqa: E402
-from rimcert.certify import CYCLIC, NON_CYCLIC  # noqa: E402
+from rimcert.certify import CYCLIC, NON_CYCLIC, certify_cyclic  # noqa: E402
 from rimcert.braids import BraidWord  # noqa: E402
+from rimcert.enumeration import todd_coxeter  # noqa: E402
 from rimcert.groups import (  # noqa: E402
+    GroupPresentation,
+    Word,
     collapse_presentation,
     cyclic_normal_form,
     quotient,

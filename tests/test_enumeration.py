@@ -173,7 +173,8 @@ def test_strategies_agree_on_random_finite_quotients():
 def _overflow_run(max_cosets):
     """The collapsed meridian enumeration of 5_2 d=3 m=1 n=3, and the
     seconds that its run with no deadline takes to give up."""
-    from rimcert import collapse_presentation, spec_from_json, surgered_group
+    from rimcert.groups import collapse_presentation
+    from rimcert.surgery import spec_from_json, surgered_group
 
     p = surgered_group(spec_from_json({"knot": "5_2", "d": 3, "m": 1, "n": 3}))
     q = collapse_presentation(p, protect=(p.meridian.syllables[0][0],))
@@ -222,6 +223,17 @@ def test_a_scan_polls_the_deadline_while_it_defines():
     r = todd_coxeter(_p(1, A**3000), [], deadline=time.monotonic() - 1.0)
     assert r.reason == "timeout"
     assert r.cosets_defined == 1024
+
+
+def test_building_the_relator_views_polls_the_deadline():
+    # Each relator has 2^21 letters, so the views of the second are built
+    # only after a poll, which the passed deadline ends before any scan.
+    # Without it the first scan would run to its 1024th definition.
+    n = 1 << 20
+    r = todd_coxeter(_p(2, (A * B) ** n, (A * B**-1) ** n), [],
+                     deadline=time.monotonic() - 1.0)
+    assert r.reason == "timeout"
+    assert r.cosets_defined == 1
 
 
 def test_completed_table_survives_a_passed_deadline():
@@ -583,7 +595,8 @@ def test_coincidence_matches_the_reference_union_find():
 
 def _collapsed_sweep_spec(knot, d, n, m=1):
     """The presentation certify_cyclic enumerates for rim knot d m n."""
-    from rimcert import collapse_presentation, spec_from_json, surgered_group
+    from rimcert.groups import collapse_presentation
+    from rimcert.surgery import spec_from_json, surgered_group
 
     p = surgered_group(spec_from_json({"knot": knot, "d": d, "m": m, "n": n}))
     return collapse_presentation(p, protect=(p.meridian.syllables[0][0],))
@@ -789,7 +802,8 @@ def test_the_decided_spec_that_fills_its_table_still_completes(monkeypatch):
     # 5_2 d=4 m=3 n=1 is the one decided sweep spec whose meridian table
     # fills at the default limit.  Its one lookahead round frees about 63%
     # of the table, so the give-up rule lets HLT go on, and it completes.
-    from rimcert import certify, spec_from_json
+    from rimcert.report import certify
+    from rimcert.surgery import spec_from_json
 
     rounds = []
     lookahead = CosetTable.lookahead

@@ -6,21 +6,16 @@ import pickle
 
 import pytest
 
-from rimcert import (
-    AbelianInvariants,
-    BraidWord,
-    CertificationReport,
-    Crossing,
-    CyclicityVerdict,
-    Diagram,
-    EnumerationResult,
-    GroupPresentation,
-    LaurentPolynomial,
-    NormalInvariantReport,
-    PlotnickMatrix,
-    SurgerySpec,
-    Word,
-)
+from rimcert.abelian import AbelianInvariants
+from rimcert.braids import BraidWord
+from rimcert.certify import CyclicityVerdict
+from rimcert.diagrams import Crossing, Diagram
+from rimcert.enumeration import EnumerationResult
+from rimcert.groups import GroupPresentation, Word
+from rimcert.invariants import NormalInvariantReport
+from rimcert.laurent import LaurentPolynomial
+from rimcert.report import CertificationReport
+from rimcert.surgery import PlotnickMatrix, SurgerySpec
 
 from test_batch import _fresh_python
 
@@ -114,3 +109,24 @@ def test_importing_the_package_loads_no_class_generator(tmp_path):
         "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
     )
     assert _fresh_python(code, tmp_path) == ["[]"]
+
+
+def test_each_module_loads_only_what_it_imports(tmp_path):
+    # The package binds no name but __version__ and imports no module, so
+    # importing one module loads that module and its own imports alone,
+    # and rimcert.certify is the certifier module, not a function.
+    code = (
+        "import sys, rimcert\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'rimcert')\n"
+        "print(loaded(), [n for n in vars(rimcert) if not n.startswith('_')],\n"
+        "      hasattr(rimcert, '__version__'))\n"
+        "import rimcert.groups\n"
+        "print(loaded())\n"
+        "import rimcert.certify as m\n"
+        "print(type(m).__name__, m.certify_cyclic.__module__)\n"
+    )
+    assert _fresh_python(code, tmp_path) == [
+        "['rimcert'] [] True",
+        "['rimcert', 'rimcert.groups', 'rimcert.record']",
+        "module rimcert.certify",
+    ]

@@ -6,16 +6,18 @@ import json
 
 import pytest
 
-from rimcert import (
+from rimcert.braids import resolve_knot
+from rimcert.report import (
+    REPORT_SCHEMA,
+    SMOOTHNESS_CAVEAT,
+    TOPOLOGICAL_TEXT,
     CertificationReport,
     certify,
     conclusions_for,
     invariant_block,
     render_text,
-    spec_from_json,
 )
-from rimcert.braids import resolve_knot
-from rimcert.report import REPORT_SCHEMA, SMOOTHNESS_CAVEAT, TOPOLOGICAL_TEXT
+from rimcert.surgery import spec_from_json
 
 STATUSES = ("cyclic", "non_cyclic", "inconclusive")
 

@@ -8,8 +8,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from rimcert import GroupPresentation, Word, certify_cyclic, todd_coxeter  # noqa: E402
 from rimcert.braids import BraidWord  # noqa: E402
+from rimcert.certify import certify_cyclic  # noqa: E402
+from rimcert.enumeration import todd_coxeter  # noqa: E402
+from rimcert.groups import GroupPresentation, Word  # noqa: E402
 from rimcert.surgery import spec_from_json, surgered_group  # noqa: E402
 
 from oracles import artin_rim_group  # noqa: E402
